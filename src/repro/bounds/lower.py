@@ -18,7 +18,10 @@ parameters bound treewidth from below:
 ``treewidth_lower_bound`` returns the max of the selected heuristics,
 matching the thesis's choice for A*-tw ("the maximum of the values
 returned by the minor-min-width heuristic and the minor-gamma_R
-heuristic").
+heuristic"). With ``rng=None`` both minor bounds follow one contraction
+sequence, so it computes them in a single bitmask pass
+(:mod:`repro.kernels.minor_bound`) with the same result; the functions
+here remain the seeded path and the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 
 from repro.hypergraphs.graph import Graph, Vertex
+from repro.kernels.minor_bound import minor_lower_bound
 
 
 def _min_degree_vertex(
@@ -122,6 +126,10 @@ _METHODS = {
 }
 
 
+#: Methods that ``rng=None`` requests hand to the bitmask kernel.
+_KERNEL_METHODS = ("minor-min-width", "minor-gamma-r")
+
+
 def lower_bound_names() -> list[str]:
     return list(_METHODS)
 
@@ -131,15 +139,26 @@ def treewidth_lower_bound(
     methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
 ) -> int:
-    """Max of the selected heuristics (the thesis's A*-tw combination)."""
-    if graph.num_vertices() == 0:
-        return 0
-    best = 0
+    """Max of the selected heuristics (the thesis's A*-tw combination).
+
+    With ``rng=None`` the minor bounds run on the bitmask kernel, which
+    returns exactly what the pure-Python functions would.
+    """
     for name in methods:
-        method = _METHODS.get(name)
-        if method is None:
+        if name not in _METHODS:
             raise ValueError(
                 f"unknown lower bound {name!r}; choose from {lower_bound_names()}"
             )
-        best = max(best, method(graph, rng))
+    if graph.num_vertices() == 0:
+        return 0
+    best = 0
+    if rng is None:
+        best = minor_lower_bound(
+            graph,
+            min_width="minor-min-width" in methods,
+            gamma_r="minor-gamma-r" in methods,
+        )
+        methods = tuple(name for name in methods if name not in _KERNEL_METHODS)
+    for name in methods:
+        best = max(best, _METHODS[name](graph, rng))
     return best

@@ -12,7 +12,10 @@ population evaluation:
 * :class:`CoverCache` — the shared, instrumented bag -> cover LRU
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness
-  evaluation for GA/SAIGA populations.
+  evaluation for GA/SAIGA populations,
+* :func:`minor_lower_bound` — minor-min-width and minor-gamma_R in one
+  contraction pass, the per-node lower bound of the exact searches
+  (``treewidth_lower_bound`` routes every ``rng=None`` request here).
 
 The pure-Python implementations remain the reference semantics; the
 property suite holds both backends to identical widths.
@@ -40,6 +43,7 @@ from repro.kernels.evaluators import (
     make_ghw_evaluator_backend,
     make_tw_evaluator,
 )
+from repro.kernels.minor_bound import minor_lower_bound
 from repro.kernels.parallel import ParallelEvaluator
 
 __all__ = [
@@ -64,4 +68,5 @@ __all__ = [
     "make_bit_tw_evaluator",
     "make_ghw_evaluator_backend",
     "make_tw_evaluator",
+    "minor_lower_bound",
 ]

@@ -196,8 +196,10 @@ def astar_ghw(
                             grandchildren = [simplicial]
                             child_forced = True
                             forced_total.inc()
+                    # Per-node bounds tie on repr (rng=None): only the root calls
+                    # consume ``rng``, and the bitmask kernel computes these.
                     h = tw_ksc_width_remaining(
-                        hypergraph, working.graph(), tw_methods=lb_methods, rng=rng
+                        hypergraph, working.graph(), tw_methods=lb_methods, rng=None
                     )
                     child_f = max(child_g, h, f)
                     if child_f < effective_ub():

@@ -188,8 +188,10 @@ def astar_treewidth(
                             grandchildren = [reduction]
                             child_forced = True
                             forced_total.inc()
+                    # Per-node bounds tie on repr (rng=None): only the root calls
+                    # consume ``rng``, and the bitmask kernel computes these.
                     h = treewidth_lower_bound(
-                        working.graph(), methods=lb_methods, rng=rng
+                        working.graph(), methods=lb_methods, rng=None
                     )
                     child_f = max(child_g, h, f)
                     if child_f < effective_ub():

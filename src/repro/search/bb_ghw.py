@@ -247,8 +247,10 @@ def branch_and_bound_ghw(
                         grandchildren = [simplicial]
                         child_forced = True
                         forced_total.inc()
+                # Per-node bounds tie on repr (rng=None): only the root calls
+                # consume ``rng``, and the bitmask kernel computes these.
                 h = tw_ksc_width_remaining(
-                    hypergraph, working.graph(), tw_methods=lb_methods, rng=rng
+                    hypergraph, working.graph(), tw_methods=lb_methods, rng=None
                 )
                 if max(child_g, h) < limit:
                     visit(child_g, grandchildren, child_forced)

@@ -203,8 +203,10 @@ def branch_and_bound_treewidth(
                         grandchildren = [reduction]
                         child_forced = True
                         forced_total.inc()
+                # Per-node bounds tie on repr (rng=None): only the root calls
+                # consume ``rng``, and the bitmask kernel computes these.
                 h = treewidth_lower_bound(
-                    working.graph(), methods=lb_methods, rng=rng
+                    working.graph(), methods=lb_methods, rng=None
                 )
                 if max(child_g, h) < limit:
                     visit(child_g, grandchildren, child_forced)

@@ -114,6 +114,12 @@ class TestApi:
         with pytest.raises(ValueError):
             treewidth_lower_bound(path_graph(3), methods=("nope",))
 
+    @pytest.mark.parametrize("rng", [None, random.Random(0)])
+    def test_unknown_method_on_empty_graph(self, rng):
+        """Names are checked before the empty-graph shortcut."""
+        with pytest.raises(ValueError, match="nope"):
+            treewidth_lower_bound(Graph(), methods=("nope",), rng=rng)
+
     def test_names(self):
         assert set(lower_bound_names()) == {
             "degeneracy",

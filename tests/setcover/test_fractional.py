@@ -2,6 +2,8 @@
 
 import pytest
 
+pytest.importorskip("scipy")
+
 from repro.instances.hypergraphs import (
     adder,
     clique_hypergraph,
