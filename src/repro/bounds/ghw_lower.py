@@ -27,6 +27,7 @@ import random
 from collections.abc import Iterable
 
 from repro.bounds.lower import treewidth_lower_bound
+from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.setcover.lower_bounds import k_set_cover_lower_bound
@@ -64,7 +65,7 @@ def tw_ksc_width(
 
 def tw_ksc_width_remaining(
     hypergraph: Hypergraph,
-    remaining_graph: Graph,
+    remaining_graph: Graph | EliminationGraph,
     remaining_vertices: Iterable[Vertex] | None = None,
     tw_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
@@ -72,9 +73,11 @@ def tw_ksc_width_remaining(
     """tw-ksc-width of the instance left after a partial elimination.
 
     ``remaining_graph`` is the (fill-in-containing) graph after the
-    elimination prefix; its treewidth lower-bounds the width still to be
-    paid. Hyperedges are restricted to the remaining vertices: a bag of
-    the remaining subproblem lies entirely inside them, so an edge can
+    elimination prefix — the searches pass their live
+    :class:`EliminationGraph`, whose masks the treewidth bound reads
+    directly; its treewidth lower-bounds the width still to be paid.
+    Hyperedges are restricted to the remaining vertices: a bag of the
+    remaining subproblem lies entirely inside them, so an edge can
     contribute at most its restricted size to any cover.
 
     Returns 0 for an empty remainder (nothing left to pay for).

@@ -20,14 +20,17 @@ matching the thesis's choice for A*-tw ("the maximum of the values
 returned by the minor-min-width heuristic and the minor-gamma_R
 heuristic"). With ``rng=None`` both minor bounds follow one contraction
 sequence, so it computes them in a single bitmask pass
-(:mod:`repro.kernels.minor_bound`) with the same result; the functions
-here remain the seeded path and the oracle the kernel is tested against.
+(:mod:`repro.kernels.minor_bound`) with the same result, reading the
+masks of an :class:`~repro.hypergraphs.elimination_graph.EliminationGraph`
+directly; the functions here remain the seeded path and the oracle the
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import random
 
+from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.kernels.minor_bound import minor_lower_bound
 
@@ -135,14 +138,16 @@ def lower_bound_names() -> list[str]:
 
 
 def treewidth_lower_bound(
-    graph: Graph,
+    graph: Graph | EliminationGraph,
     methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
 ) -> int:
     """Max of the selected heuristics (the thesis's A*-tw combination).
 
     With ``rng=None`` the minor bounds run on the bitmask kernel, which
-    returns exactly what the pure-Python functions would.
+    returns exactly what the pure-Python functions would. The exact
+    searches pass their live :class:`EliminationGraph`; the pure-Python
+    methods then run on a :meth:`~EliminationGraph.graph` snapshot.
     """
     for name in methods:
         if name not in _METHODS:
@@ -159,6 +164,8 @@ def treewidth_lower_bound(
             gamma_r="minor-gamma-r" in methods,
         )
         methods = tuple(name for name in methods if name not in _KERNEL_METHODS)
+    if methods and isinstance(graph, EliminationGraph):
+        graph = graph.graph()
     for name in methods:
         best = max(best, _METHODS[name](graph, rng))
     return best

@@ -60,7 +60,7 @@ def min_fill_ordering(
 ) -> list[Vertex]:
     """Eliminate the vertex adding the fewest fill-in edges first."""
     return _greedy_ordering(
-        graph, lambda working, v: working.graph().fill_in(v), rng
+        graph, lambda working, v: working.fill_in(v), rng
     )
 
 

@@ -6,12 +6,28 @@ this state's prefix" from scratch for every state would dominate the run
 time, so the thesis maintains a *single* graph object that can be
 transformed between states by eliminating and restoring vertices.
 
-The thesis realises this with three matrices (``A``, ``E``, ``T``); in
-Python the equivalent and far clearer structure is an **undo stack**: for
-every elimination we remember the vertex, its neighbourhood at elimination
-time, and the set of fill-in edges the elimination inserted. Restoring the
-last eliminated vertex removes those fill-in edges, re-adds the vertex and
-reconnects its former neighbourhood — byte-for-byte the inverse operation.
+The thesis keeps that bookkeeping in three matrices (``A``, ``E``,
+``T``). :class:`EliminationGraph` keeps its analogue — adjacency, which
+vertices are eliminated, and which fill edges each elimination
+inserted — as Python ints:
+
+* one adjacency **mask** per vertex, vertices interned once in ``repr``
+  order (the tie order of the minor-based lower bounds, so
+  :func:`repro.kernels.minor_bound.minor_lower_bound` reads the masks as
+  they are);
+* an ``alive`` mask of the vertices not yet eliminated;
+* an **undo stack** of ``(vertex, index, [(neighbour, fill mask)])``:
+  eliminating ``v`` ORs into each neighbour the neighbours it missed and
+  clears ``v``'s bit; restoring clears those fill bits and sets ``v``'s
+  bit again — byte-for-byte the inverse operation.
+
+An eliminated vertex's own mask is left untouched: no later elimination
+can reach it, so on restore it is exactly its neighbourhood again.
+
+Simplicial tests, fill-in counts, PR2 swap-safety and the minor bounds
+all run on the masks (:mod:`repro.reductions`, :mod:`repro.bounds`).
+:meth:`EliminationGraph.graph` builds a :class:`Graph` snapshot on demand
+for everything else.
 
 :meth:`EliminationGraph.switch_to` transforms the graph between two
 elimination prefixes sharing a common ancestor, undoing only the
@@ -22,26 +38,56 @@ Section 5.2.1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
-from repro.hypergraphs.graph import Graph, Vertex
+from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
 
 
-@dataclass
-class _EliminationRecord:
-    """Everything needed to undo one elimination."""
-
-    vertex: Vertex
-    neighbours: set[Vertex]
-    fill_edges: list[tuple[Vertex, Vertex]] = field(default_factory=list)
+def bits_of(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, ascending."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class EliminationGraph:
-    """A :class:`Graph` wrapper with an elimination/restore stack."""
+    """A bitmask graph with an elimination/restore stack.
+
+    Read-only views for mask-native consumers: ``masks[i]`` is the
+    adjacency of the vertex ``labels[i]`` (current while it is alive),
+    ``index`` maps a vertex to ``i``, ``alive`` has bit ``i`` set while
+    ``labels[i]`` is present, and ``key_order`` lists every index by
+    :func:`~repro.hypergraphs.graph.vertex_sort_key` (the reduction rules'
+    tie-break). Mutate only through :meth:`eliminate`/:meth:`restore`.
+
+    :meth:`vertices` iterates in the order a :class:`Graph` copy would
+    after the same ``remove_vertex``/``add_vertex`` calls: eliminating a
+    vertex drops it, restoring re-appends it. Seeded heuristics and the
+    A* child order depend on that order.
+    """
 
     def __init__(self, graph: Graph) -> None:
-        self._graph = graph.copy()
-        self._stack: list[_EliminationRecord] = []
+        # ``sorted`` is stable: vertices sharing a ``repr`` keep the
+        # graph's iteration order, as ``min(..., key=repr)`` would.
+        labels = sorted(graph, key=repr)
+        index = {vertex: i for i, vertex in enumerate(labels)}
+        masks = []
+        for vertex in labels:
+            mask = 0
+            for neighbour in graph.neighbours(vertex):
+                mask |= 1 << index[neighbour]
+            masks.append(mask)
+        self.labels: list[Vertex] = labels
+        self.index: dict[Vertex, int] = index
+        self.masks: list[int] = masks
+        self.alive: int = (1 << len(labels)) - 1
+        self.key_order: list[int] = sorted(
+            range(len(labels)), key=lambda i: vertex_sort_key(labels[i])
+        )
+        self._present: dict[Vertex, int] = {vertex: index[vertex] for vertex in graph}
+        self._stack: list[tuple[Vertex, int, list[tuple[int, int]]]] = []
 
     # ------------------------------------------------------------------
     # elimination and restoration
@@ -54,29 +100,34 @@ class EliminationGraph:
         bag produced by this elimination step is that set plus ``vertex``
         itself.
         """
-        neighbours = self._graph.neighbours(vertex)
-        record = _EliminationRecord(vertex=vertex, neighbours=neighbours)
-        neighbour_list = list(neighbours)
-        for i, u in enumerate(neighbour_list):
-            for v in neighbour_list[i + 1 :]:
-                if not self._graph.has_edge(u, v):
-                    self._graph.add_edge(u, v)
-                    record.fill_edges.append((u, v))
-        self._graph.remove_vertex(vertex)
-        self._stack.append(record)
-        return neighbours
+        i = self._present.pop(vertex)
+        masks = self.masks
+        neighbours = masks[i]
+        bit = 1 << i
+        fills: list[tuple[int, int]] = []
+        for u in bits_of(neighbours):
+            row = masks[u]
+            # ``neighbours & ~row`` holds ``u`` itself (no loops): drop it.
+            fill = (neighbours & ~row) ^ (1 << u)
+            masks[u] = (row | fill) ^ bit
+            fills.append((u, fill))
+        self.alive ^= bit
+        self._stack.append((vertex, i, fills))
+        labels = self.labels
+        return {labels[u] for u, _fill in fills}
 
     def restore(self) -> Vertex:
         """Undo the most recent elimination; return the restored vertex."""
         if not self._stack:
             raise IndexError("no elimination to restore")
-        record = self._stack.pop()
-        for u, v in record.fill_edges:
-            self._graph.remove_edge(u, v)
-        self._graph.add_vertex(record.vertex)
-        for neighbour in record.neighbours:
-            self._graph.add_edge(record.vertex, neighbour)
-        return record.vertex
+        vertex, i, fills = self._stack.pop()
+        masks = self.masks
+        bit = 1 << i
+        for u, fill in fills:
+            masks[u] = (masks[u] & ~fill) | bit
+        self.alive |= bit
+        self._present[vertex] = i
+        return vertex
 
     def restore_all(self) -> None:
         """Undo every elimination, returning to the original graph."""
@@ -91,9 +142,8 @@ class EliminationGraph:
         consecutive search states share a long common prefix this touches
         only the differing suffix.
         """
-        current = self.eliminated()
         shared = 0
-        for done, wanted in zip(current, prefix):
+        for (done, _i, _fills), wanted in zip(self._stack, prefix):
             if done != wanted:
                 break
             shared += 1
@@ -103,35 +153,70 @@ class EliminationGraph:
             self.eliminate(vertex)
 
     # ------------------------------------------------------------------
-    # queries (delegated to the live graph)
+    # queries (answered from the masks)
     # ------------------------------------------------------------------
 
     def eliminated(self) -> list[Vertex]:
         """The elimination prefix applied so far, in order."""
-        return [record.vertex for record in self._stack]
+        return [vertex for vertex, _i, _fills in self._stack]
 
     def graph(self) -> Graph:
-        """The live graph. Treat as read-only; mutate via eliminate()."""
-        return self._graph
+        """A fresh :class:`Graph` snapshot of the remaining graph.
+
+        Vertices are added in :meth:`vertices` order; later eliminations
+        do not change the snapshot.
+        """
+        labels = self.labels
+        snapshot = Graph(vertices=self._present)
+        for vertex, i in self._present.items():
+            for j in bits_of(self.masks[i] >> (i + 1)):
+                snapshot.add_edge(vertex, labels[i + 1 + j])
+        return snapshot
+
+    snapshot = graph
 
     def vertices(self) -> set[Vertex]:
-        return self._graph.vertices()
+        """A fresh set of the remaining vertices."""
+        return set(self._present)
 
     def neighbours(self, vertex: Vertex) -> set[Vertex]:
-        return self._graph.neighbours(vertex)
+        """A fresh set of the current neighbours of ``vertex``."""
+        labels = self.labels
+        return {labels[u] for u in bits_of(self.masks[self._present[vertex]])}
 
     def degree(self, vertex: Vertex) -> int:
-        return self._graph.degree(vertex)
+        return self.masks[self._present[vertex]].bit_count()
+
+    def has_edge(self, u: Vertex, v: Vertex) -> bool:
+        i = self._present.get(u)
+        j = self.index.get(v)
+        return i is not None and j is not None and bool(self.masks[i] >> j & 1)
+
+    def fill_in(self, vertex: Vertex) -> int:
+        """Number of edges that eliminating ``vertex`` would insert."""
+        masks = self.masks
+        neighbours = masks[self._present[vertex]]
+        # Each neighbour misses itself plus its non-adjacent neighbours;
+        # every missing edge is seen from both ends.
+        missing = 0
+        for u in bits_of(neighbours):
+            missing += (neighbours & ~masks[u]).bit_count() - 1
+        return missing // 2
 
     def num_vertices(self) -> int:
-        return self._graph.num_vertices()
-
-    def snapshot(self) -> Graph:
-        """An independent copy of the live graph."""
-        return self._graph.copy()
+        return len(self._present)
 
     def __len__(self) -> int:
-        return self._graph.num_vertices()
+        return len(self._present)
+
+
+def as_elimination_graph(graph: Graph | EliminationGraph) -> EliminationGraph:
+    """``graph`` itself if it is an :class:`EliminationGraph`, else one
+    interned from it (the plain-:class:`Graph` entry of the mask-native
+    queries)."""
+    if isinstance(graph, EliminationGraph):
+        return graph
+    return EliminationGraph(graph)
 
 
 def eliminate_sequence(graph: Graph, ordering: Iterable[Vertex]) -> list[set[Vertex]]:

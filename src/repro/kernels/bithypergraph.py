@@ -21,19 +21,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.hypergraphs.elimination_graph import bits_of
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
 from repro.kernels.cache import family_token
-
-
-def bits_of(mask: int) -> list[int]:
-    """The set bit positions of ``mask``, ascending."""
-    out: list[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class BitGraph:

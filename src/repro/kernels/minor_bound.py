@@ -7,11 +7,15 @@ is gone. With deterministic tie-breaking (``rng=None``) they walk the
 *same* contraction sequence, so one walk can record both bounds: the
 minimum degree (MMW) and Ramachandramurthi's gamma_R of every minor.
 
-The graph is interned once into ``int`` adjacency masks, vertices ranked
-by ``repr`` — exactly the tie-break of the pure-Python functions — so
-index order is tie order and both bounds come out identical to the
-reference (property-tested). Degrees are kept incrementally across
-contractions instead of being recounted on dict-of-set copies.
+The walk reads the adjacency masks of an
+:class:`~repro.hypergraphs.elimination_graph.EliminationGraph`, which
+interns vertices once, ranked by ``repr`` — exactly the tie-break of the
+pure-Python functions — so index order is tie order and both bounds come
+out identical to the reference (property-tested). The exact searches
+hand over their live elimination graph, so nothing is re-interned per
+node; a plain :class:`~repro.hypergraphs.graph.Graph` is interned once.
+Degrees are kept incrementally across contractions instead of being
+recounted on dict-of-set copies.
 
 Two cuts keep the walk short without changing the result:
 
@@ -24,25 +28,12 @@ Two cuts keep the walk short without changing the result:
 
 from __future__ import annotations
 
+from repro.hypergraphs.elimination_graph import (
+    EliminationGraph,
+    as_elimination_graph,
+    bits_of,
+)
 from repro.hypergraphs.graph import Graph
-from repro.kernels.bithypergraph import bits_of
-
-
-def _intern(graph: Graph) -> list[int]:
-    """Adjacency masks of ``graph``, vertices indexed in ``repr`` order.
-
-    ``sorted`` is stable, so vertices sharing a ``repr`` keep the graph's
-    iteration order, which is how ``min(..., key=repr)`` breaks them.
-    """
-    vertices = sorted(graph, key=repr)
-    index = {vertex: i for i, vertex in enumerate(vertices)}
-    adjacency = []
-    for vertex in vertices:
-        mask = 0
-        for neighbour in graph.neighbours(vertex):
-            mask |= 1 << index[neighbour]
-        adjacency.append(mask)
-    return adjacency
 
 
 def _gamma_r_exceeds(
@@ -70,7 +61,7 @@ def _gamma_r_exceeds(
 
 
 def minor_lower_bound(
-    graph: Graph, min_width: bool = True, gamma_r: bool = True
+    graph: Graph | EliminationGraph, min_width: bool = True, gamma_r: bool = True
 ) -> int:
     """Max of the selected minor bounds over one contraction sequence.
 
@@ -80,9 +71,13 @@ def minor_lower_bound(
     """
     if not (min_width or gamma_r):
         return 0
-    adjacency = _intern(graph)
-    degree = [mask.bit_count() for mask in adjacency]
-    alive = list(range(len(adjacency)))
+    working = as_elimination_graph(graph)
+    # Eliminated vertices keep stale masks, but no live mask reaches them.
+    adjacency = list(working.masks)
+    alive = bits_of(working.alive)
+    degree = [0] * len(adjacency)
+    for v in alive:
+        degree[v] = adjacency[v].bit_count()
     bound = 0
     while len(alive) - 1 > bound:
         vertex = min(alive, key=degree.__getitem__)

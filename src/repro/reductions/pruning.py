@@ -26,37 +26,48 @@ the canonically smaller vertex goes first. Swap-safety
 The second case compares bag *sizes* and is therefore sound for treewidth
 only; for generalized hypertree width :func:`swap_safe_ghw` accepts just
 the non-adjacent case, where the bag *sets* (hence their covers) coincide.
+
+Both tests read the adjacency masks of an
+:class:`~repro.hypergraphs.elimination_graph.EliminationGraph`; a plain
+:class:`~repro.hypergraphs.graph.Graph` is interned first.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from repro.hypergraphs.elimination_graph import EliminationGraph, as_elimination_graph
 from repro.hypergraphs.graph import Graph, Vertex
 
 
-def swap_safe_treewidth(graph: Graph, v: Vertex, w: Vertex) -> bool:
+def swap_safe_treewidth(
+    graph: Graph | EliminationGraph, v: Vertex, w: Vertex
+) -> bool:
     """May ``v`` and ``w`` (both still present in ``graph``) be swapped as
     consecutive eliminations without changing any completion's width?"""
-    if not graph.has_edge(v, w):
+    working = as_elimination_graph(graph)
+    if not working.has_edge(v, w):
         return True
-    v_neighbours = graph.neighbours(v)
-    w_neighbours = graph.neighbours(w)
-    v_private = v_neighbours - w_neighbours - {w}
-    w_private = w_neighbours - v_neighbours - {v}
-    return bool(v_private) and bool(w_private)
+    i = working.index[v]
+    j = working.index[w]
+    v_mask = working.masks[i]
+    w_mask = working.masks[j]
+    # Private neighbours: v's outside N[w], and w's outside N[v].
+    return bool(v_mask & ~w_mask & ~(1 << j)) and bool(w_mask & ~v_mask & ~(1 << i))
 
 
-def swap_safe_ghw(graph: Graph, v: Vertex, w: Vertex) -> bool:
+def swap_safe_ghw(graph: Graph | EliminationGraph, v: Vertex, w: Vertex) -> bool:
     """The provably-safe (non-adjacent) fragment of PR2 for ghw."""
-    return not graph.has_edge(v, w)
+    return not as_elimination_graph(graph).has_edge(v, w)
 
 
 def pr2_prune_children(
-    graph_before_last: Graph,
+    graph_before_last: Graph | EliminationGraph,
     last: Vertex,
     children: list[Vertex],
-    swap_safe: Callable[[Graph, Vertex, Vertex], bool] = swap_safe_treewidth,
+    swap_safe: Callable[
+        [EliminationGraph, Vertex, Vertex], bool
+    ] = swap_safe_treewidth,
     key: Callable[[Vertex], object] = repr,
 ) -> list[Vertex]:
     """Drop children that PR2 makes redundant.
@@ -65,8 +76,10 @@ def pr2_prune_children(
     eliminated — swap-safety must be judged with both vertices present.
     A child ``v`` is redundant when ``(last, v)`` is swap-safe and the
     sibling branch ``(v, last)`` is canonically preferred, i.e.
-    ``key(v) < key(last)``.
+    ``key(v) < key(last)``. A plain graph is interned once, so
+    ``swap_safe`` always receives an :class:`EliminationGraph`.
     """
+    graph_before_last = as_elimination_graph(graph_before_last)
     last_key = key(last)
     return [
         v

@@ -120,7 +120,7 @@ def astar_treewidth(
         root_children = tuple(sorted(graph.vertices(), key=repr))
         root_forced = False
         if use_reductions:
-            reduction = find_reduction_vertex(graph, lb)
+            reduction = find_reduction_vertex(working, lb)
             if reduction is not None:
                 root_children = (reduction,)
                 root_forced = True
@@ -173,7 +173,7 @@ def astar_treewidth(
                     grandchildren = [v for v in working.vertices() if v != child]
                     if use_pr2 and not forced:
                         kept = pr2_prune_children(
-                            working.graph(), child, grandchildren,
+                            working, child, grandchildren,
                             swap_safe=swap_safe_treewidth,
                         )
                         prune_pr2.inc(len(grandchildren) - len(kept))
@@ -182,16 +182,16 @@ def astar_treewidth(
                     child_forced = False
                     if use_reductions:
                         reduction = find_reduction_vertex(
-                            working.graph(), max(child_g, lb)
+                            working, max(child_g, lb)
                         )
                         if reduction is not None:
                             grandchildren = [reduction]
                             child_forced = True
                             forced_total.inc()
                     # Per-node bounds tie on repr (rng=None): only the root calls
-                    # consume ``rng``, and the bitmask kernel computes these.
+                    # consume ``rng``; the bitmask kernel reads the live masks.
                     h = treewidth_lower_bound(
-                        working.graph(), methods=lb_methods, rng=None
+                        working, methods=lb_methods, rng=None
                     )
                     child_f = max(child_g, h, f)
                     if child_f < effective_ub():

@@ -234,7 +234,7 @@ def branch_and_bound_ghw(
                 grandchildren = [v for v in working.vertices() if v != child]
                 if use_pr2 and not forced:
                     kept = pr2_prune_children(
-                        working.graph(), child, grandchildren,
+                        working, child, grandchildren,
                         swap_safe=swap_safe_ghw,
                     )
                     prune_pr2.inc(len(grandchildren) - len(kept))
@@ -242,15 +242,15 @@ def branch_and_bound_ghw(
                 working.eliminate(child)
                 child_forced = False
                 if use_reductions:
-                    simplicial = find_simplicial(working.graph())
+                    simplicial = find_simplicial(working)
                     if simplicial is not None:
                         grandchildren = [simplicial]
                         child_forced = True
                         forced_total.inc()
                 # Per-node bounds tie on repr (rng=None): only the root calls
-                # consume ``rng``, and the bitmask kernel computes these.
+                # consume ``rng``; the bitmask kernel reads the live masks.
                 h = tw_ksc_width_remaining(
-                    hypergraph, working.graph(), tw_methods=lb_methods, rng=None
+                    hypergraph, working, tw_methods=lb_methods, rng=None
                 )
                 if max(child_g, h) < limit:
                     visit(child_g, grandchildren, child_forced)
@@ -261,7 +261,7 @@ def branch_and_bound_ghw(
         root_children = sorted(primal.vertices(), key=repr)
         root_forced = False
         if use_reductions:
-            simplicial = find_simplicial(primal)
+            simplicial = find_simplicial(working)
             if simplicial is not None:
                 root_children = [simplicial]
                 root_forced = True

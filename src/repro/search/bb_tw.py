@@ -188,7 +188,7 @@ def branch_and_bound_treewidth(
                 ]
                 if use_pr2 and not forced:
                     kept = pr2_prune_children(
-                        working.graph(), child, grandchildren,
+                        working, child, grandchildren,
                         swap_safe=swap_safe_treewidth,
                     )
                     prune_pr2.inc(len(grandchildren) - len(kept))
@@ -197,16 +197,16 @@ def branch_and_bound_treewidth(
                 child_forced = False
                 if use_reductions:
                     reduction = find_reduction_vertex(
-                        working.graph(), max(child_g, root_lb)
+                        working, max(child_g, root_lb)
                     )
                     if reduction is not None:
                         grandchildren = [reduction]
                         child_forced = True
                         forced_total.inc()
                 # Per-node bounds tie on repr (rng=None): only the root calls
-                # consume ``rng``, and the bitmask kernel computes these.
+                # consume ``rng``; the bitmask kernel reads the live masks.
                 h = treewidth_lower_bound(
-                    working.graph(), methods=lb_methods, rng=None
+                    working, methods=lb_methods, rng=None
                 )
                 if max(child_g, h) < limit:
                     visit(child_g, grandchildren, child_forced)
@@ -217,7 +217,7 @@ def branch_and_bound_treewidth(
         root_children = sorted(graph.vertices(), key=repr)
         root_forced = False
         if use_reductions:
-            reduction = find_reduction_vertex(graph, root_lb)
+            reduction = find_reduction_vertex(working, root_lb)
             if reduction is not None:
                 root_children = [reduction]
                 root_forced = True

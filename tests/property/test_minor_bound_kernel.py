@@ -115,4 +115,10 @@ def test_kernel_on_mid_search_states(name, data):
     working = EliminationGraph(graph)
     for vertex in order[:depth]:
         working.eliminate(vertex)
-    _assert_kernel_matches(working.graph())
+    snapshot = working.graph()
+    _assert_kernel_matches(snapshot)
+    # The searches hand over the live graph: its masks, not a re-interning.
+    for methods in SUBSETS:
+        assert treewidth_lower_bound(
+            working, methods=methods, rng=None
+        ) == _oracle(snapshot, methods)
