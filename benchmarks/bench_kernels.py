@@ -1,5 +1,5 @@
-"""Benchmark the bitset kernel + shared cover cache against the seed
-pure-Python GA fitness evaluation.
+"""Benchmark the bitset kernel + shared cover cache against the
+pure-Python GA fitness evaluation of the test oracle.
 
 Two workload phases per instance, both replaying the exact populations a
 GA-ghw run sees:
@@ -11,9 +11,11 @@ GA-ghw run sees:
   across individuals and generations, so this also measures the shared
   cover cache).
 
-Both backends evaluate the *same* populations; the python side uses the
-deterministic greedy tie-break (``rng=None``) so widths must match the
-bitset kernel exactly — the bench asserts it.
+Both sides evaluate the *same* populations. The "python" side is the
+dict-of-sets bucket elimination and greedy loop kept as the oracle in
+``tests/reference.py`` (every library evaluator runs on the kernel), with
+the deterministic greedy tie-break (``rng=None``), so widths must match
+the bitset kernel exactly — the bench asserts it.
 
 Usage::
 
@@ -32,6 +34,10 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
+
+#: The repository root, so the oracle in ``tests/reference.py`` imports.
+ROOT = Path(__file__).resolve().parents[1]
 
 SCHEMA_VERSION = 1
 
@@ -86,10 +92,12 @@ def _time_evaluator(evaluate, populations):
 
 
 def bench_instance(name, size, rounds):
-    from repro.genetic.ga_ghw import make_ghw_evaluator
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
     from repro.instances.registry import instance as registry_instance
     from repro.kernels.cache import cover_cache
     from repro.kernels.evaluators import make_bit_ghw_evaluator
+    from tests.reference import make_reference_ghw_evaluator
 
     hypergraph = registry_instance(name)
     vertices = sorted(hypergraph.vertices(), key=repr)
@@ -104,7 +112,7 @@ def bench_instance(name, size, rounds):
     python_total = bitset_total = 0.0
     for phase, populations in workloads.items():
         python_s, python_widths = _time_evaluator(
-            make_ghw_evaluator(hypergraph), populations
+            make_reference_ghw_evaluator(hypergraph), populations
         )
         cache.clear()
         bitset_s, bitset_widths = _time_evaluator(

@@ -17,11 +17,13 @@ GHD of width exactly ``ghw(H)`` when covers are exact.
 
 Fast width evaluation (Figures 6.2 and 7.1) avoids building any graph
 objects in the GA inner loop; it is the O(|V| + |E'|) bucket-propagation
-scheme of Golumbic's perfect-elimination test. ``backend="bitset"``
-switches :func:`ordering_width` and :func:`ordering_ghw` to the
-:mod:`repro.kernels` bitmask kernel, which returns identical widths on
-all deterministic paths (property-tested); hot loops should build a
-kernel evaluator once via :mod:`repro.kernels.evaluators` instead of
+scheme of Golumbic's perfect-elimination test. :func:`elimination_bags`
+runs it on the :mod:`repro.kernels` bitmasks, and takes an interned
+:class:`~repro.kernels.BitGraph` directly (returning bag masks) so hot
+loops intern once. ``backend="bitset"`` switches :func:`ordering_width`
+and :func:`ordering_ghw` to the kernel's width and cached-cover paths,
+which return identical widths (property-tested); hot loops should build
+a kernel evaluator once via :mod:`repro.kernels.evaluators` instead of
 paying the per-call interning here.
 
 Set covers — greedy deterministic and exact — are memoised in the
@@ -33,18 +35,22 @@ computed for the same bags rather than solving them again.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, Set as AbstractSet
 
 from repro.decompositions.ghd import GeneralizedHypertreeDecomposition
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
+from repro.kernels.bithypergraph import BitGraph
 from repro.kernels.cache import cover_cache, edges_token
+from repro.kernels.elimination import bit_elimination_bags
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import greedy_set_cover
 
 
-def _check_ordering(vertices: set[Vertex], ordering: Sequence[Vertex]) -> None:
+def _check_ordering(
+    vertices: AbstractSet[Vertex], ordering: Sequence[Vertex]
+) -> None:
     """Reject orderings that are not permutations of ``vertices``.
 
     One pass over the ordering; the error names the offending vertex so
@@ -98,32 +104,29 @@ def _cached_greedy_cover(
 
 
 def elimination_bags(
-    graph: Graph, ordering: Sequence[Vertex]
-) -> dict[Vertex, set[Vertex]]:
+    graph: Graph | BitGraph, ordering: Sequence[Vertex]
+) -> dict[Vertex, set[Vertex]] | dict[Vertex, int]:
     """The bag ``{v} | N(v)`` produced when each vertex is eliminated.
 
-    Runs the bucket-propagation scheme of Figure 6.2: instead of mutating
-    a graph, the not-yet-eliminated part of each clique is pushed forward
-    to the next vertex scheduled for elimination.
+    Runs the bucket-propagation scheme of Figure 6.2 on bitmasks
+    (:func:`~repro.kernels.elimination.bit_elimination_bags`): instead
+    of mutating a graph, the not-yet-eliminated part of each clique is
+    pushed forward to the next vertex scheduled for elimination. Bags
+    come in elimination order. A :class:`~repro.kernels.BitGraph` (or
+    ``BitHypergraph``) gives ``{vertex: bag mask}``; a :class:`Graph`
+    is interned once and its masks are unpacked to vertex sets.
     """
-    _check_ordering(graph.vertices(), ordering)
-    position = {vertex: i for i, vertex in enumerate(ordering)}
-    forward: dict[Vertex, set[Vertex]] = {
-        vertex: {
-            neighbour
-            for neighbour in graph.neighbours(vertex)
-            if position[neighbour] > position[vertex]
+    if not isinstance(graph, BitGraph):
+        bg = BitGraph.from_graph(graph)
+        return {
+            vertex: bg.vertices_of(mask)
+            for vertex, mask in elimination_bags(bg, ordering).items()
         }
-        for vertex in ordering
-    }
-    bags: dict[Vertex, set[Vertex]] = {}
-    for vertex in ordering:
-        clique = forward[vertex]
-        bags[vertex] = {vertex} | clique
-        if clique:
-            successor = min(clique, key=position.__getitem__)
-            forward[successor] |= clique - {successor}
-    return bags
+    index = graph.index
+    _check_ordering(index.keys(), ordering)
+    return dict(
+        zip(ordering, bit_elimination_bags(graph, [index[v] for v in ordering]))
+    )
 
 
 def ordering_width(
@@ -183,17 +186,28 @@ def ordering_ghw(
     ``cover="exact"`` this is the exact quantity whose minimum over all
     orderings equals ``ghw(H)`` (Theorem 3); with ``cover="greedy"`` it is
     the upper bound GA-ghw optimises (Figure 7.1). Covers are memoised
-    in the shared cover cache (except greedy with an ``rng``, whose
-    random tie-breaks must stay fresh). ``backend="bitset"`` evaluates
-    on the bitmask kernel; identical on every deterministic path.
+    in the shared cover cache, except greedy covers with an ``rng``:
+    their random tie-breaks must stay fresh, so every backend runs them
+    uncached on the bitmask kernel and leaves ``rng`` in the same state.
+    ``backend="bitset"`` evaluates the other paths on the kernel too;
+    identical widths.
     """
-    if backend != "python":
+    random_ties = cover == "greedy" and rng is not None
+    if backend != "python" or random_ties:
         from repro.kernels.bithypergraph import BitHypergraph
         from repro.kernels.elimination import bit_ordering_ghw
         from repro.kernels.evaluators import check_backend
 
         check_backend(backend)
         bh = BitHypergraph.from_hypergraph(hypergraph)
+        if random_ties:
+            return max(
+                (
+                    len(greedy_set_cover(bag, bh, rng=rng))
+                    for bag in elimination_bags(bh, ordering).values()
+                ),
+                default=0,
+            )
         return bit_ordering_ghw(bh, bh.order_of(ordering), cover=cover)
     bags = elimination_bags(hypergraph.primal_graph(), ordering)
     edges = hypergraph.edges()
@@ -204,10 +218,10 @@ def ordering_ghw(
         )
     if cover != "greedy":
         raise ValueError(f"unknown cover mode {cover!r}")
-    token = None if rng is not None else edges_token(edges)
+    token = edges_token(edges)
     return max(
         (
-            len(_cached_greedy_cover(bag, edges, rng, token))
+            len(_cached_greedy_cover(bag, edges, None, token))
             for bag in bags.values()
         ),
         default=0,

@@ -4,7 +4,8 @@ Identical to GA-tw except for the fitness function: an ordering's fitness
 is the largest *greedy set-cover* size over its elimination bags
 (Figure 7.1 + Figure 7.2). The greedy cover makes every fitness value an
 upper bound on the exact cover width, so the best fitness found is a
-valid ghw upper bound.
+valid ghw upper bound. Bags and covers are computed on the bitset
+kernel (:mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.decompositions.elimination import elimination_bags
 from repro.genetic.engine import GAParameters, GAResult, run_ga
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.kernels.bithypergraph import BitHypergraph
 from repro.obs.control import SolverControl
 from repro.setcover.greedy import greedy_set_cover
 
@@ -27,18 +29,19 @@ def make_ghw_evaluator(
 ):
     """The Figure 7.1 evaluation closure for ``hypergraph``.
 
-    Bags come from bucket propagation on the primal graph; each bag is
-    covered greedily (random tie-breaks when ``rng`` is given, matching
-    the thesis; deterministic otherwise).
+    The hypergraph is interned to a :class:`BitHypergraph` once; each
+    call computes the ordering's bag masks by bucket propagation and
+    covers every bag greedily, both on the bitset kernel. Ties break
+    randomly when ``rng`` is given, matching the thesis (uncached, one
+    ``rng.choice`` per greedy step), and deterministically otherwise.
     """
-    primal = hypergraph.primal_graph()
-    edges = hypergraph.edges()
+    bh = BitHypergraph.from_hypergraph(hypergraph)
 
     def evaluate(ordering: Sequence[Vertex]) -> int:
-        bags = elimination_bags(primal, list(ordering))
+        bags = elimination_bags(bh, ordering)
         return max(
             (
-                len(greedy_set_cover(bag, edges, rng=rng))
+                len(greedy_set_cover(bag, bh, rng=rng))
                 for bag in bags.values()
             ),
             default=0,
@@ -61,12 +64,14 @@ def ga_ghw(
 ) -> GAResult:
     """Run GA-ghw on ``hypergraph``; best fitness is a ghw upper bound.
 
-    ``backend="bitset"`` evaluates fitness on the
-    :mod:`repro.kernels` bitmask kernel with the shared cover cache
-    (deterministic greedy tie-breaks instead of the thesis's randomised
-    ones); ``jobs > 1`` additionally fans each population out over a
-    process pool. The default ``("python", 1)`` is the seed behaviour,
-    bit-identical to earlier releases.
+    Fitness always runs on the :mod:`repro.kernels` bitmask kernel;
+    ``backend`` selects only the greedy tie rule. ``"python"`` (the
+    default) breaks ties randomly from this run's ``rng`` as the thesis
+    does, uncached, bit-identical to earlier releases; ``"bitset"``
+    breaks them deterministically and caches covers in the shared cover
+    cache. ``jobs > 1`` fans each population out over a process pool;
+    pool workers cannot share the parent's ``rng``, so it always uses
+    deterministic ties.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     parameters = parameters or GAParameters()
@@ -116,7 +121,7 @@ def _make_evaluators(
     rng: random.Random,
 ):
     """(per-individual, per-population, close) evaluators for a backend."""
-    from repro.kernels.evaluators import check_backend
+    from repro.kernels.evaluators import check_backend, make_ghw_evaluator_backend
 
     check_backend(backend)
     if jobs > 1:
@@ -126,11 +131,8 @@ def _make_evaluators(
             hypergraph, measure="ghw", jobs=jobs, backend=backend
         )
         return evaluator, evaluator.evaluate_population, evaluator.close
-    if backend == "bitset":
-        from repro.kernels.evaluators import make_bit_ghw_evaluator
-
-        return make_bit_ghw_evaluator(hypergraph), None, None
-    return make_ghw_evaluator(hypergraph, rng=rng), None, None
+    evaluate = make_ghw_evaluator_backend(hypergraph, backend=backend, rng=rng)
+    return evaluate, None, None
 
 
 def ga_ghw_upper_bound(

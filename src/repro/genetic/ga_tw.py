@@ -48,9 +48,10 @@ def ga_treewidth(
     time_limit, target:
         Optional early-stop conditions forwarded to the engine.
     backend, jobs:
-        ``backend="bitset"`` evaluates widths on the bitmask kernel
-        (identical fitness values); ``jobs > 1`` fans each population
-        out over a process pool.
+        Fitness always runs on the bitmask kernel; treewidth has no
+        ties to break, so ``backend`` selects nothing and is only
+        checked. ``jobs > 1`` fans each population out over a process
+        pool.
     control, resume_state:
         Portfolio hooks forwarded to :func:`~repro.genetic.engine.run_ga`.
     """

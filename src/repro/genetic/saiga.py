@@ -171,10 +171,13 @@ def saiga_ghw(
 ) -> SAIGAResult:
     """Run SAIGA-ghw; the best fitness found is a ghw upper bound.
 
-    ``backend="bitset"`` evaluates island populations on the
-    :mod:`repro.kernels` bitmask kernel with the shared cover cache;
-    ``jobs > 1`` fans each island's population evaluation out over a
-    process pool. Defaults reproduce the seed behaviour exactly.
+    Fitness runs on the :mod:`repro.kernels` bitmask kernel;
+    ``backend`` selects the greedy tie rule as in
+    :func:`~repro.genetic.ga_ghw.ga_ghw` (``"python"``: the run's random
+    ties; ``"bitset"``: deterministic ties through the shared cover
+    cache). ``jobs > 1`` fans each island's population evaluation out
+    over a process pool, with deterministic ties. Defaults reproduce the
+    seed behaviour exactly.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     budget = Budget(time_limit=time_limit)

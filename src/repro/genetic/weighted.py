@@ -25,20 +25,27 @@ from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.decompositions.elimination import elimination_bags
 from repro.genetic.engine import GAParameters, GAResult, run_ga
 from repro.hypergraphs.graph import Graph, Vertex
+from repro.kernels.bithypergraph import BitGraph, bits_of
 
 
 def triangulation_weight(
-    graph: Graph,
+    graph: Graph | BitGraph,
     ordering: Sequence[Vertex],
     states: Mapping[Vertex, int],
 ) -> float:
     """``log2 sum_bags prod_{v in bag} states[v]`` for the ordering's
-    bucket-elimination bags."""
-    bags = elimination_bags(graph, ordering)
+    bucket-elimination bags.
+
+    Callers that weigh many orderings of one graph pass it interned
+    once as a :class:`~repro.kernels.BitGraph`.
+    """
+    bg = graph if isinstance(graph, BitGraph) else BitGraph.from_graph(graph)
+    labels = bg.vertices
     total = 0.0
-    for bag in bags.values():
+    for bag in elimination_bags(bg, ordering).values():
         table = 1.0
-        for vertex in bag:
+        for i in bits_of(bag):
+            vertex = labels[i]
             count = states[vertex]
             if count < 1:
                 raise ValueError(f"state count of {vertex!r} must be >= 1")
@@ -77,10 +84,10 @@ def ga_weighted_triangulation(
             rng,
         )
 
+    bg = BitGraph.from_graph(graph)
+
     def evaluate(ordering: Sequence[Vertex]) -> int:
-        return round(
-            1000 * triangulation_weight(graph, list(ordering), states)
-        )
+        return round(1000 * triangulation_weight(bg, ordering, states))
 
     seeds = [min_fill_ordering(graph, rng), min_degree_ordering(graph, rng)]
     return run_ga(

@@ -1,14 +1,19 @@
 """repro.kernels — the bitset compute backend.
 
 Everything the heuristics spend their time on — elimination-ordering
-evaluation and per-bag set covers — reimplemented over interned bitmask
+evaluation and per-bag set covers — runs here over interned bitmask
 representations, with a process-wide cover cache and opt-in process-pool
 population evaluation:
 
 * :class:`BitGraph` / :class:`BitHypergraph` — vertices/edges interned
   to indices, bags and neighbourhoods as Python-int bitmasks,
-* :func:`bit_ordering_width` / :func:`bit_ordering_ghw` — incremental
-  bucket elimination over masks,
+* :func:`bit_elimination_bags` / :func:`bit_ordering_width` /
+  :func:`bit_ordering_ghw` — incremental bucket elimination over masks
+  (:func:`repro.decompositions.elimination.elimination_bags` runs on it),
+* :func:`~repro.kernels.cover.greedy_cover_indices` — the library's
+  one greedy set-cover loop, with the thesis's random tie-breaks
+  replayed exactly (:func:`repro.setcover.greedy.greedy_set_cover` and
+  :func:`greedy_cover_mask` run on it),
 * :class:`CoverCache` — the shared, instrumented bag -> cover LRU
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness
@@ -17,8 +22,11 @@ population evaluation:
   contraction pass, the per-node lower bound of the exact searches
   (``treewidth_lower_bound`` routes every ``rng=None`` request here).
 
-The pure-Python implementations remain the reference semantics; the
-property suite holds both backends to identical widths.
+Every GA/SAIGA/SA/tabu fitness evaluation runs on this kernel; the
+``backend`` knob only selects the greedy tie rule (random and uncached,
+or deterministic and cached). The pure-Python implementations are kept
+as test oracles (``tests/reference.py``), and the property suite holds
+the kernel to them.
 """
 
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of

@@ -86,8 +86,8 @@ class BitHypergraph(BitGraph):
 
     * ``edge_names[i]`` / ``edge_masks[i]`` — the named hyperedges,
     * ``tie_rank[i]`` — the rank of edge ``i`` in ``repr``-sorted name
-      order, so greedy tie-breaking matches the pure-Python
-      :func:`~repro.setcover.greedy.greedy_set_cover` exactly,
+      order, the deterministic greedy tie-break of
+      :func:`~repro.setcover.greedy.greedy_set_cover`,
     * ``incidence_masks[v]`` — per vertex, a bitmask over *edge indices*
       of the hyperedges containing it, so cover search only ever scans
       edges that can still contribute, and

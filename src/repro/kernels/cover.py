@@ -1,35 +1,44 @@
 """Set covers over bitmasks: greedy (Figure 7.2) and exact (B&B).
 
-Mask-native re-implementations of :mod:`repro.setcover.greedy` and
-:mod:`repro.setcover.exact` used by the bitset elimination kernel. Both
-are bit-for-bit compatible with the pure-Python reference:
+The library's one greedy set-cover loop and the mask-native exact cover
+used by the bitset elimination kernel:
 
-* the greedy cover breaks ties among maximum-gain edges toward the edge
-  whose *name* is smallest under ``repr`` — exactly the deterministic
-  (``rng=None``) branch of :func:`~repro.setcover.greedy.greedy_set_cover`
-  — so greedy cover widths agree between backends, and
+* :func:`greedy_cover_indices` is the greedy loop behind
+  :func:`~repro.setcover.greedy.greedy_set_cover` and
+  :func:`greedy_cover_mask`. At every step it lists the maximum-gain
+  edges in edge insertion order; with an ``rng`` it draws
+  ``rng.choice`` from that list (the thesis's random tie-breaking, one
+  draw per step), without one it takes the edge whose *name* is
+  smallest under ``repr``;
 * the exact cover is optimal, so its size agrees with
   :class:`~repro.setcover.exact.ExactSetCoverSolver` by definition.
 
-Unlike the reference, neither routine ever scans the full edge family:
-the candidate set starts from the per-vertex incidence masks (only edges
-meeting the bag) and shrinks as edges stop contributing. Results are
-cached in the shared :mod:`repro.kernels.cache` keyed by the bag
-bitmask, which is what makes GA-scale evaluation cheap: across a
-population of orderings the same bags recur constantly.
+Neither routine ever scans the full edge family: the candidate set
+starts from the per-vertex incidence masks (only edges meeting the bag)
+and shrinks as edges stop contributing. Deterministic covers are cached
+in the shared :mod:`repro.kernels.cache` keyed by the bag bitmask, which
+is what makes GA-scale evaluation cheap: across a population of
+orderings the same bags recur constantly. Random-tie covers are never
+cached.
 """
 
 from __future__ import annotations
 
+import random
+from collections.abc import Callable, Sequence
 from math import ceil
 
+from repro.hypergraphs.graph import Vertex
 from repro.kernels.bithypergraph import BitHypergraph, bits_of
 from repro.kernels.cache import CoverCache
-from repro.setcover.greedy import UncoverableError
 
 
-def _uncoverable(bh: BitHypergraph, uncovered: int) -> UncoverableError:
-    missing = sorted(repr(v) for v in bh.vertices_of(uncovered))
+class UncoverableError(ValueError):
+    """Raised when the target vertices cannot be covered by the edges."""
+
+
+def _uncoverable(vertices: Sequence[Vertex], uncovered: int) -> UncoverableError:
+    missing = sorted(repr(vertices[i]) for i in bits_of(uncovered))
     return UncoverableError(f"vertices {missing} appear in no hyperedge")
 
 
@@ -45,33 +54,69 @@ def _candidate_edges(bh: BitHypergraph, bag_mask: int) -> int:
     return candidates
 
 
-def greedy_cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
-    """Greedy cover of ``bag_mask``; returns chosen edge indices."""
-    uncovered = bag_mask
-    edge_masks = bh.edge_masks
-    tie_rank = bh.tie_rank
-    candidates = bits_of(_candidate_edges(bh, bag_mask))
+def greedy_cover_indices(
+    vertices: Sequence[Vertex],
+    edge_masks: Sequence[int],
+    candidates: list[int],
+    uncovered: int,
+    rng: random.Random | None,
+    tie_key: Callable[[int], object],
+) -> list[int]:
+    """The greedy loop: cover ``uncovered``, return chosen edge indices.
+
+    ``candidates`` lists, in edge insertion order, the indices of the
+    edges meeting ``uncovered``; ``vertices[i]`` names bit ``i`` for the
+    error message. Among the maximum-gain edges, still in insertion
+    order, ``rng.choice`` picks one when an ``rng`` is given — called
+    at every step, even on a single tie, so the random stream advances
+    exactly as the thesis's loop over all edges does — and
+    ``min(ties, key=tie_key)`` picks otherwise.
+    """
     chosen: list[int] = []
+    best_gain = 0
     while uncovered:
-        best_gain = 0
-        best_rank = 0
-        best_index = -1
-        for i in candidates:
-            gain = (edge_masks[i] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_rank = tie_rank[i]
-                best_index = i
-            elif gain == best_gain and gain and tie_rank[i] < best_rank:
-                best_rank = tie_rank[i]
-                best_index = i
-        if best_index < 0:
-            raise _uncoverable(bh, uncovered)
-        chosen.append(best_index)
-        uncovered &= ~edge_masks[best_index]
+        if best_gain == 1:
+            # Gains never grow, and every candidate still meets the
+            # uncovered vertices: all of them tie at gain 1.
+            ties = candidates
+        else:
+            best_gain = 0
+            ties = []
+            for i in candidates:
+                gain = (edge_masks[i] & uncovered).bit_count()
+                if gain > best_gain:
+                    best_gain = gain
+                    ties = [i]
+                elif gain == best_gain:
+                    ties.append(i)
+        if not ties:
+            raise _uncoverable(vertices, uncovered)
+        pick = rng.choice(ties) if rng is not None else min(ties, key=tie_key)
+        chosen.append(pick)
+        uncovered &= ~edge_masks[pick]
         if uncovered:
             candidates = [i for i in candidates if edge_masks[i] & uncovered]
-    return tuple(chosen)
+    return chosen
+
+
+def greedy_cover_mask(
+    bh: BitHypergraph, bag_mask: int, rng: random.Random | None = None
+) -> tuple[int, ...]:
+    """Greedy cover of ``bag_mask``; returns chosen edge indices.
+
+    Ties break on ``rng.choice`` when an ``rng`` is given, else toward
+    the smallest edge name by ``repr`` (``bh.tie_rank``).
+    """
+    return tuple(
+        greedy_cover_indices(
+            bh.vertices,
+            bh.edge_masks,
+            bits_of(_candidate_edges(bh, bag_mask)),
+            bag_mask,
+            rng,
+            bh.tie_rank.__getitem__,
+        )
+    )
 
 
 def exact_cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
@@ -90,7 +135,7 @@ def exact_cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
         restricted.append((i, useful))
         coverable |= useful
     if bag_mask & ~coverable:
-        raise _uncoverable(bh, bag_mask & ~coverable)
+        raise _uncoverable(bh.vertices, bag_mask & ~coverable)
     restricted.sort(
         key=lambda item: (-item[1].bit_count(), bh.tie_rank[item[0]])
     )

@@ -1,20 +1,23 @@
 """Incremental bucket elimination over bitmasks (Figures 6.2 / 7.1).
 
-The pure-Python :func:`~repro.decompositions.elimination.elimination_bags`
-rebuilds ``dict``-of-``set`` neighbourhoods for every ordering it
-evaluates. Here the bucket-propagation scheme runs on interned bitmasks:
-eliminating a vertex is three integer operations (mask the remaining
-vertices, OR the clique forward, clear the successor bit), so evaluating
-an ordering is a single pass of machine-word arithmetic with no per-bag
-allocation.
+The bucket-propagation scheme runs on interned bitmasks: eliminating a
+vertex is three integer operations (mask the remaining vertices, OR the
+clique forward, clear the successor bit), so evaluating an ordering is a
+single pass of machine-word arithmetic with no per-bag allocation.
+``_cliques`` is the library's one bucket recurrence:
+:func:`bit_elimination_bags` (and through it
+:func:`~repro.decompositions.elimination.elimination_bags`) and
+:func:`bit_ordering_width` both read it.
 
-The recurrences are exactly the reference ones — the forward/pushed
-content of each bucket is identical set-by-set, which the property suite
-checks on randomized hypergraphs — including the Figure 6.2 early exit of
-``bit_ordering_width``.
+The forward/pushed content of each bucket is identical set-by-set to the
+dict-of-sets recurrence kept as the test oracle, which the property
+suite checks on randomized graphs — including the Figure 6.2 early exit
+of ``bit_ordering_width``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph
 from repro.kernels.cache import CoverCache, cover_cache
@@ -43,8 +46,13 @@ def _successor(clique: int, position: list[int]) -> int:
     return best
 
 
-def bit_elimination_bags(bg: BitGraph, order: list[int]) -> list[int]:
-    """Bag masks ``{v} | N(v)`` per eliminated vertex, in order."""
+def _cliques(bg: BitGraph, order: list[int]) -> Iterator[int]:
+    """The bucket recurrence: yield each eliminated vertex's clique.
+
+    The clique is the mask of the vertex's neighbours that are
+    eliminated later, its own edges plus everything pushed forward to
+    it; it is then pushed on to the member eliminated first.
+    """
     _check_order(bg, order)
     n = len(bg.vertices)
     position = [0] * n
@@ -53,41 +61,36 @@ def bit_elimination_bags(bg: BitGraph, order: list[int]) -> list[int]:
     nbr_masks = bg.nbr_masks
     pushed = [0] * n
     remaining = bg.full_mask
-    bags: list[int] = []
     for index in order:
-        bit = 1 << index
-        remaining &= ~bit
+        remaining &= ~(1 << index)
         clique = (nbr_masks[index] | pushed[index]) & remaining
-        bags.append(clique | bit)
+        yield clique
         if clique:
             successor = _successor(clique, position)
             pushed[successor] |= clique & ~(1 << successor)
-    return bags
+
+
+def bit_elimination_bags(bg: BitGraph, order: list[int]) -> list[int]:
+    """Bag masks ``{v} | N(v)`` per eliminated vertex, in order."""
+    return [
+        clique | 1 << index for index, clique in zip(order, _cliques(bg, order))
+    ]
 
 
 def bit_ordering_width(bg: BitGraph, order: list[int]) -> int:
-    """Width of the ordering's tree decomposition (``max |bag| - 1``)."""
-    _check_order(bg, order)
-    n = len(bg.vertices)
-    position = [0] * n
-    for i, index in enumerate(order):
-        position[index] = i
-    nbr_masks = bg.nbr_masks
-    pushed = [0] * n
-    remaining = bg.full_mask
+    """Width of the ordering's tree decomposition (``max |bag| - 1``).
+
+    Stops early (Figure 6.2) once the width reaches the number of
+    vertices still to eliminate minus one: no later bag can exceed it.
+    """
+    last = len(bg.vertices) - 1
     width = 0
-    for i, index in enumerate(order):
-        if width >= n - i - 1:
-            break
-        bit = 1 << index
-        remaining &= ~bit
-        clique = (nbr_masks[index] | pushed[index]) & remaining
+    for i, clique in enumerate(_cliques(bg, order)):
         size = clique.bit_count()
         if size > width:
             width = size
-        if clique:
-            successor = _successor(clique, position)
-            pushed[successor] |= clique & ~(1 << successor)
+        if width >= last - i - 1:
+            break
     return width
 
 

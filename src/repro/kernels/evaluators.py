@@ -1,12 +1,18 @@
-"""Fitness evaluators backed by the bitset kernel.
+"""Fitness evaluators on the bitset kernel.
 
-Drop-in replacements for the closures the heuristics already use
-(:func:`~repro.genetic.ga_ghw.make_ghw_evaluator` and the inline
-``ordering_width`` lambdas of GA-tw/SA/tabu): same signature
-``Sequence[Vertex] -> int``, same values on deterministic paths, but
-evaluated on interned bitmasks with the shared cover cache.
+Every GA/SAIGA/SA/tabu fitness call runs here, on interned bitmasks:
 
-Each evaluator publishes ``kernel_evaluations`` and ``cover_cache``
+* :func:`make_tw_evaluator` returns the bitset treewidth evaluator on
+  every backend (treewidth fitness has no ties to break);
+* :func:`make_ghw_evaluator_backend` selects only the greedy tie rule.
+  ``backend="python"`` gives
+  :func:`~repro.genetic.ga_ghw.make_ghw_evaluator`, whose covers break
+  ties with the caller's ``rng`` as in the thesis (uncached);
+  ``backend="bitset"`` gives :func:`make_bit_ghw_evaluator`, whose
+  covers break ties deterministically and go through the shared cover
+  cache.
+
+The bitset evaluators publish ``kernel_evaluations`` and ``cover_cache``
 hit/miss deltas to the ambient :mod:`repro.obs` metrics once per call
 (not per bag), so instrumentation stays out of the inner loop.
 """
@@ -39,7 +45,7 @@ def make_bit_tw_evaluator(graph: Graph):
     bg = BitGraph.from_graph(graph)
 
     def evaluate(ordering: Sequence[Vertex]) -> int:
-        width = bit_ordering_width(bg, [bg.index[v] for v in ordering])
+        width = bit_ordering_width(bg, bg.order_of(ordering))
         metrics = obs.current().metrics
         if metrics.enabled:
             metrics.counter("kernel_evaluations", measure="tw").inc()
@@ -49,12 +55,15 @@ def make_bit_tw_evaluator(graph: Graph):
 
 
 def make_bit_ghw_evaluator(hypergraph: Hypergraph, cover: str = "greedy"):
-    """Bitset evaluator for ``ordering_ghw`` on ``hypergraph``.
+    """Cached evaluator for ``ordering_ghw`` on ``hypergraph``.
 
-    Greedy covers break ties deterministically (smallest edge name by
-    ``repr``), matching the pure-Python path with ``rng=None``; the
-    thesis's randomised tie-breaking is not reproduced here because
-    cached covers must not depend on evaluation order.
+    This is what ``backend="bitset"`` selects: greedy covers break ties
+    deterministically (smallest edge name by ``repr``), matching
+    ``rng=None``, and every cover goes through the shared cover cache.
+    The thesis's randomised tie-breaking (``backend="python"``, see
+    :func:`~repro.genetic.ga_ghw.make_ghw_evaluator`) runs on the same
+    kernel but is never cached, because cached covers must not depend
+    on evaluation order.
     """
     bh = BitHypergraph.from_hypergraph(hypergraph)
     cache = cover_cache()
@@ -85,12 +94,13 @@ def make_bit_ghw_evaluator(hypergraph: Hypergraph, cover: str = "greedy"):
 
 
 def make_tw_evaluator(graph: Graph, backend: str = "python"):
-    """``ordering -> width`` evaluator for the selected backend."""
-    if check_backend(backend) == "bitset":
-        return make_bit_tw_evaluator(graph)
-    from repro.decompositions.elimination import ordering_width
+    """``ordering -> width`` evaluator: the bitset evaluator on any backend.
 
-    return lambda ordering: ordering_width(graph, list(ordering))
+    Treewidth fitness has no ties to break, so ``backend`` selects
+    nothing here; it is only checked.
+    """
+    check_backend(backend)
+    return make_bit_tw_evaluator(graph)
 
 
 def make_ghw_evaluator_backend(
@@ -99,7 +109,12 @@ def make_ghw_evaluator_backend(
     cover: str = "greedy",
     rng=None,
 ):
-    """``ordering -> cover width`` evaluator for the selected backend."""
+    """``ordering -> cover width`` evaluator with the backend's tie rule.
+
+    ``"python"``: random ties from ``rng`` (deterministic when ``rng``
+    is ``None``), uncached; ``"bitset"``: deterministic ties through
+    the cover cache. Both run on the bitset kernel.
+    """
     if check_backend(backend) == "bitset":
         return make_bit_ghw_evaluator(hypergraph, cover=cover)
     from repro.genetic.ga_ghw import make_ghw_evaluator

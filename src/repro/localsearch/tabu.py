@@ -231,8 +231,8 @@ def tabu_treewidth(
 ) -> TabuResult:
     """Tabu-search upper bound on the treewidth of ``graph``.
 
-    ``backend="bitset"`` evaluates widths on the :mod:`repro.kernels`
-    bitmask kernel (identical values, much faster on large graphs).
+    Widths are evaluated on the :mod:`repro.kernels` bitmask kernel on
+    every ``backend``.
     """
     from repro.bounds.upper import min_fill_ordering
     from repro.hypergraphs.hypergraph import Hypergraph
@@ -267,9 +267,9 @@ def tabu_ghw(
 ) -> TabuResult:
     """Tabu-search upper bound on ``ghw(hypergraph)``.
 
-    ``backend="bitset"`` evaluates greedy cover widths on the bitmask
-    kernel with the shared cover cache (deterministic tie-breaks instead
-    of the thesis's randomised ones).
+    Greedy cover widths are evaluated on the bitmask kernel;
+    ``backend="bitset"`` breaks greedy ties deterministically through
+    the shared cover cache instead of with the run's ``rng``.
     """
     from repro.bounds.upper import min_fill_ordering
     from repro.kernels.evaluators import make_ghw_evaluator_backend

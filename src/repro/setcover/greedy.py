@@ -17,15 +17,17 @@ from collections.abc import Iterable, Mapping
 from repro import obs
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
-
-
-class UncoverableError(ValueError):
-    """Raised when the target vertices cannot be covered by the edges."""
+from repro.kernels.bithypergraph import BitHypergraph
+from repro.kernels.cover import (  # UncoverableError is re-exported here
+    UncoverableError,
+    greedy_cover_indices,
+    greedy_cover_mask,
+)
 
 
 def greedy_set_cover(
-    target: Iterable[Vertex],
-    edges: Mapping[EdgeName, frozenset[Vertex]],
+    target: Iterable[Vertex] | int,
+    edges: Mapping[EdgeName, Iterable[Vertex]] | BitHypergraph,
     rng: random.Random | None = None,
 ) -> list[EdgeName]:
     """Cover ``target`` with edges from ``edges``; return the chosen names.
@@ -33,13 +35,22 @@ def greedy_set_cover(
     Parameters
     ----------
     target:
-        The vertices to cover (a chi-label during bucket elimination).
+        The vertices to cover (a chi-label during bucket elimination),
+        or a bag bitmask when ``edges`` is a :class:`BitHypergraph`.
     edges:
-        All available hyperedges, by name.
+        All available hyperedges: a name -> vertices mapping, interned
+        to bitmasks once per call, or an already interned
+        :class:`BitHypergraph`.
     rng:
-        Optional random source for tie-breaking. Without it ties break on
-        the stable sort order of edge names, which keeps evaluation
+        Optional random source for tie-breaking: among the edges of
+        maximum gain, listed in edge insertion order, ``rng.choice``
+        picks one at every step. Without it ties break toward the
+        smallest edge name by ``repr``, which keeps evaluation
         deterministic for exact algorithms and tests.
+
+    Both forms run the one greedy loop,
+    :func:`~repro.kernels.cover.greedy_cover_indices`, and give the same
+    cover and the same random stream for the same edges.
 
     Raises
     ------
@@ -49,37 +60,36 @@ def greedy_set_cover(
     metrics = obs.current().metrics
     if metrics.enabled:
         metrics.counter("setcover", algo="greedy", event="call").inc()
-    uncovered = set(target)
-    if not uncovered:
+    if isinstance(edges, BitHypergraph):
+        return edges.names_of(greedy_cover_mask(edges, target, rng))
+    vertices = list(set(target))
+    if not vertices:
         return []
-    chosen: list[EdgeName] = []
-    names = list(edges)
-    while uncovered:
-        best_gain = 0
-        best_names: list[EdgeName] = []
-        for name in names:
-            gain = len(edges[name] & uncovered)
-            if gain > best_gain:
-                best_gain = gain
-                best_names = [name]
-            elif gain == best_gain and gain > 0:
-                best_names.append(name)
-        if not best_names:
-            raise UncoverableError(
-                f"vertices {sorted(map(repr, uncovered))} appear in no hyperedge"
-            )
-        if rng is None:
-            pick = min(best_names, key=repr)
-        else:
-            pick = rng.choice(best_names)
-        chosen.append(pick)
-        uncovered -= edges[pick]
-    return chosen
+    bit_of = {vertex: 1 << i for i, vertex in enumerate(vertices)}
+    wanted = bit_of.keys()
+    names: list[EdgeName] = []
+    masks: list[int] = []
+    for name, edge in edges.items():
+        mask = 0
+        for vertex in wanted & edge:
+            mask |= bit_of[vertex]
+        if mask:
+            names.append(name)
+            masks.append(mask)
+    chosen = greedy_cover_indices(
+        vertices,
+        masks,
+        list(range(len(masks))),
+        (1 << len(vertices)) - 1,
+        rng,
+        lambda i: repr(names[i]),
+    )
+    return [names[i] for i in chosen]
 
 
 def greedy_cover_size(
-    target: Iterable[Vertex],
-    edges: Mapping[EdgeName, frozenset[Vertex]],
+    target: Iterable[Vertex] | int,
+    edges: Mapping[EdgeName, Iterable[Vertex]] | BitHypergraph,
     rng: random.Random | None = None,
 ) -> int:
     """``len(greedy_set_cover(...))`` — the quantity GA-ghw maximises against."""

@@ -1,0 +1,164 @@
+"""The mask greedy cover replays the thesis's loop, random stream included.
+
+:func:`repro.setcover.greedy.greedy_set_cover` runs one greedy loop over
+bitmasks, whether it is handed a name -> vertices mapping (interned per
+call) or a bag mask with a :class:`BitHypergraph`. GA-ghw's fitness
+depends on its random tie-breaks, so the loop must list the
+maximum-gain edges exactly as the pure-Python loop of
+:mod:`tests.reference` does — in edge insertion order, not ``repr``
+order — and call ``rng.choice`` at every step. Both the returned names
+and the final ``rng.getstate()`` are compared.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.decompositions.elimination import elimination_bags
+from repro.hypergraphs.graph import Graph
+from repro.kernels.bithypergraph import BitGraph, BitHypergraph
+from repro.setcover.greedy import UncoverableError, greedy_set_cover
+from tests.reference import (
+    reference_elimination_bags,
+    reference_greedy_set_cover,
+)
+
+#: Vertex and edge-name labels: ints >= 10 (so ``repr`` order is not
+#: numeric order next to single digits), strings and tuples.
+LABEL_KINDS = ("int", "str", "tuple")
+
+
+def _vertex(kind: str, i: int):
+    return {"int": 10 + i, "str": f"v{i}", "tuple": (i % 3, i)}[kind]
+
+
+def _edge_name(kind: str, i: int):
+    # 5..: '10' sorts before '5'; 'e10' before 'e2'; tuples by first field
+    return {"int": 5 + i, "str": f"e{i}", "tuple": (i % 2, -i)}[kind]
+
+
+@st.composite
+def families(draw):
+    """``(vertices, edges, target)`` with duplicate, nested and empty edges.
+
+    Edge names are inserted in a shuffled order, so insertion order and
+    ``repr`` order disagree; the target may hold vertices no edge has.
+    """
+    kind = draw(st.sampled_from(LABEL_KINDS))
+    name_kind = draw(st.sampled_from(LABEL_KINDS))
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertices = [_vertex(kind, i) for i in range(n)]
+    m = draw(st.integers(min_value=0, max_value=9))
+    order = draw(st.permutations(range(m)))
+    edges: dict = {}
+    for i in order:
+        shape = draw(
+            st.sampled_from(("fresh", "fresh", "duplicate", "nested", "empty"))
+        )
+        earlier = list(edges.values())
+        if shape == "duplicate" and earlier:
+            edge = set(draw(st.sampled_from(earlier)))
+        elif shape == "nested" and earlier:
+            parent = sorted(draw(st.sampled_from(earlier)), key=repr)
+            edge = set()
+            if parent:
+                edge = set(draw(st.lists(st.sampled_from(parent), unique=True)))
+        elif shape == "empty":
+            edge = set()
+        else:
+            edge = set(
+                draw(st.lists(st.sampled_from(vertices), unique=True, max_size=4))
+            )
+        edges[_edge_name(name_kind, i)] = frozenset(edge)
+    target = set(draw(st.lists(st.sampled_from(vertices), unique=True)))
+    return vertices, edges, target
+
+
+def _intern(vertices, edges) -> BitHypergraph:
+    """A :class:`BitHypergraph` of the family, empty edges included."""
+    index = {vertex: i for i, vertex in enumerate(vertices)}
+    masks = [sum(1 << index[v] for v in edge) for edge in edges.values()]
+    nbr_masks = [0] * len(vertices)
+    for mask in masks:
+        for i in range(len(vertices)):
+            if mask >> i & 1:
+                nbr_masks[i] |= mask & ~(1 << i)
+    return BitHypergraph(list(vertices), nbr_masks, list(edges), masks)
+
+
+def _run(cover, target, edges, rng):
+    """``(names or the error message, rng state afterwards)``."""
+    try:
+        outcome = cover(target, edges, rng=rng)
+    except UncoverableError as error:
+        outcome = ("uncoverable", str(error))
+    return outcome, None if rng is None else rng.getstate()
+
+
+@given(families(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=300, deadline=None)
+def test_seeded_greedy_replays_the_reference(case, seed):
+    vertices, edges, target = case
+    reference = _run(reference_greedy_set_cover, target, edges, random.Random(seed))
+    assert _run(greedy_set_cover, target, edges, random.Random(seed)) == reference
+    bh = _intern(vertices, edges)
+    assert (
+        _run(greedy_set_cover, bh.mask_of(target), bh, random.Random(seed))
+        == reference
+    )
+
+
+@given(families())
+@settings(max_examples=300, deadline=None)
+def test_deterministic_greedy_matches_the_reference(case):
+    vertices, edges, target = case
+    expected = _run(reference_greedy_set_cover, target, edges, None)
+    assert _run(greedy_set_cover, target, edges, None) == expected
+    bh = _intern(vertices, edges)
+    assert _run(greedy_set_cover, bh.mask_of(target), bh, None) == expected
+
+
+def test_ties_are_drawn_in_insertion_order_not_repr_order():
+    # Three single-vertex edges tie at every step; their insertion order
+    # (b, c, a) differs from their repr order (a, b, c).
+    edges = {"b": frozenset({1}), "c": frozenset({2}), "a": frozenset({3})}
+    bh = _intern([1, 2, 3], edges)
+    for seed in range(20):
+        reference = _run(
+            reference_greedy_set_cover, {1, 2, 3}, edges, random.Random(seed)
+        )
+        mapping = _run(greedy_set_cover, {1, 2, 3}, edges, random.Random(seed))
+        masks = _run(greedy_set_cover, 0b111, bh, random.Random(seed))
+        assert mapping == masks == reference
+
+
+@st.composite
+def graphs_and_orderings(draw):
+    kind = draw(st.sampled_from(LABEL_KINDS))
+    n = draw(st.integers(min_value=0, max_value=9))
+    vertices = [_vertex(kind, i) for i in range(n)]
+    edges = [
+        (vertices[u], vertices[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.booleans())
+    ]
+    ordering = list(draw(st.permutations(vertices)))
+    return Graph(vertices=vertices, edges=edges), ordering
+
+
+@given(graphs_and_orderings())
+@settings(max_examples=200, deadline=None)
+def test_elimination_bag_masks_unpack_to_the_reference(case):
+    graph, ordering = case
+    expected = reference_elimination_bags(graph, ordering)
+    bg = BitGraph.from_graph(graph)
+    masks = elimination_bags(bg, ordering)
+    assert list(masks) == ordering
+    assert {v: bg.vertices_of(mask) for v, mask in masks.items()} == expected
+    bags = elimination_bags(graph, ordering)
+    assert list(bags) == ordering
+    assert bags == expected

@@ -1,11 +1,12 @@
-"""The bitset kernel must agree with the pure-Python reference exactly.
+"""The bitset kernel must agree with the pure-Python oracle exactly.
 
-The kernel (:mod:`repro.kernels`) re-implements bucket elimination and
-set covering on interned bitmasks; the pure-Python implementations stay
-in the tree as the oracle. On every deterministic path the two must
-return *identical* values — not merely consistent bounds — because the
-bitset greedy cover reproduces the python tie-break (smallest edge name
-by ``repr``) and exact covers are canonical by definition.
+The kernel (:mod:`repro.kernels`) runs bucket elimination and set
+covering on interned bitmasks for both backends; the pure-Python
+implementations live in :mod:`tests.reference` as the oracle. On every
+deterministic path the kernel must return *identical* values — not
+merely consistent bounds — because the greedy cover reproduces the
+oracle's tie-break (smallest edge name by ``repr``) and exact covers are
+canonical by definition.
 """
 
 from __future__ import annotations
@@ -17,6 +18,24 @@ from repro.decompositions.elimination import ordering_ghw, ordering_width
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
+from repro.setcover.exact import ExactSetCoverSolver
+from tests.reference import (
+    reference_elimination_bags,
+    reference_greedy_set_cover,
+)
+
+
+def _oracle_ghw(hypergraph: Hypergraph, ordering: list, cover: str) -> int:
+    """Definition 17 on the oracle's bags, greedy or exact covers."""
+    edges = hypergraph.edges()
+    bags = reference_elimination_bags(hypergraph.primal_graph(), ordering)
+    if cover == "exact":
+        solver = ExactSetCoverSolver(edges)
+        return max((solver.cover_size(bag) for bag in bags.values()), default=0)
+    return max(
+        (len(reference_greedy_set_cover(bag, edges)) for bag in bags.values()),
+        default=0,
+    )
 
 
 @st.composite
@@ -68,27 +87,30 @@ def hypergraph_and_ordering(draw):
 @settings(max_examples=120, deadline=None)
 def test_ordering_width_backends_agree(case):
     graph, ordering = case
-    assert ordering_width(graph, ordering, backend="bitset") == ordering_width(
-        graph, ordering, backend="python"
-    )
+    bags = reference_elimination_bags(graph, ordering)
+    oracle = max((len(bag) - 1 for bag in bags.values()), default=0)
+    assert ordering_width(graph, ordering, backend="bitset") == oracle
+    assert ordering_width(graph, ordering, backend="python") == oracle
 
 
 @given(hypergraph_and_ordering())
 @settings(max_examples=120, deadline=None)
 def test_ordering_ghw_greedy_backends_agree(case):
     hypergraph, ordering = case
+    oracle = _oracle_ghw(hypergraph, ordering, "greedy")
     python = ordering_ghw(hypergraph, ordering, cover="greedy")
     bitset = ordering_ghw(hypergraph, ordering, cover="greedy", backend="bitset")
-    assert python == bitset
+    assert python == bitset == oracle
 
 
 @given(hypergraph_and_ordering())
 @settings(max_examples=60, deadline=None)
 def test_ordering_ghw_exact_backends_agree(case):
     hypergraph, ordering = case
+    oracle = _oracle_ghw(hypergraph, ordering, "exact")
     python = ordering_ghw(hypergraph, ordering, cover="exact")
     bitset = ordering_ghw(hypergraph, ordering, cover="exact", backend="bitset")
-    assert python == bitset
+    assert python == bitset == oracle
 
 
 @given(hypergraphs())

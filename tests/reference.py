@@ -1,20 +1,109 @@
 """Reference implementations the mask-native code is tested against.
 
-:class:`ReferenceEliminationGraph` is the dict-of-sets elimination graph
-with an undo stack that the exact searches used before
-:class:`repro.hypergraphs.elimination_graph.EliminationGraph` moved to
-bitmasks. It is deliberately naive — every operation goes through
-:class:`~repro.hypergraphs.graph.Graph` — so the two can be compared
-operation by operation, including the iteration order of
-``vertices()``.
+* :class:`ReferenceEliminationGraph` is the dict-of-sets elimination
+  graph with an undo stack that the exact searches used before
+  :class:`repro.hypergraphs.elimination_graph.EliminationGraph` moved to
+  bitmasks. It is deliberately naive — every operation goes through
+  :class:`~repro.hypergraphs.graph.Graph` — so the two can be compared
+  operation by operation, including the iteration order of
+  ``vertices()``.
+* :func:`reference_greedy_set_cover` is the thesis's greedy loop
+  (Figure 7.2) over dict-of-sets: every step scans all edges in
+  insertion order and breaks ties with ``rng.choice`` or the smallest
+  name by ``repr``.
+* :func:`reference_elimination_bags` is the set-based bucket
+  propagation of Figure 6.2, and :func:`make_reference_ghw_evaluator`
+  the GA-ghw fitness (Figure 7.1) built from the two.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import random
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.hypergraphs.graph import Graph, Vertex
+from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
+from repro.setcover.greedy import UncoverableError
+
+
+def reference_greedy_set_cover(
+    target: Iterable[Vertex],
+    edges: Mapping[EdgeName, Iterable[Vertex]],
+    rng: random.Random | None = None,
+) -> list[EdgeName]:
+    """Greedy cover of ``target``: the pure-Python loop of Figure 7.2."""
+    uncovered = set(target)
+    if not uncovered:
+        return []
+    chosen: list[EdgeName] = []
+    names = list(edges)
+    while uncovered:
+        best_gain = 0
+        best_names: list[EdgeName] = []
+        for name in names:
+            gain = len(uncovered.intersection(edges[name]))
+            if gain > best_gain:
+                best_gain = gain
+                best_names = [name]
+            elif gain == best_gain and gain > 0:
+                best_names.append(name)
+        if not best_names:
+            raise UncoverableError(
+                f"vertices {sorted(map(repr, uncovered))} appear in no hyperedge"
+            )
+        if rng is None:
+            pick = min(best_names, key=repr)
+        else:
+            pick = rng.choice(best_names)
+        chosen.append(pick)
+        uncovered.difference_update(edges[pick])
+    return chosen
+
+
+def reference_elimination_bags(
+    graph: Graph, ordering: Sequence[Vertex]
+) -> dict[Vertex, set[Vertex]]:
+    """Bag ``{v} | N(v)`` per eliminated vertex, by set-based propagation."""
+    position = {vertex: i for i, vertex in enumerate(ordering)}
+    if len(position) != len(ordering) or set(position) != graph.vertices():
+        raise ValueError("ordering is not a permutation of the vertices")
+    forward: dict[Vertex, set[Vertex]] = {
+        vertex: {
+            neighbour
+            for neighbour in graph.neighbours(vertex)
+            if position[neighbour] > position[vertex]
+        }
+        for vertex in ordering
+    }
+    bags: dict[Vertex, set[Vertex]] = {}
+    for vertex in ordering:
+        clique = forward[vertex]
+        bags[vertex] = {vertex} | clique
+        if clique:
+            successor = min(clique, key=position.__getitem__)
+            forward[successor] |= clique - {successor}
+    return bags
+
+
+def make_reference_ghw_evaluator(
+    hypergraph: Hypergraph, rng: random.Random | None = None
+):
+    """GA-ghw fitness (Figure 7.1) on the pure-Python oracles."""
+    primal = hypergraph.primal_graph()
+    edges = hypergraph.edges()
+
+    def evaluate(ordering: Sequence[Vertex]) -> int:
+        bags = reference_elimination_bags(primal, list(ordering))
+        return max(
+            (
+                len(reference_greedy_set_cover(bag, edges, rng=rng))
+                for bag in bags.values()
+            ),
+            default=0,
+        )
+
+    return evaluate
 
 
 @dataclass
