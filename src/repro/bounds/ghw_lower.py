@@ -30,7 +30,11 @@ from repro.bounds.lower import treewidth_lower_bound
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.setcover.lower_bounds import k_set_cover_lower_bound
+from repro.kernels.bithypergraph import BitHypergraph
+from repro.setcover.lower_bounds import (
+    k_set_cover_lower_bound,
+    size_profile_lower_bound,
+)
 
 
 def tw_ksc_width(
@@ -64,7 +68,7 @@ def tw_ksc_width(
 
 
 def tw_ksc_width_remaining(
-    hypergraph: Hypergraph,
+    hypergraph: Hypergraph | BitHypergraph,
     remaining_graph: Graph | EliminationGraph,
     remaining_vertices: Iterable[Vertex] | None = None,
     tw_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
@@ -80,21 +84,49 @@ def tw_ksc_width_remaining(
     remaining subproblem lies entirely inside them, so an edge can
     contribute at most its restricted size to any cover.
 
+    The searches pass their interned :class:`BitHypergraph`, whose
+    vertex ``i`` is ``remaining_graph.labels[i]``; the restricted sizes
+    are then ``popcount(edge & alive)``. A :class:`Hypergraph` is
+    restricted to ``remaining_vertices`` (default: the graph's
+    vertices).
+
     Returns 0 for an empty remainder (nothing left to pay for).
     """
-    vertices = (
-        set(remaining_vertices)
-        if remaining_vertices is not None
-        else remaining_graph.vertices()
-    )
-    if not vertices:
-        return 0
-    restricted = hypergraph.restrict(vertices)
-    if restricted.num_edges() == 0:
+    if isinstance(hypergraph, BitHypergraph):
+        sizes = restricted_sizes(hypergraph, remaining_graph.alive)
+    else:
+        vertices = (
+            set(remaining_vertices)
+            if remaining_vertices is not None
+            else remaining_graph.vertices()
+        )
+        if not vertices:
+            return 0
+        sizes = [len(edge) for edge in hypergraph.restrict(vertices).edge_sets()]
+    if not sizes:
         return 0
     tw_bound = treewidth_lower_bound(
         remaining_graph, methods=tw_methods, rng=rng
     )
-    k = tw_bound + 1
-    bound = k_set_cover_lower_bound(k, restricted.edges())
-    return max(1, bound)
+    # The size-profile bound dominates ``ceil(k / max size)``.
+    return max(1, size_profile_lower_bound(tw_bound + 1, sizes))
+
+
+def restricted_sizes(bh: BitHypergraph, alive: int) -> list[int]:
+    """The non-zero sizes ``popcount(edge & alive)`` of the hyperedges."""
+    return [size for edge in bh.edge_masks if (size := (edge & alive).bit_count())]
+
+
+def remainder_cover_floor(bh: BitHypergraph, alive: int) -> int:
+    """A lower bound on the cover number of the whole remainder ``alive``.
+
+    The size-profile k-set-cover bound with ``k = popcount(alive)`` over
+    the restricted edge sizes: no cover of the remainder is smaller, so
+    neither is its greedy cover. 0 when the edges cannot cover it.
+    """
+    try:
+        return size_profile_lower_bound(
+            alive.bit_count(), restricted_sizes(bh, alive)
+        )
+    except ValueError:
+        return 0

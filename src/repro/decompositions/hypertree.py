@@ -95,8 +95,22 @@ class HypertreeDecomposition:
         return f"HypertreeDecomposition(width={self.width()})"
 
 
+@dataclass
+class _Plan:
+    """A decomposed subproblem: its node's labels and its child plans."""
+
+    chi: set[Vertex]
+    cover: set[EdgeName]
+    children: list["_Plan"] = field(default_factory=list)
+
+
 class _DetKDecomp:
-    """One det-k-decomp run for a fixed ``k``."""
+    """One det-k-decomp run for a fixed ``k``.
+
+    Subproblems return plans, and nodes are added only for the plan of
+    the whole hypergraph: a separator whose later child fails must leave
+    no nodes behind for its earlier, successful children.
+    """
 
     def __init__(self, hypergraph: Hypergraph, k: int) -> None:
         self.hypergraph = hypergraph
@@ -115,11 +129,18 @@ class _DetKDecomp:
         if not all_edges:
             self.result.add_node(self.hypergraph.vertices(), set())
             return HypertreeDecomposition(ghd=self.result)
-        root = self._decompose(all_edges, frozenset())
-        if root is None:
+        plan = self._decompose(all_edges, frozenset())
+        if plan is None:
             return None
-        self.result.tree.root = root
+        self.result.tree.root = self._build(plan)
         return HypertreeDecomposition(ghd=self.result)
+
+    def _build(self, plan: _Plan) -> int:
+        """Add ``plan``'s nodes to the result; return its root node id."""
+        node = self.result.add_node(plan.chi, plan.cover)
+        for child in plan.children:
+            self.result.add_edge(node, self._build(child))
+        return node
 
     # ------------------------------------------------------------------
 
@@ -189,9 +210,9 @@ class _DetKDecomp:
         self,
         component: frozenset[EdgeName],
         connector: frozenset[Vertex],
-    ) -> int | None:
-        """Decompose ``component`` under ``connector``; return the root
-        node id of the constructed subtree, or None."""
+    ) -> _Plan | None:
+        """Decompose ``component`` under ``connector``; return the plan
+        of its subtree, or None."""
         key = (component, connector)
         if key in self.failures:
             return None
@@ -202,9 +223,7 @@ class _DetKDecomp:
         if len(component) <= self.k:
             lambda_vars = component_vertices
             if connector <= lambda_vars:
-                return self.result.add_node(
-                    lambda_vars | connector, set(component)
-                )
+                return _Plan(lambda_vars | connector, set(component))
 
         for separator, lambda_vars in self._candidate_separators(
             component, connector
@@ -215,23 +234,17 @@ class _DetKDecomp:
             children = self._components(component, chi)
             if any(child == component for child in children):
                 continue  # separator did not split anything
-            child_nodes: list[int] = []
-            ok = True
+            child_plans: list[_Plan] = []
             for child in children:
                 child_connector = frozenset(
                     self._vertices_of(child) & chi
                 )
-                node = self._decompose(child, child_connector)
-                if node is None:
-                    ok = False
+                plan = self._decompose(child, child_connector)
+                if plan is None:
                     break
-                child_nodes.append(node)
-            if not ok:
-                continue
-            parent = self.result.add_node(chi, set(separator))
-            for node in child_nodes:
-                self.result.add_edge(parent, node)
-            return parent
+                child_plans.append(plan)
+            else:
+                return _Plan(chi, set(separator), child_plans)
 
         self.failures.add(key)
         return None

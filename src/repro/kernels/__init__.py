@@ -14,13 +14,16 @@ population evaluation:
   one greedy set-cover loop, with the thesis's random tie-breaks
   replayed exactly (:func:`repro.setcover.greedy.greedy_set_cover` and
   :func:`greedy_cover_mask` run on it),
+* :func:`exact_cover_mask` — the library's one exact set-cover search
+  (:class:`repro.setcover.exact.ExactSetCoverSolver` answers through it),
 * :class:`CoverCache` — the shared, instrumented bag -> cover LRU
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness
   evaluation for GA/SAIGA populations,
 * :func:`minor_lower_bound` — minor-min-width and minor-gamma_R in one
-  contraction pass, the per-node lower bound of the exact searches
-  (``treewidth_lower_bound`` routes every ``rng=None`` request here).
+  contraction pass over per-degree buckets, the per-node lower bound of
+  the exact searches (``treewidth_lower_bound`` routes every
+  ``rng=None`` request here).
 
 Every GA/SAIGA/SA/tabu fitness evaluation runs on this kernel; the
 ``backend`` knob only selects the greedy tie rule (random and uncached,

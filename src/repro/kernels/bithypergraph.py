@@ -19,7 +19,7 @@ on — and round-trips exactly (property-tested).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.hypergraphs.elimination_graph import bits_of
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
@@ -119,23 +119,51 @@ class BitHypergraph(BitGraph):
         )
 
     @classmethod
-    def from_hypergraph(cls, hypergraph: Hypergraph) -> "BitHypergraph":
-        vertices = sorted(hypergraph.vertices(), key=vertex_sort_key)
+    def from_hypergraph(
+        cls, hypergraph: Hypergraph, vertices: Sequence[Vertex] | None = None
+    ) -> "BitHypergraph":
+        """Intern ``hypergraph``; vertex ``i`` is ``vertices[i]``.
+
+        ``vertices`` must list every vertex of the hypergraph once; by
+        default they are ranked by
+        :func:`~repro.hypergraphs.graph.vertex_sort_key`. The exact
+        searches pass their elimination graph's ``labels`` so that bag
+        and ``alive`` masks index both structures alike.
+        """
+        if vertices is None:
+            vertices = sorted(hypergraph.vertices(), key=vertex_sort_key)
+        return cls.from_edges(hypergraph.edges(), vertices)
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Mapping[EdgeName, Iterable[Vertex]],
+        vertices: Sequence[Vertex] | None = None,
+    ) -> "BitHypergraph":
+        """Intern a ``name -> vertices`` mapping (empty edges allowed).
+
+        Without ``vertices``, the vertices of the edges are ranked by
+        :func:`~repro.hypergraphs.graph.vertex_sort_key`.
+        """
+        members = {name: frozenset(edge) for name, edge in edges.items()}
+        if vertices is None:
+            vertices = sorted(
+                set().union(*members.values()), key=vertex_sort_key
+            )
+        vertices = list(vertices)
         index = {vertex: i for i, vertex in enumerate(vertices)}
-        edge_names: list[EdgeName] = []
         edge_masks: list[int] = []
         nbr_masks = [0] * len(vertices)
-        for name, edge in hypergraph.edges().items():
+        for edge in members.values():
             mask = 0
             for vertex in edge:
                 mask |= 1 << index[vertex]
-            edge_names.append(name)
             edge_masks.append(mask)
             for i in bits_of(mask):
                 nbr_masks[i] |= mask
         for i in range(len(vertices)):
             nbr_masks[i] &= ~(1 << i)
-        return cls(vertices, nbr_masks, edge_names, edge_masks)
+        return cls(vertices, nbr_masks, list(members), edge_masks)
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(

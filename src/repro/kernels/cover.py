@@ -10,8 +10,9 @@ used by the bitset elimination kernel:
   ``rng.choice`` from that list (the thesis's random tie-breaking, one
   draw per step), without one it takes the edge whose *name* is
   smallest under ``repr``;
-* the exact cover is optimal, so its size agrees with
-  :class:`~repro.setcover.exact.ExactSetCoverSolver` by definition.
+* :func:`exact_cover_mask` is the library's one exact set-cover
+  search; :class:`~repro.setcover.exact.ExactSetCoverSolver` answers
+  through it.
 
 Neither routine ever scans the full edge family: the candidate set
 starts from the per-vertex incidence masks (only edges meeting the bag)
@@ -119,8 +120,17 @@ def greedy_cover_mask(
     )
 
 
-def exact_cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
-    """An optimal cover of ``bag_mask``; returns chosen edge indices."""
+def exact_cover_mask(
+    bh: BitHypergraph, bag_mask: int, nodes: list[int] | None = None
+) -> tuple[int, ...]:
+    """An optimal cover of ``bag_mask``; returns chosen edge indices.
+
+    Branch and bound: a greedy cover is the first incumbent, edges that
+    are subsets of other edges (inside the bag) are dropped, the search
+    branches on the uncovered vertex in the fewest edges and prunes
+    with ``ceil(|uncovered| / max gain)``. ``nodes[0]``, when given,
+    is increased by the number of search nodes.
+    """
     if not bag_mask:
         return ()
     # Restrict to the bag and drop dominated (subset) edges.
@@ -145,8 +155,8 @@ def exact_cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
             kept.append((i, mask))
 
     best = list(greedy_cover_mask(bh, bag_mask))
-    budget = len(best)
-    found = _search_mask(bh, bag_mask, kept, [], budget)
+    counter = [0] if nodes is None else nodes
+    found = _search_mask(bh, bag_mask, kept, [], len(best), counter)
     if found is not None:
         best = found
     return tuple(best)
@@ -158,8 +168,10 @@ def _search_mask(
     edges: list[tuple[int, int]],
     chosen: list[int],
     budget: int,
+    nodes: list[int],
 ) -> list[int] | None:
     """Find a cover strictly smaller than ``budget`` if one exists."""
+    nodes[0] += 1
     if not uncovered:
         return list(chosen) if len(chosen) < budget else None
     max_gain = max((mask & uncovered).bit_count() for _, mask in edges)
@@ -188,7 +200,7 @@ def _search_mask(
     best: list[int] | None = None
     for index, mask in candidates:
         chosen.append(index)
-        found = _search_mask(bh, uncovered & ~mask, edges, chosen, budget)
+        found = _search_mask(bh, uncovered & ~mask, edges, chosen, budget, nodes)
         chosen.pop()
         if found is not None:
             best = found
@@ -203,8 +215,13 @@ def cover_mask(
     bag_mask: int,
     mode: str,
     cache: CoverCache | None = None,
+    nodes: list[int] | None = None,
 ) -> tuple[int, ...]:
-    """Cover ``bag_mask`` in ``mode`` (``"greedy"``/``"exact"``), cached."""
+    """Cover ``bag_mask`` in ``mode`` (``"greedy"``/``"exact"``), cached.
+
+    ``nodes[0]``, when given, counts the exact search's nodes; a cache
+    hit leaves it unchanged.
+    """
     if cache is not None:
         cached = cache.get(bh.token, mode, bag_mask)
         if cached is not None:
@@ -212,7 +229,7 @@ def cover_mask(
     if mode == "greedy":
         cover = greedy_cover_mask(bh, bag_mask)
     elif mode == "exact":
-        cover = exact_cover_mask(bh, bag_mask)
+        cover = exact_cover_mask(bh, bag_mask, nodes)
     else:
         raise ValueError(f"unknown cover mode {mode!r}")
     if cache is not None:

@@ -14,8 +14,9 @@ pure-Python functions — so index order is tie order and both bounds come
 out identical to the reference (property-tested). The exact searches
 hand over their live elimination graph, so nothing is re-interned per
 node; a plain :class:`~repro.hypergraphs.graph.Graph` is interned once.
-Degrees are kept incrementally across contractions instead of being
-recounted on dict-of-set copies.
+Degrees are kept incrementally across contractions, and live vertices
+sit in per-degree bitmask buckets, read lowest bit first — index order
+within a degree, which is the pure functions' tie order.
 
 Two cuts keep the walk short without changing the result:
 
@@ -31,33 +32,39 @@ from __future__ import annotations
 from repro.hypergraphs.elimination_graph import (
     EliminationGraph,
     as_elimination_graph,
-    bits_of,
 )
 from repro.hypergraphs.graph import Graph
 
 
 def _gamma_r_exceeds(
-    alive: list[int], adjacency: list[int], degree: list[int], bound: int
+    buckets: list[int], adjacency: list[int], lowest: int, n: int, bound: int
 ) -> int:
     """gamma_R of the current minor if it exceeds ``bound``, else ``bound``.
 
     gamma_R is the degree of the first vertex, in ascending degree order,
     that misses an earlier vertex (``n - 1`` on a clique); ties in degree
-    do not change which degree that is.
+    do not change which degree that is. ``buckets[d]`` holds the ``n``
+    live vertices of degree ``d``; none has degree below ``lowest``.
+    Vertices are read bucket by bucket, lowest index first.
     """
-    low = [v for v in alive if degree[v] <= bound]
     seen = 0
-    for v in low:
-        seen |= 1 << v
-    for v in low:
-        if seen & ~adjacency[v] & ~(1 << v):
+    for d in range(lowest, bound + 1):
+        seen |= buckets[d]
+    probe = seen
+    while probe:
+        low = probe & -probe
+        if seen & ~adjacency[low.bit_length() - 1] & ~low:
             return bound
-    high = [v for v in alive if degree[v] > bound]
-    for v in sorted(high, key=degree.__getitem__):
-        if seen & ~adjacency[v]:
-            return degree[v]
-        seen |= 1 << v
-    return max(bound, len(alive) - 1)
+        probe ^= low
+    for d in range(max(lowest, bound + 1), n):
+        probe = buckets[d]
+        while probe:
+            low = probe & -probe
+            if seen & ~adjacency[low.bit_length() - 1]:
+                return d
+            seen |= low
+            probe ^= low
+    return max(bound, n - 1)
 
 
 def minor_lower_bound(
@@ -68,41 +75,79 @@ def minor_lower_bound(
     Equals ``max(minor_min_width(graph), minor_gamma_r(graph))`` with
     ``rng=None`` when both are selected, and the selected one alone
     otherwise; 0 when neither is. ``graph`` is not modified.
+
+    Live vertices sit in per-degree bitmask buckets. The minimum-degree
+    vertex is the lowest bit of the first non-empty bucket, and a
+    contraction lowers the minimum degree by at most one, so the scan
+    for it steps back one bucket at most.
     """
     if not (min_width or gamma_r):
         return 0
     working = as_elimination_graph(graph)
     # Eliminated vertices keep stale masks, but no live mask reaches them.
     adjacency = list(working.masks)
-    alive = bits_of(working.alive)
+    n = working.alive.bit_count()
     degree = [0] * len(adjacency)
-    for v in alive:
-        degree[v] = adjacency[v].bit_count()
+    buckets = [0] * (n + 1)
+    probe = working.alive
+    while probe:
+        low = probe & -probe
+        v = low.bit_length() - 1
+        d = adjacency[v].bit_count()
+        degree[v] = d
+        buckets[d] |= low
+        probe ^= low
     bound = 0
-    while len(alive) - 1 > bound:
-        vertex = min(alive, key=degree.__getitem__)
-        if min_width and degree[vertex] > bound:
-            bound = degree[vertex]
+    lowest = 0
+    while n - 1 > bound:
+        while not buckets[lowest]:
+            lowest += 1
+        vertex_bit = buckets[lowest] & -buckets[lowest]
+        vertex = vertex_bit.bit_length() - 1
+        if min_width and lowest > bound:
+            bound = lowest
         if gamma_r:
-            bound = _gamma_r_exceeds(alive, adjacency, degree, bound)
-        alive.remove(vertex)
+            bound = _gamma_r_exceeds(buckets, adjacency, lowest, n, bound)
+        buckets[lowest] ^= vertex_bit
+        n -= 1
         neighbours = adjacency[vertex]
         if not neighbours:
             continue
-        partner = min(bits_of(neighbours), key=degree.__getitem__)
+        # The partner is the lowest-index neighbour of minimum degree.
+        d = lowest
+        while not buckets[d] & neighbours:
+            d += 1
+        partner_bit = buckets[d] & neighbours
+        partner_bit &= -partner_bit
+        partner = partner_bit.bit_length() - 1
         # Contract ``vertex`` into ``partner``: shared neighbours lose a
         # degree, the others swap ``vertex`` for ``partner``.
-        vertex_bit = 1 << vertex
-        partner_bit = 1 << partner
         moved = neighbours & ~partner_bit
         shared = moved & adjacency[partner]
         gained = moved & ~shared
-        for w in bits_of(shared):
+        probe = shared
+        while probe:
+            low = probe & -probe
+            w = low.bit_length() - 1
             adjacency[w] &= ~vertex_bit
-            degree[w] -= 1
-        for w in bits_of(gained):
+            d = degree[w]
+            buckets[d] ^= low
+            buckets[d - 1] |= low
+            degree[w] = d - 1
+            probe ^= low
+        probe = gained
+        while probe:
+            low = probe & -probe
+            w = low.bit_length() - 1
             adjacency[w] = (adjacency[w] & ~vertex_bit) | partner_bit
+            probe ^= low
         adjacency[partner] = (adjacency[partner] | moved) & ~vertex_bit
-        degree[partner] += gained.bit_count() - 1
+        d = degree[partner]
+        buckets[d] ^= partner_bit
+        d += gained.bit_count() - 1
+        buckets[d] |= partner_bit
+        degree[partner] = d
+        # Every live degree is now at least the old minimum minus one.
+        if lowest:
+            lowest -= 1
     return bound
-

@@ -10,7 +10,12 @@ Tables 9.1/9.2 report for instances the thesis could not close.
 Goal test: once every hyperedge-restricted remainder can be covered
 within ``g`` (PR1's certificate, here checked as "the greedy cover of the
 whole remainder is at most g"), finishing in any order costs ``g``; the
-first such state popped is optimal.
+first such state popped is optimal. The greedy cover runs only when the
+size-profile floor of the remainder's cover number is at most ``g``.
+
+As in BB-ghw, bags and the remainder are masks of one hypergraph
+interned in the elimination graph's vertex order, and the forced
+simplicial vertex and ``h`` are computed once per eliminated set.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import random
 from itertools import count
 
 from repro import obs
-from repro.bounds.ghw_lower import tw_ksc_width_remaining
+from repro.bounds.ghw_lower import remainder_cover_floor, tw_ksc_width_remaining
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.kernels.bithypergraph import BitHypergraph
 from repro.obs.control import SolverControl
 from repro.reductions.pruning import pr2_prune_children, swap_safe_ghw
 from repro.reductions.simplicial import find_simplicial
@@ -73,9 +79,10 @@ def astar_ghw(
             certified(0, sorted(hypergraph.vertices(), key=repr), budget, name)
         )
 
-    edges = hypergraph.edges()
-    solver = ExactSetCoverSolver(edges)
     primal = hypergraph.primal_graph()
+    working = EliminationGraph(primal)
+    bh = BitHypergraph.from_hypergraph(hypergraph, vertices=working.labels)
+    solver = ExactSetCoverSolver(bh)
 
     with ins.tracer.span(
         name, vertices=hypergraph.num_vertices(), edges=hypergraph.num_edges()
@@ -109,22 +116,14 @@ def astar_ghw(
             """The frontier lb, capped by any external bound pruned against."""
             return lb if ext_floor is None else min(lb, ext_floor)
 
-        working = EliminationGraph(primal)
         sequence = count()
         heap: list[
             tuple[int, int, int, int, tuple[Vertex, ...], tuple[Vertex, ...], bool]
         ] = []
 
-        def remainder_cover_size() -> int:
-            remaining = working.vertices()
-            if not remaining:
-                return 0
-            restricted = {
-                name_: frozenset(edge & remaining)
-                for name_, edge in edges.items()
-                if edge & remaining
-            }
-            return len(greedy_set_cover(remaining, restricted))
+        # alive -> (forced simplicial vertex, h): both depend only on the
+        # eliminated set, never on the order it was eliminated in.
+        reduced: dict[int, tuple[Vertex | None, int]] = {}
 
         root_children = tuple(sorted(primal.vertices(), key=repr))
         root_forced = False
@@ -163,7 +162,10 @@ def astar_ghw(
                     )
                 working.switch_to(prefix)
 
-                if remainder_cover_size() <= g:
+                # greedy >= floor: a floor above g rules the goal out.
+                if remainder_cover_floor(bh, working.alive) <= g and len(
+                    greedy_set_cover(working.alive, bh)
+                ) <= g:
                     # Goal: any completion's bags stay within the remainder,
                     # whose cover fits in g — the completion has width
                     # exactly g.
@@ -178,8 +180,10 @@ def astar_ghw(
                     return _finish(certified(g, ordering, budget, name))
 
                 for child in children:
-                    bag = {child} | working.neighbours(child)
-                    child_g = max(g, solver.cover_size(bag))
+                    i = working.index[child]
+                    child_g = max(
+                        g, solver.cover_size((1 << i) | working.masks[i])
+                    )
                     grandchildren = [v for v in working.vertices() if v != child]
                     if use_pr2 and not forced:
                         kept = pr2_prune_children(
@@ -189,18 +193,24 @@ def astar_ghw(
                         prune_pr2.inc(len(grandchildren) - len(kept))
                         grandchildren = kept
                     working.eliminate(child)
-                    child_forced = False
-                    if use_reductions:
-                        simplicial = find_simplicial(working)
-                        if simplicial is not None:
-                            grandchildren = [simplicial]
-                            child_forced = True
-                            forced_total.inc()
-                    # Per-node bounds tie on repr (rng=None): only the root calls
-                    # consume ``rng``; the bitmask kernel reads the live masks.
-                    h = tw_ksc_width_remaining(
-                        hypergraph, working, tw_methods=lb_methods, rng=None
-                    )
+                    entry = reduced.get(working.alive)
+                    if entry is None:
+                        simplicial = (
+                            find_simplicial(working) if use_reductions else None
+                        )
+                        # Per-node bounds tie on repr (rng=None): only the
+                        # root calls consume ``rng``; the bitmask kernel
+                        # reads the live masks.
+                        h = tw_ksc_width_remaining(
+                            bh, working, tw_methods=lb_methods, rng=None
+                        )
+                        reduced[working.alive] = (simplicial, h)
+                    else:
+                        simplicial, h = entry
+                    child_forced = simplicial is not None
+                    if child_forced:
+                        grandchildren = [simplicial]
+                        forced_total.inc()
                     child_f = max(child_g, h, f)
                     if child_f < effective_ub():
                         heapq.heappush(

@@ -18,8 +18,14 @@ exactly as in Definition 17. Ingredients, following Chapter 8:
   cover number of the whole remainder (Section 8.3),
 * pruning rule 2 in its non-adjacent (ghw-safe) form (Section 8.3).
 
-Exact covers are produced by a memoised branch-and-bound set-cover solver
-shared across the entire search — elimination bags repeat massively.
+The search interns the hypergraph once, in its elimination graph's
+vertex order, so a bag is ``(1 << i) | masks[i]`` and the remainder is
+``alive``. Exact covers come from the cover cache keyed on bag masks —
+elimination bags repeat massively. The remaining filled graph depends
+only on the eliminated *set*, so the forced simplicial vertex and ``h``
+are computed once per ``alive`` mask. PR1's greedy remainder cover runs
+only when a size-profile floor says it could close the node or improve
+the incumbent (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -27,11 +33,12 @@ from __future__ import annotations
 import random
 
 from repro import obs
-from repro.bounds.ghw_lower import tw_ksc_width_remaining
+from repro.bounds.ghw_lower import remainder_cover_floor, tw_ksc_width_remaining
 from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.kernels.bithypergraph import BitHypergraph
 from repro.obs.control import SolverControl
 from repro.reductions.pruning import pr1_ghw, pr2_prune_children, swap_safe_ghw
 from repro.reductions.simplicial import find_simplicial
@@ -76,7 +83,8 @@ def initial_ghw_incumbent(
 
     Greedy covers would also be sound (they only overestimate), but the
     heuristic orderings are few and scoring them exactly gives the search
-    a genuinely attainable incumbent.
+    a genuinely attainable incumbent. Bags are masks of ``solver.bh``,
+    so the covers found here are the cache entries the search reuses.
     """
     from repro.decompositions.elimination import elimination_bags
 
@@ -85,7 +93,7 @@ def initial_ghw_incumbent(
     best_ordering: list[Vertex] = []
     for build in (min_fill_ordering, min_degree_ordering):
         ordering = build(primal, rng)
-        bags = elimination_bags(primal, ordering)
+        bags = elimination_bags(solver.bh, ordering)
         width = max(
             (solver.cover_size(bag) for bag in bags.values()), default=0
         )
@@ -133,9 +141,10 @@ def branch_and_bound_ghw(
             certified(0, sorted(hypergraph.vertices(), key=repr), budget, name)
         )
 
-    edges = hypergraph.edges()
-    solver = ExactSetCoverSolver(edges)
     primal = hypergraph.primal_graph()
+    working = EliminationGraph(primal)
+    bh = BitHypergraph.from_hypergraph(hypergraph, vertices=working.labels)
+    solver = ExactSetCoverSolver(bh)
 
     with ins.tracer.span(name, vertices=n, edges=hypergraph.num_edges()):
         with ins.tracer.span("root_bounds"):
@@ -151,7 +160,6 @@ def branch_and_bound_ghw(
                 certified(incumbent.width, incumbent.ordering, budget, name)
             )
 
-        working = EliminationGraph(primal)
         aborted = False
         ext_floor: int | None = None
 
@@ -167,22 +175,9 @@ def branch_and_bound_ghw(
                     return shared
             return incumbent.width
 
-        def remainder_cover_size() -> int:
-            """Greedy cover of all remaining vertices (PR1's certificate)."""
-            remaining = working.vertices()
-            if not remaining:
-                return 0
-            restricted = {
-                name_: edge & remaining
-                for name_, edge in edges.items()
-                if edge & remaining
-            }
-            return len(
-                greedy_set_cover(
-                    remaining,
-                    {k: frozenset(v) for k, v in restricted.items()},
-                )
-            )
+        # alive -> (forced simplicial vertex, h): both depend only on the
+        # eliminated set, never on the order it was eliminated in.
+        reduced: dict[int, tuple[Vertex | None, int]] = {}
 
         def visit(g: int, children: list[Vertex], forced: bool) -> None:
             nonlocal aborted
@@ -210,14 +205,20 @@ def branch_and_bound_ghw(
                 incumbent.offer(g, list(prefix))
                 return
 
-            achievable, close = pr1_ghw(g, remainder_cover_size())
-            if achievable < incumbent.width:
-                incumbent.offer(
-                    achievable, list(prefix) + sorted(working.vertices(), key=repr)
-                )
-            if close:
-                prune_pr1.inc()
-                return
+            # PR1 needs the greedy remainder cover only when it could close
+            # the node or beat the incumbent; greedy >= floor always.
+            floor = remainder_cover_floor(bh, working.alive)
+            if floor <= g or floor < incumbent.width:
+                remainder = len(greedy_set_cover(working.alive, bh))
+                achievable, close = pr1_ghw(g, remainder)
+                if achievable < incumbent.width:
+                    incumbent.offer(
+                        achievable,
+                        list(prefix) + sorted(working.vertices(), key=repr),
+                    )
+                if close:
+                    prune_pr1.inc()
+                    return
 
             ranked = sorted(
                 children, key=lambda v: (working.degree(v), repr(v))
@@ -226,8 +227,8 @@ def branch_and_bound_ghw(
                 if aborted:
                     return
                 limit = bound()
-                bag = {child} | working.neighbours(child)
-                child_g = max(g, solver.cover_size(bag))
+                i = working.index[child]
+                child_g = max(g, solver.cover_size((1 << i) | working.masks[i]))
                 if child_g >= limit:
                     prune_incumbent.inc()
                     continue
@@ -240,18 +241,24 @@ def branch_and_bound_ghw(
                     prune_pr2.inc(len(grandchildren) - len(kept))
                     grandchildren = kept
                 working.eliminate(child)
-                child_forced = False
-                if use_reductions:
-                    simplicial = find_simplicial(working)
-                    if simplicial is not None:
-                        grandchildren = [simplicial]
-                        child_forced = True
-                        forced_total.inc()
-                # Per-node bounds tie on repr (rng=None): only the root calls
-                # consume ``rng``; the bitmask kernel reads the live masks.
-                h = tw_ksc_width_remaining(
-                    hypergraph, working, tw_methods=lb_methods, rng=None
-                )
+                entry = reduced.get(working.alive)
+                if entry is None:
+                    simplicial = (
+                        find_simplicial(working) if use_reductions else None
+                    )
+                    # Per-node bounds tie on repr (rng=None): only the root
+                    # calls consume ``rng``; the bitmask kernel reads the
+                    # live masks.
+                    h = tw_ksc_width_remaining(
+                        bh, working, tw_methods=lb_methods, rng=None
+                    )
+                    reduced[working.alive] = (simplicial, h)
+                else:
+                    simplicial, h = entry
+                child_forced = simplicial is not None
+                if child_forced:
+                    grandchildren = [simplicial]
+                    forced_total.inc()
                 if max(child_g, h) < limit:
                     visit(child_g, grandchildren, child_forced)
                 else:

@@ -1,155 +1,111 @@
-"""Exact minimum set cover via branch and bound.
+"""Exact minimum set cover.
 
 The thesis solves the per-bag set-cover problems exactly with an IP solver
 when proving optimal generalized hypertree widths (Section 2.5.2). No IP
-solver is available offline, so this module provides a self-contained
-branch-and-bound solver with the classic ingredients:
+solver is available offline; the library's one exact cover is the
+branch and bound over bitmasks in :func:`repro.kernels.cover.exact_cover_mask`
+(greedy first incumbent, branching on a least-covered vertex, the
+``ceil(|uncovered| / max_gain)`` bound, dominance preprocessing).
 
-* greedy upper bound to start,
-* branching on a hardest (least-covered) uncovered element, trying only
-  the edges that contain it (this keeps the branching factor small and is
-  complete: *some* chosen edge must contain that element),
-* lower bound ``ceil(|uncovered| / max_gain)`` for pruning,
-* dominance preprocessing (edges that are subsets of other edges are
-  dropped), and
-* memoisation in the process-wide cover cache
-  (:mod:`repro.kernels.cache`) keyed on the frozen uncovered set, which
-  pays off across the thousands of highly-similar bags a BB-ghw run
-  evaluates — and across *solvers*: every solver built over the same
-  edge family (all candidates of a run, and the bitset kernel's exact
-  covers of the same hypergraph) shares one memo table.
-
-For the bag sizes arising from elimination orderings (tens of vertices)
-this is exact and fast.
+:class:`ExactSetCoverSolver` is its facade. It interns the edge family
+once into a :class:`~repro.kernels.bithypergraph.BitHypergraph` (or takes
+one), and answers every lookup through the process-wide cover cache
+(:mod:`repro.kernels.cache`) keyed on the bag mask, which pays off across
+the thousands of highly-similar bags a BB-ghw run evaluates — and across
+*solvers*: every solver built over the same interned family shares one
+memo table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from math import ceil
 
 from repro import obs
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
-from repro.kernels.cache import cover_cache, edges_token
+from repro.kernels.bithypergraph import BitHypergraph, bits_of
+from repro.kernels.cache import cover_cache
+from repro.kernels.cover import cover_mask
+
+# ``greedy_set_cover`` stays importable from here, as it always was.
 from repro.setcover.greedy import UncoverableError, greedy_set_cover
 
-
-def _prune_dominated(
-    edges: Mapping[EdgeName, frozenset[Vertex]], universe: set[Vertex]
-) -> dict[EdgeName, frozenset[Vertex]]:
-    """Restrict edges to the universe and drop dominated (subset) edges."""
-    restricted: dict[EdgeName, frozenset[Vertex]] = {}
-    for name, edge in edges.items():
-        useful = edge & universe
-        if useful:
-            restricted[name] = frozenset(useful)
-    names = sorted(restricted, key=lambda n: (-len(restricted[n]), repr(n)))
-    kept: dict[EdgeName, frozenset[Vertex]] = {}
-    for name in names:
-        edge = restricted[name]
-        if not any(edge <= other for other in kept.values()):
-            kept[name] = edge
-    return kept
+__all__ = [
+    "ExactSetCoverSolver",
+    "UncoverableError",
+    "exact_cover_size",
+    "exact_set_cover",
+    "greedy_set_cover",
+]
 
 
 class ExactSetCoverSolver:
-    """Reusable exact solver; caches optimal covers across calls.
+    """Optimal covers over one interned edge family, cached across calls.
 
-    Optimal covers are memoised in the process-wide
-    :func:`~repro.kernels.cache.cover_cache` keyed by this solver's edge
-    family and the uncovered vertex set, so the memo outlives any single
-    solver: every candidate ordering of a run — and any other solver
-    built over the same hyperedges — reuses earlier results.
+    ``edges`` is a ``name -> vertices`` mapping, interned once (vertices
+    ranked by :func:`~repro.hypergraphs.graph.vertex_sort_key`), or a
+    :class:`BitHypergraph`, used as it is: its vertex indexing is the
+    one bag masks passed to :meth:`cover` are read in.
     """
 
-    def __init__(self, edges: Mapping[EdgeName, frozenset[Vertex]]) -> None:
-        self._edges = {name: frozenset(edge) for name, edge in edges.items()}
-        self._token = edges_token(self._edges)
+    def __init__(
+        self, edges: Mapping[EdgeName, Iterable[Vertex]] | BitHypergraph
+    ) -> None:
+        self.bh = (
+            edges
+            if isinstance(edges, BitHypergraph)
+            else BitHypergraph.from_edges(edges)
+        )
         self._cache = cover_cache()
-        self._nodes = 0
 
-    def cover(self, target: Iterable[Vertex]) -> list[EdgeName]:
-        """An optimal cover of ``target``; raises if uncoverable."""
-        universe = set(target)
-        if not universe:
-            return []
-        metrics = obs.current().metrics
-        key = frozenset(universe)
-        cached = self._cache.get(self._token, "exact", key)
-        if cached is not None:
-            if metrics.enabled:
-                metrics.counter("setcover_cache", event="hit").inc()
-            return list(cached)
-        if metrics.enabled:
-            metrics.counter("setcover_cache", event="miss").inc()
-        edges = _prune_dominated(self._edges, universe)
-        coverable: set[Vertex] = set()
-        for edge in edges.values():
-            coverable |= edge
-        if not universe <= coverable:
-            missing = universe - coverable
+    def _mask_of(self, target: Iterable[Vertex]) -> int:
+        """Intern ``target``; unknown vertices are uncoverable."""
+        index = self.bh.index
+        mask = 0
+        unknown: list[Vertex] = []
+        for vertex in set(target):
+            i = index.get(vertex)
+            if i is None:
+                unknown.append(vertex)
+            else:
+                mask |= 1 << i
+        if unknown:
+            incidence = self.bh.incidence_masks
+            missing = unknown + [
+                self.bh.vertices[i] for i in bits_of(mask) if not incidence[i]
+            ]
             raise UncoverableError(
                 f"vertices {sorted(map(repr, missing))} appear in no hyperedge"
             )
-        best = greedy_set_cover(universe, edges)
-        best_tuple = tuple(best)
-        nodes_before = self._nodes
-        result = self._search(frozenset(universe), edges, (), len(best))
-        if result is not None:
-            best_tuple = result
+        return mask
+
+    def cover(self, target: int | Iterable[Vertex]) -> list[EdgeName]:
+        """An optimal cover of ``target``; raises if uncoverable.
+
+        ``target`` is a bag mask in ``self.bh``'s indexing or an iterable
+        of vertices. Returns edge names.
+        """
+        mask = target if isinstance(target, int) else self._mask_of(target)
+        if not mask:
+            return []
+        nodes = [0]
+        cover = cover_mask(self.bh, mask, "exact", self._cache, nodes)
+        metrics = obs.current().metrics
         if metrics.enabled:
-            metrics.counter("setcover_nodes").inc(self._nodes - nodes_before)
-        self._cache.put(self._token, "exact", key, best_tuple)
-        return list(best_tuple)
+            # Only a lookup that missed the cache runs the search.
+            event = "miss" if nodes[0] else "hit"
+            metrics.counter("setcover_cache", event=event).inc()
+            if nodes[0]:
+                metrics.counter("setcover_nodes").inc(nodes[0])
+        return self.bh.names_of(cover)
 
-    def cover_size(self, target: Iterable[Vertex]) -> int:
+    def cover_size(self, target: int | Iterable[Vertex]) -> int:
         return len(self.cover(target))
-
-    def _search(
-        self,
-        uncovered: frozenset[Vertex],
-        edges: dict[EdgeName, frozenset[Vertex]],
-        chosen: tuple[EdgeName, ...],
-        budget: int,
-    ) -> tuple[EdgeName, ...] | None:
-        """Find a cover strictly smaller than ``budget`` if one exists."""
-        self._nodes += 1
-        if not uncovered:
-            return chosen if len(chosen) < budget else None
-        max_gain = max(len(edge & uncovered) for edge in edges.values())
-        if max_gain == 0:
-            return None
-        if len(chosen) + ceil(len(uncovered) / max_gain) >= budget:
-            return None
-        # Branch on the element contained in the fewest edges: it
-        # minimises the branching factor and must be covered by one of
-        # its containing edges in any solution.
-        counts: dict[Vertex, int] = {vertex: 0 for vertex in uncovered}
-        for edge in edges.values():
-            for vertex in edge & uncovered:
-                counts[vertex] += 1
-        pivot = min(uncovered, key=lambda v: (counts[v], repr(v)))
-        candidates = sorted(
-            (name for name, edge in edges.items() if pivot in edge),
-            key=lambda n: (-len(edges[n] & uncovered), repr(n)),
-        )
-        best: tuple[EdgeName, ...] | None = None
-        for name in candidates:
-            found = self._search(
-                uncovered - edges[name], edges, chosen + (name,), budget
-            )
-            if found is not None:
-                best = found
-                budget = len(found)
-                if budget <= len(chosen) + 1:
-                    break
-        return best
 
 
 def exact_set_cover(
     target: Iterable[Vertex],
-    edges: Mapping[EdgeName, frozenset[Vertex]],
+    edges: Mapping[EdgeName, Iterable[Vertex]],
 ) -> list[EdgeName]:
     """One-shot exact cover (builds a throwaway solver)."""
     return ExactSetCoverSolver(edges).cover(target)
@@ -157,6 +113,6 @@ def exact_set_cover(
 
 def exact_cover_size(
     target: Iterable[Vertex],
-    edges: Mapping[EdgeName, frozenset[Vertex]],
+    edges: Mapping[EdgeName, Iterable[Vertex]],
 ) -> int:
     return len(exact_set_cover(target, edges))

@@ -7,12 +7,17 @@ in :mod:`repro.bounds.lower` are the oracle: for every method subset the
 kernel must return the same integer, on arbitrary vertex labels (ints
 whose ``repr`` order differs from their value order, strings, tuples),
 on degenerate graphs and on the mid-search states the exact searches
-actually bound.
+actually bound. The kernel keeps live vertices in per-degree bitmask
+buckets; the bucket cases pin graphs on which reading a bucket's highest
+bit, or not stepping the minimum degree back after a contraction, gives
+a different bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -122,3 +127,53 @@ def test_kernel_on_mid_search_states(name, data):
         assert treewidth_lower_bound(
             working, methods=methods, rng=None
         ) == _oracle(snapshot, methods)
+
+
+#: name -> (vertex count, edges, methods): small graphs found by random
+#: search on which a wrong bucket read changes the bound.
+BUCKET_CASES = {
+    # the minimum-degree vertex is the lowest bit of its bucket
+    "min-degree-tie": (
+        7,
+        [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+         (2, 3), (2, 6), (3, 4), (3, 6), (5, 6)],
+        ("minor-min-width",),
+    ),
+    # the partner is the lowest-index neighbour of minimum degree
+    "partner-tie": (
+        7,
+        [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 4),
+         (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)],
+        ("minor-min-width",),
+    ),
+    # contracting 0 into 2 leaves 2 isolated: the minimum falls to 0
+    "step-back": (4, [(0, 2), (1, 3)], ("minor-gamma-r",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+def test_bucket_reads(case):
+    n, edges, methods = BUCKET_CASES[case]
+    graph = Graph(vertices=range(n), edges=edges)
+    assert minor_lower_bound(
+        graph,
+        min_width="minor-min-width" in methods,
+        gamma_r="minor-gamma-r" in methods,
+    ) == _oracle(graph, methods)
+    _assert_kernel_matches(graph)
+
+
+def test_kernel_on_seeded_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        density = rng.choice((0.2, 0.35, 0.5, 0.7))
+        label = LABELS[rng.choice(sorted(LABELS))]
+        vertices = [label(i) for i in range(n)]
+        rng.shuffle(vertices)
+        graph = Graph(vertices=vertices)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    graph.add_edge(vertices[i], vertices[j])
+        _assert_kernel_matches(graph)

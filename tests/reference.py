@@ -14,6 +14,9 @@
 * :func:`reference_elimination_bags` is the set-based bucket
   propagation of Figure 6.2, and :func:`make_reference_ghw_evaluator`
   the GA-ghw fitness (Figure 7.1) built from the two.
+* :class:`ReferenceExactSetCoverSolver` is the frozenset branch and
+  bound that :class:`repro.setcover.exact.ExactSetCoverSolver` ran before
+  it became a facade over the bitmask kernel; uncached.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from math import ceil
 
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
@@ -59,6 +63,90 @@ def reference_greedy_set_cover(
         chosen.append(pick)
         uncovered.difference_update(edges[pick])
     return chosen
+
+
+def _prune_dominated(
+    edges: Mapping[EdgeName, frozenset[Vertex]], universe: set[Vertex]
+) -> dict[EdgeName, frozenset[Vertex]]:
+    """Restrict edges to the universe and drop dominated (subset) edges."""
+    restricted: dict[EdgeName, frozenset[Vertex]] = {}
+    for name, edge in edges.items():
+        useful = edge & universe
+        if useful:
+            restricted[name] = frozenset(useful)
+    names = sorted(restricted, key=lambda n: (-len(restricted[n]), repr(n)))
+    kept: dict[EdgeName, frozenset[Vertex]] = {}
+    for name in names:
+        edge = restricted[name]
+        if not any(edge <= other for other in kept.values()):
+            kept[name] = edge
+    return kept
+
+
+class ReferenceExactSetCoverSolver:
+    """Exact set cover by branch and bound over frozensets."""
+
+    def __init__(self, edges: Mapping[EdgeName, Iterable[Vertex]]) -> None:
+        self._edges = {name: frozenset(edge) for name, edge in edges.items()}
+        self.nodes = 0
+
+    def cover(self, target: Iterable[Vertex]) -> list[EdgeName]:
+        universe = set(target)
+        if not universe:
+            return []
+        edges = _prune_dominated(self._edges, universe)
+        coverable: set[Vertex] = set()
+        for edge in edges.values():
+            coverable |= edge
+        if not universe <= coverable:
+            missing = universe - coverable
+            raise UncoverableError(
+                f"vertices {sorted(map(repr, missing))} appear in no hyperedge"
+            )
+        best = tuple(reference_greedy_set_cover(universe, edges))
+        found = self._search(frozenset(universe), edges, (), len(best))
+        return list(best if found is None else found)
+
+    def cover_size(self, target: Iterable[Vertex]) -> int:
+        return len(self.cover(target))
+
+    def _search(
+        self,
+        uncovered: frozenset[Vertex],
+        edges: dict[EdgeName, frozenset[Vertex]],
+        chosen: tuple[EdgeName, ...],
+        budget: int,
+    ) -> tuple[EdgeName, ...] | None:
+        """Find a cover strictly smaller than ``budget`` if one exists."""
+        self.nodes += 1
+        if not uncovered:
+            return chosen if len(chosen) < budget else None
+        max_gain = max(len(edge & uncovered) for edge in edges.values())
+        if max_gain == 0:
+            return None
+        if len(chosen) + ceil(len(uncovered) / max_gain) >= budget:
+            return None
+        # Branch on the element contained in the fewest edges.
+        counts: dict[Vertex, int] = {vertex: 0 for vertex in uncovered}
+        for edge in edges.values():
+            for vertex in edge & uncovered:
+                counts[vertex] += 1
+        pivot = min(uncovered, key=lambda v: (counts[v], repr(v)))
+        candidates = sorted(
+            (name for name, edge in edges.items() if pivot in edge),
+            key=lambda n: (-len(edges[n] & uncovered), repr(n)),
+        )
+        best: tuple[EdgeName, ...] | None = None
+        for name in candidates:
+            found = self._search(
+                uncovered - edges[name], edges, chosen + (name,), budget
+            )
+            if found is not None:
+                best = found
+                budget = len(found)
+                if budget <= len(chosen) + 1:
+                    break
+        return best
 
 
 def reference_elimination_bags(

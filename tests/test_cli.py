@@ -79,6 +79,16 @@ class TestRuns:
         assert code == 0
         assert "hw = 2" in capsys.readouterr().out
 
+    def test_hw_measure_on_det_k_decomp_regression(self, capsys, tmp_path):
+        from repro.hypergraphs.hypergraph import Hypergraph
+        from tests.regressions.test_det_k_decomp_tree import EDGES
+
+        path = tmp_path / "detk.hg"
+        write_hypergraph(Hypergraph(EDGES), path)
+        code = main(["--file", str(path), "--measure", "hw"])
+        assert code == 0
+        assert "hw = 2" in capsys.readouterr().out
+
     def test_hw_on_graph_fails_cleanly(self, capsys):
         code = main(["--instance", "grid3", "--measure", "hw"])
         assert code == 2
