@@ -4,6 +4,11 @@ DESIGN.md calls the pruning machinery out as a design choice; this bench
 measures its effect: node counts of A*-tw and BB-ghw with each feature
 toggled, at identical certified answers. The thesis's motivation for the
 rules (Sections 4.4.3-4.4.5) is exactly this node-count reduction.
+
+A*-tw always runs with duplicate detection on the eliminated set, so its
+rows show what PR2 and the reductions buy on top of it. myciel4 and
+grid5 are the graphs where that shows; a configuration that does not
+certify within ``SEARCH_NODE_LIMIT`` nodes is printed as ``nodes*``.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from repro.instances.registry import graph_instance, hypergraph_instance
 from repro.search.astar_tw import astar_treewidth
 from repro.search.bb_ghw import branch_and_bound_ghw
 
-from workloads import Row, print_table
+from workloads import SEARCH_NODE_LIMIT, Row, print_table
 
-GRAPHS = ["queen4_4", "myciel3", "grid4"]
+GRAPHS = ["queen4_4", "myciel3", "grid4", "myciel4", "grid5"]
 HYPERGRAPHS = ["adder_4", "clique_6", "grid2d_3"]
 
 CONFIGS = [
@@ -32,12 +37,18 @@ def run_tables() -> tuple[list[Row], list[Row]]:
         columns = {}
         value = None
         for label, flags in CONFIGS:
-            result = astar_treewidth(graph, **flags)
-            assert result.optimal
-            if value is None:
-                value = result.value
-            assert result.value == value
-            columns[f"nodes[{label}]"] = result.nodes_expanded
+            result = astar_treewidth(
+                graph, node_limit=SEARCH_NODE_LIMIT, **flags
+            )
+            if result.optimal:
+                if value is None:
+                    value = result.value
+                assert result.value == value
+                columns[f"nodes[{label}]"] = result.nodes_expanded
+            else:
+                assert label != "full", f"full pruning did not certify {name}"
+                assert result.lower_bound <= value <= result.upper_bound
+                columns[f"nodes[{label}]"] = f"{result.nodes_expanded}*"
         columns["tw"] = value
         tw_rows.append(Row(name, columns))
 
@@ -64,6 +75,10 @@ def test_ablation_pruning(capsys):
         print_table(
             "Ablation — A*-tw node counts by pruning configuration",
             tw_rows,
+            note=(
+                "duplicate detection always on; "
+                f"n* = uncertified at {SEARCH_NODE_LIMIT} nodes"
+            ),
         )
         print_table(
             "Ablation — BB-ghw node counts by pruning configuration",
@@ -71,7 +86,9 @@ def test_ablation_pruning(capsys):
         )
     for row in tw_rows + ghw_rows:
         # full pruning must never expand more nodes than bare search
-        assert row.columns["nodes[full]"] <= row.columns["nodes[bare]"]
+        bare = row.columns["nodes[bare]"]
+        if isinstance(bare, int):
+            assert row.columns["nodes[full]"] <= bare
 
 
 def test_benchmark_astar_full_vs_bare(benchmark):

@@ -1,9 +1,9 @@
 """Table 5.2 — A*-tw on grid graphs.
 
 Thesis: grid2..grid6 certified with treewidth n; grid7/grid8 interrupted
-with lower bound 5*. Reproduced with grid2..grid5 certified and grid6
-under a node budget (closing it takes minutes in pure Python; the thesis
-itself needed 150 s in C++).
+with lower bound 5*. Reproduced with grid2..grid6 certified and grid7
+interrupted at the search budget (the thesis needed 150 s in C++ for
+grid6). BB-tw runs alongside with the Table 5.1 budget.
 """
 
 from __future__ import annotations
@@ -12,13 +12,21 @@ from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
 from repro.instances.dimacs_like import grid_graph
 from repro.search.astar_tw import astar_treewidth
+from repro.search.bb_tw import branch_and_bound_treewidth
 
-from workloads import SEARCH_TIME_LIMIT, Row, fmt_result, print_table
+from workloads import (
+    SEARCH_NODE_LIMIT,
+    SEARCH_TIME_LIMIT,
+    Row,
+    fmt_result,
+    print_table,
+)
 
-THESIS_VALUES = {2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
+#: n -> the thesis's A*-tw entry for grid n ("5*": interrupted at lb 5)
+THESIS_VALUES = {2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: "5*"}
 
-CERTIFY = [2, 3, 4, 5]
-BUDGETED = [6]
+CERTIFY = [2, 3, 4, 5, 6]
+BUDGETED = [7]
 
 
 def run_table() -> list[Row]:
@@ -27,10 +35,12 @@ def run_table() -> list[Row]:
         graph = grid_graph(n)
         lb = treewidth_lower_bound(graph)
         ub, _ = upper_bound_ordering(graph, "min-fill")
-        kwargs = {}
-        if n in BUDGETED:
-            kwargs = {"time_limit": SEARCH_TIME_LIMIT, "node_limit": 30_000}
-        result = astar_treewidth(graph, **kwargs)
+        result = astar_treewidth(
+            graph, time_limit=SEARCH_TIME_LIMIT, node_limit=30_000
+        )
+        bb = branch_and_bound_treewidth(
+            graph, time_limit=SEARCH_TIME_LIMIT, node_limit=SEARCH_NODE_LIMIT
+        )
         rows.append(
             Row(
                 f"grid{n}",
@@ -41,6 +51,8 @@ def run_table() -> list[Row]:
                     "ub": ub,
                     "astar_tw": fmt_result(result),
                     "time_s": f"{result.elapsed:.2f}",
+                    "bb_tw": fmt_result(bb),
+                    "bb_time_s": f"{bb.elapsed:.2f}",
                     "thesis_tw": THESIS_VALUES[n],
                 },
             )
@@ -58,14 +70,15 @@ def test_table_5_2(capsys):
         )
     for row, n in zip(rows, CERTIFY):
         assert row.columns["astar_tw"] == str(n)
-    # budgeted grids must still bracket the truth
-    for row, n in zip(rows[len(CERTIFY):], BUDGETED):
-        value = row.columns["astar_tw"]
-        if "*" in value:
-            lower, upper = value.replace("]", "").split("*[")
-            assert int(lower) <= n <= int(upper)
-        else:
-            assert int(value) == n
+    # every other entry must still bracket the truth
+    for row, n in zip(rows, CERTIFY + BUDGETED):
+        for column in ("astar_tw", "bb_tw"):
+            value = row.columns[column]
+            if "*" in value:
+                lower, upper = value.replace("]", "").split("*[")
+                assert int(lower) <= n <= int(upper)
+            else:
+                assert int(value) == n
 
 
 def test_benchmark_astar_tw_grid4(benchmark):

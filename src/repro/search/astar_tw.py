@@ -12,6 +12,14 @@ Search-space shrinking follows the thesis exactly: states with
 simplicial vertex forces an only child; pruning rule 2 removes
 swap-redundant siblings (skipped when the parent's children were forced).
 
+On top of that, duplicate detection (Dow & Korf, "Best-First Search for
+Treewidth", 2007): the graph left after a prefix depends only on *which*
+vertices it eliminated, so states are keyed on ``EliminationGraph.alive``
+and a child whose set was already reached at no higher ``g`` is dropped.
+Heap entries made stale by a later, cheaper path to their set are skipped
+on pop without charging the node budget. DESIGN.md gives the soundness
+argument alongside pruning rule 2 and forcing.
+
 Because ``f`` never decreases along a path, the ``f`` of the last visited
 state is an anytime treewidth *lower bound* — interrupting A*-tw yields
 ``[last f, ub]`` (Section 5.3), which Table 5.1 reports for the instances
@@ -71,6 +79,7 @@ def astar_treewidth(
     nodes_total = metrics.counter("nodes", solver=name)
     prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
     prune_ub = metrics.counter("prunes", rule="ub", solver=name)
+    prune_dup = metrics.counter("prunes", rule="dup", solver=name)
     forced_total = metrics.counter("reductions", kind="forced", solver=name)
 
     def _finish(result: SearchResult) -> SearchResult:
@@ -111,11 +120,18 @@ def astar_treewidth(
             return lb if ext_floor is None else min(lb, ext_floor)
 
         working = EliminationGraph(graph)
+        index = working.index
         sequence = count()
-        # Heap entries: (f, -depth, tiebreak, g, prefix, children, forced)
+        # Heap entries: (f, -depth, tiebreak, g, alive, prefix, children,
+        # forced); ``alive`` is the entry's remaining-vertex mask.
         heap: list[
-            tuple[int, int, int, int, tuple[Vertex, ...], tuple[Vertex, ...], bool]
+            tuple[
+                int, int, int, int, int,
+                tuple[Vertex, ...], tuple[Vertex, ...], bool,
+            ]
         ] = []
+        # Lowest ``g`` at which each remaining-vertex set was reached.
+        best_g: dict[int, int] = {working.alive: 0}
 
         root_children = tuple(sorted(graph.vertices(), key=repr))
         root_forced = False
@@ -125,7 +141,11 @@ def astar_treewidth(
                 root_children = (reduction,)
                 root_forced = True
         heapq.heappush(
-            heap, (lb, 0, next(sequence), 0, (), root_children, root_forced)
+            heap,
+            (
+                lb, 0, next(sequence), 0, working.alive,
+                (), root_children, root_forced,
+            ),
         )
 
         with ins.tracer.span("search"):
@@ -136,7 +156,11 @@ def astar_treewidth(
                     return _finish(
                         interrupted(proven_lb(), ub, ub_ordering, budget, name)
                     )
-                f, neg_depth, _tie, g, prefix, children, forced = heapq.heappop(heap)
+                f, neg_depth, _tie, g, alive, prefix, children, forced = (
+                    heapq.heappop(heap)
+                )
+                if g > best_g[alive]:
+                    continue  # stale: a cheaper path to this set was queued
                 budget.charge()
                 nodes_total.inc()
                 if f > lb:
@@ -170,6 +194,11 @@ def astar_treewidth(
                 for child in children:
                     degree = working.degree(child)
                     child_g = max(g, degree)
+                    key = alive ^ (1 << index[child])
+                    if best_g.get(key, n) <= child_g:
+                        prune_dup.inc()
+                        continue
+                    best_g[key] = child_g
                     grandchildren = [v for v in working.vertices() if v != child]
                     if use_pr2 and not forced:
                         kept = pr2_prune_children(
@@ -202,6 +231,7 @@ def astar_treewidth(
                                 neg_depth - 1,
                                 next(sequence),
                                 child_g,
+                                key,
                                 prefix + (child,),
                                 tuple(grandchildren),
                                 child_forced,

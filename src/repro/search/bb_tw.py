@@ -8,7 +8,12 @@ against: depth-first search over elimination-ordering prefixes with
   treewidth lower bound on the remaining graph,
 * pruning rule 1 (finish-now certificates, Section 4.4.5),
 * pruning rule 2 (swap-redundant sibling elimination),
-* simplicial / strongly almost simplicial forcing (Section 4.4.3).
+* simplicial / strongly almost simplicial forcing (Section 4.4.3),
+* a transposition table on the set of remaining vertices: the graph left
+  after a prefix depends only on which vertices it eliminated, so a child
+  whose set was already exhausted at no higher ``g`` is skipped (sound
+  because the pruning threshold only tightens; DESIGN.md has the
+  argument alongside pruning rule 2 and forcing).
 
 The search walks a single :class:`EliminationGraph` with undo, so moving
 between search nodes costs only the differing suffix.
@@ -92,6 +97,7 @@ def branch_and_bound_treewidth(
     prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
     prune_incumbent = metrics.counter("prunes", rule="incumbent", solver=name)
     prune_lb = metrics.counter("prunes", rule="lb", solver=name)
+    prune_dup = metrics.counter("prunes", rule="dup", solver=name)
     forced_total = metrics.counter("reductions", kind="forced", solver=name)
 
     def _finish(result: SearchResult) -> SearchResult:
@@ -116,6 +122,10 @@ def branch_and_bound_treewidth(
             )
 
         working = EliminationGraph(graph)
+        index = working.index
+        # Remaining-vertex set -> lowest ``g`` at which its subtree was
+        # exhausted (finished without abort, or cut by the lower bound).
+        exhausted: dict[int, int] = {}
         aborted = False
         ext_floor: int | None = None
 
@@ -183,6 +193,10 @@ def branch_and_bound_treewidth(
                 if child_g >= limit:
                     prune_incumbent.inc()
                     continue
+                key = working.alive ^ (1 << index[child])
+                if exhausted.get(key, n) <= child_g:
+                    prune_dup.inc()
+                    continue
                 grandchildren = [
                     v for v in working.vertices() if v != child
                 ]
@@ -212,6 +226,8 @@ def branch_and_bound_treewidth(
                     visit(child_g, grandchildren, child_forced)
                 else:
                     prune_lb.inc()
+                # An aborted search unwinds without reading the table again.
+                exhausted[key] = child_g
                 working.restore()
 
         root_children = sorted(graph.vertices(), key=repr)

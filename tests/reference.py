@@ -17,6 +17,10 @@
 * :class:`ReferenceExactSetCoverSolver` is the frozenset branch and
   bound that :class:`repro.setcover.exact.ExactSetCoverSolver` ran before
   it became a facade over the bitmask kernel; uncached.
+* :func:`reference_treewidth` is an exact treewidth by dynamic
+  programming over vertex subsets. It builds no elimination ordering and
+  uses no pruning rule or reduction, so it is an independent oracle for
+  the exact tw searches.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil
 
 from repro.hypergraphs.graph import Graph, Vertex
@@ -270,3 +275,56 @@ class ReferenceEliminationGraph:
 
     def num_vertices(self) -> int:
         return self._graph.num_vertices()
+
+
+def reference_treewidth(graph: Graph) -> int:
+    """Exact treewidth by dynamic programming over vertex subsets.
+
+    ``TW(S)`` is the width of the best way to eliminate exactly the set
+    ``S`` first; eliminating ``v`` last within ``S`` costs ``Q(S - v, v)``,
+    the number of vertices outside ``S`` that ``v`` reaches through
+    ``S - v`` (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On exact
+    algorithms for treewidth", 2006)::
+
+        TW(S) = min over v in S of max(TW(S - v), Q(S - v, v))
+
+    and the treewidth is ``TW(V)``. ``Q`` is a plain reachability count on
+    the input graph, so no elimination graph is built. Exponential: meant
+    for graphs of at most about 15 vertices.
+    """
+    labels = list(graph.vertices())
+    index = {vertex: i for i, vertex in enumerate(labels)}
+    adjacency = [0] * len(labels)
+    for vertex in labels:
+        for neighbour in graph.neighbours(vertex):
+            adjacency[index[vertex]] |= 1 << index[neighbour]
+
+    def reach(inside: int, v: int) -> int:
+        """``Q(inside, v)``: vertices outside ``inside | {v}`` adjacent to
+        the component of ``v`` in the subgraph induced by ``inside | {v}``."""
+        component = 1 << v
+        frontier = component
+        border = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            border |= adjacency[low.bit_length() - 1]
+            grown = border & inside & ~component
+            component |= grown
+            frontier |= grown
+        return (border & ~inside & ~(1 << v)).bit_count()
+
+    @lru_cache(maxsize=None)
+    def tw(subset: int) -> int:
+        if not subset:
+            return 0
+        best = len(labels)
+        rest = subset
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            without = subset ^ low
+            best = min(best, max(tw(without), reach(without, low.bit_length() - 1)))
+        return best
+
+    return tw((1 << len(labels)) - 1)

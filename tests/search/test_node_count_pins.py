@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core.api import generalized_hypertree_width, treewidth
 from repro.instances.registry import instance
 
@@ -30,14 +31,21 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 def test_bb_tw_queen5_5(seed):
     result = treewidth(instance("queen5_5"), algorithm="bb", seed=seed)
     assert result.value == 18
-    assert result.nodes_expanded == 648
+    assert result.nodes_expanded == 635
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bb_tw_myciel4(seed):
     result = treewidth(instance("myciel4"), algorithm="bb", seed=seed)
     assert result.value == 10
-    assert result.nodes_expanded == 535
+    assert result.nodes_expanded == 132
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_astar_tw_myciel4(seed):
+    result = treewidth(instance("myciel4"), algorithm="astar", seed=seed)
+    assert result.value == 10
+    assert result.nodes_expanded == 131
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -45,8 +53,33 @@ def test_astar_tw_grid6_bracket(seed):
     result = treewidth(
         instance("grid6"), algorithm="astar", seed=seed, node_limit=500
     )
-    assert (result.lower_bound, result.upper_bound) == (4, 6)
+    assert (result.lower_bound, result.upper_bound) == (5, 6)
     assert result.nodes_expanded == 500
+
+
+#: Each tw-exact cell of the benchmark with the children its run skipped
+#: by duplicate detection on the eliminated set (``prunes{rule="dup"}``).
+TW_DUP_PINS = (
+    ("bb", "queen5_5", None, 62),
+    ("astar", "myciel4", None, 24),
+    ("bb", "myciel4", None, 14),
+    ("astar", "grid6", 500, 157),
+)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "algorithm, name, budget, dups",
+    TW_DUP_PINS,
+    ids=[f"{algorithm}-{name}" for algorithm, name, _b, _d in TW_DUP_PINS],
+)
+def test_tw_dup_counter(algorithm, name, budget, dups, seed):
+    with obs.instrument():
+        result = treewidth(
+            instance(name), algorithm=algorithm, seed=seed, node_limit=budget
+        )
+    key = f'prunes{{rule="dup",solver="{algorithm}-tw"}}'
+    assert result.metrics[key] == dups
 
 
 @pytest.mark.parametrize("seed", SEEDS)

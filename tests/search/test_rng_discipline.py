@@ -61,7 +61,7 @@ def test_search_consumes_rng_only_at_the_root(search, name, replay, seed):
 
 @pytest.mark.parametrize(
     "lb_methods, nodes",
-    [(LB_METHODS, 534), (("degeneracy",), 4664)],
+    [(LB_METHODS, 131), (("degeneracy",), 550)],
     ids=["combined", "degeneracy-only"],
 )
 def test_astar_tw_myciel4_node_counts(lb_methods, nodes):
