@@ -24,29 +24,25 @@ Because ``f`` never decreases along a path, the ``f`` of the last visited
 state is an anytime treewidth *lower bound* — interrupting A*-tw yields
 ``[last f, ub]`` (Section 5.3), which Table 5.1 reports for the instances
 the thesis could not finish.
+
+The search itself is :func:`repro.search.driver.astar` over the
+treewidth measure of :mod:`repro.search.bb_tw`.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from itertools import count
 
-from repro import obs
-from repro.bounds.lower import treewidth_lower_bound
-from repro.bounds.upper import upper_bound_ordering
-from repro.hypergraphs.elimination_graph import EliminationGraph
-from repro.hypergraphs.graph import Graph, Vertex
+# The benchmark's layer tracer wraps these bindings; the calls go through bb_tw's.
+from repro.bounds.lower import treewidth_lower_bound  # noqa: F401
+from repro.bounds.upper import upper_bound_ordering  # noqa: F401
+from repro.hypergraphs.graph import Graph
 from repro.obs.control import SolverControl
-from repro.reductions.pruning import pr2_prune_children, swap_safe_treewidth
-from repro.reductions.simplicial import find_reduction_vertex
-from repro.search.common import (
-    SearchBudget,
-    SearchResult,
-    attach_metrics,
-    certified,
-    interrupted,
-)
+from repro.reductions.pruning import pr2_prune_children  # noqa: F401
+from repro.reductions.simplicial import find_reduction_vertex  # noqa: F401
+from repro.search.bb_tw import TreewidthMeasure
+from repro.search.common import SearchResult
+from repro.search.driver import astar
 
 
 def astar_treewidth(
@@ -72,184 +68,7 @@ def astar_treewidth(
     so the published/returned lower bound is capped at the smallest
     external bound ever pruned against.
     """
-    budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
-    name = "astar-tw"
-    ins = obs.current()
-    metrics = ins.metrics
-    nodes_total = metrics.counter("nodes", solver=name)
-    prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
-    prune_ub = metrics.counter("prunes", rule="ub", solver=name)
-    prune_dup = metrics.counter("prunes", rule="dup", solver=name)
-    forced_total = metrics.counter("reductions", kind="forced", solver=name)
-
-    def _finish(result: SearchResult) -> SearchResult:
-        return attach_metrics(result, metrics)
-
-    n = graph.num_vertices()
-    if n <= 1:
-        return _finish(
-            certified(0, sorted(graph.vertices(), key=repr), budget, name)
-        )
-
-    with ins.tracer.span(name, vertices=n):
-        with ins.tracer.span("root_bounds"):
-            lb = treewidth_lower_bound(graph, methods=lb_methods, rng=rng)
-            ub, ub_ordering = upper_bound_ordering(graph, "min-fill", rng)
-        if control is not None:
-            control.publish_lower(lb)
-            control.publish_upper(ub, ub_ordering)
-        if lb >= ub:
-            return _finish(certified(ub, ub_ordering, budget, name))
-
-        ext_floor: int | None = None
-
-        def effective_ub() -> int:
-            """Pruning bound: own root ub vs the bus incumbent."""
-            nonlocal ext_floor
-            if control is not None:
-                shared = control.shared_upper_bound()
-                if shared is not None and shared < ub:
-                    ext_floor = (
-                        shared if ext_floor is None else min(ext_floor, shared)
-                    )
-                    return shared
-            return ub
-
-        def proven_lb() -> int:
-            """The frontier lb, capped by any external bound pruned against."""
-            return lb if ext_floor is None else min(lb, ext_floor)
-
-        working = EliminationGraph(graph)
-        index = working.index
-        sequence = count()
-        # Heap entries: (f, -depth, tiebreak, g, alive, prefix, children,
-        # forced); ``alive`` is the entry's remaining-vertex mask.
-        heap: list[
-            tuple[
-                int, int, int, int, int,
-                tuple[Vertex, ...], tuple[Vertex, ...], bool,
-            ]
-        ] = []
-        # Lowest ``g`` at which each remaining-vertex set was reached.
-        best_g: dict[int, int] = {working.alive: 0}
-
-        root_children = tuple(sorted(graph.vertices(), key=repr))
-        root_forced = False
-        if use_reductions:
-            reduction = find_reduction_vertex(working, lb)
-            if reduction is not None:
-                root_children = (reduction,)
-                root_forced = True
-        heapq.heappush(
-            heap,
-            (
-                lb, 0, next(sequence), 0, working.alive,
-                (), root_children, root_forced,
-            ),
-        )
-
-        with ins.tracer.span("search"):
-            while heap:
-                if budget.exhausted() or (
-                    control is not None and control.should_stop()
-                ):
-                    return _finish(
-                        interrupted(proven_lb(), ub, ub_ordering, budget, name)
-                    )
-                f, neg_depth, _tie, g, alive, prefix, children, forced = (
-                    heapq.heappop(heap)
-                )
-                if g > best_g[alive]:
-                    continue  # stale: a cheaper path to this set was queued
-                budget.charge()
-                nodes_total.inc()
-                if f > lb:
-                    lb = f
-                    if control is not None:
-                        control.publish_lower(proven_lb())
-                if control is not None:
-                    control.checkpoint(
-                        {
-                            "best_fitness": ub,
-                            "best_individual": list(ub_ordering),
-                            "lower_bound": proven_lb(),
-                            "nodes": budget.nodes,
-                        }
-                    )
-                working.switch_to(prefix)
-                remaining = working.num_vertices()
-
-                if g >= remaining - 1:
-                    # Goal: finishing in any order yields width exactly g.
-                    ordering = list(prefix) + sorted(working.vertices(), key=repr)
-                    if ext_floor is not None and ext_floor < g:
-                        # States between the external bound and g were
-                        # pruned, so g is not certified here — but the
-                        # bus witness at ext_floor closes the portfolio.
-                        return _finish(
-                            interrupted(ext_floor, g, ordering, budget, name)
-                        )
-                    return _finish(certified(g, ordering, budget, name))
-
-                for child in children:
-                    degree = working.degree(child)
-                    child_g = max(g, degree)
-                    key = alive ^ (1 << index[child])
-                    if best_g.get(key, n) <= child_g:
-                        prune_dup.inc()
-                        continue
-                    best_g[key] = child_g
-                    grandchildren = [v for v in working.vertices() if v != child]
-                    if use_pr2 and not forced:
-                        kept = pr2_prune_children(
-                            working, child, grandchildren,
-                            swap_safe=swap_safe_treewidth,
-                        )
-                        prune_pr2.inc(len(grandchildren) - len(kept))
-                        grandchildren = kept
-                    working.eliminate(child)
-                    child_forced = False
-                    if use_reductions:
-                        reduction = find_reduction_vertex(
-                            working, max(child_g, lb)
-                        )
-                        if reduction is not None:
-                            grandchildren = [reduction]
-                            child_forced = True
-                            forced_total.inc()
-                    # Per-node bounds tie on repr (rng=None): only the root calls
-                    # consume ``rng``; the bitmask kernel reads the live masks.
-                    h = treewidth_lower_bound(
-                        working, methods=lb_methods, rng=None
-                    )
-                    child_f = max(child_g, h, f)
-                    if child_f < effective_ub():
-                        heapq.heappush(
-                            heap,
-                            (
-                                child_f,
-                                neg_depth - 1,
-                                next(sequence),
-                                child_g,
-                                key,
-                                prefix + (child,),
-                                tuple(grandchildren),
-                                child_forced,
-                            ),
-                        )
-                    else:
-                        prune_ub.inc()
-                    working.restore()
-
-        # Every state with f < ub was exhausted: ub is the treewidth —
-        # unless pruning used an external bound below ub, in which case
-        # exhaustion only proves the optimum is at least that bound.
-        if ext_floor is not None and ext_floor < ub:
-            if control is not None:
-                control.publish_lower(ext_floor)
-            return _finish(
-                interrupted(ext_floor, ub, ub_ordering, budget, name)
-            )
-        if control is not None:
-            control.publish_lower(ub)
-        return _finish(certified(ub, ub_ordering, budget, name))
+    return astar(
+        TreewidthMeasure(graph, lb_methods, use_reductions),
+        time_limit, node_limit, use_pr2, rng, control,
+    )

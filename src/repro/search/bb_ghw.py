@@ -26,13 +26,16 @@ only on the eliminated *set*, so the forced simplicial vertex and ``h``
 are computed once per ``alive`` mask. PR1's greedy remainder cover runs
 only when a size-profile floor says it could close the node or improve
 the incumbent (see DESIGN.md).
+
+The search itself is :func:`repro.search.driver.branch_and_bound`; this
+module supplies the ghw :class:`~repro.search.driver.Measure`, which
+A*-ghw shares.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro import obs
 from repro.bounds.ghw_lower import remainder_cover_floor, tw_ksc_width_remaining
 from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.hypergraphs.elimination_graph import EliminationGraph
@@ -42,36 +45,10 @@ from repro.kernels.bithypergraph import BitHypergraph
 from repro.obs.control import SolverControl
 from repro.reductions.pruning import pr1_ghw, pr2_prune_children, swap_safe_ghw
 from repro.reductions.simplicial import find_simplicial
-from repro.search.common import (
-    SearchBudget,
-    SearchResult,
-    attach_metrics,
-    certified,
-    interrupted,
-)
+from repro.search.common import SearchResult
+from repro.search.driver import branch_and_bound
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import greedy_set_cover
-
-
-class _Incumbent:
-    def __init__(
-        self,
-        width: int,
-        ordering: list[Vertex],
-        control: SolverControl | None = None,
-    ) -> None:
-        self.width = width
-        self.ordering = ordering
-        self.control = control
-        if control is not None:
-            control.publish_upper(width, ordering)
-
-    def offer(self, width: int, ordering: list[Vertex]) -> None:
-        if width < self.width:
-            self.width = width
-            self.ordering = ordering
-            if self.control is not None:
-                self.control.publish_upper(width, ordering)
 
 
 def initial_ghw_incumbent(
@@ -104,6 +81,88 @@ def initial_ghw_incumbent(
     return best_width, best_ordering
 
 
+class GhwMeasure:
+    """ghw: a bag costs its exact cover number over the original hyperedges.
+
+    Only the instance without vertices is trivial: a vertex in no
+    hyperedge makes the first cover raise ``UncoverableError``. Every
+    bound, cover, reduction and PR2 call goes through this module's
+    bindings, the names the benchmark's layer tracer wraps.
+    """
+
+    kind = "ghw"
+    # Duplicate detection stays off: at the benchmark's fixed node budgets
+    # it sends the budget into fresh sets, each paying a fresh exact cover
+    # and bound (DESIGN.md).
+    dedup = False
+
+    def __init__(
+        self,
+        hypergraph: Hypergraph,
+        lb_methods: tuple[str, ...],
+        use_reductions: bool,
+    ) -> None:
+        self.hypergraph = hypergraph
+        self.primal = hypergraph.primal_graph()
+        self.working = EliminationGraph(self.primal)
+        self.bh = BitHypergraph.from_hypergraph(
+            hypergraph, vertices=self.working.labels
+        )
+        self.solver = ExactSetCoverSolver(self.bh)
+        self.lb_methods = lb_methods
+        self.use_reductions = use_reductions
+        self.span_attrs = {
+            "vertices": hypergraph.num_vertices(),
+            "edges": hypergraph.num_edges(),
+        }
+        # alive -> (forced simplicial vertex, h): both depend only on the
+        # eliminated set, never on the order it was eliminated in.
+        self.reduced: dict[int, tuple[Vertex | None, int]] = {}
+
+    def root_bounds(
+        self, rng: random.Random | None
+    ) -> tuple[int, int, list[Vertex]]:
+        lb = tw_ksc_width_remaining(
+            self.hypergraph, self.primal, tw_methods=self.lb_methods, rng=rng
+        )
+        return (lb, *initial_ghw_incumbent(self.hypergraph, self.solver, rng))
+
+    def reduce(self, low: int) -> Vertex | None:
+        return find_simplicial(self.working) if self.use_reductions else None
+
+    def bag_cost(self, child: Vertex) -> int:
+        working = self.working
+        i = working.index[child]
+        return self.solver.cover_size((1 << i) | working.masks[i])
+
+    def expand(self, low: int) -> tuple[Vertex | None, int]:
+        alive = self.working.alive
+        entry = self.reduced.get(alive)
+        if entry is None:
+            forced = self.reduce(low)
+            # Per-node bounds tie on repr (rng=None): only the root calls
+            # consume ``rng``; the bitmask kernel reads the live masks.
+            h = tw_ksc_width_remaining(
+                self.bh, self.working, tw_methods=self.lb_methods, rng=None
+            )
+            entry = self.reduced[alive] = (forced, h)
+        return entry
+
+    def finish(self, g: int, below: int) -> int | None:
+        # The greedy remainder cover runs only when it could reach g or
+        # go below ``below``: greedy >= floor always.
+        alive = self.working.alive
+        floor = remainder_cover_floor(self.bh, alive)
+        if floor <= g or floor < below:
+            return pr1_ghw(g, len(greedy_set_cover(alive, self.bh)))[0]
+        return None
+
+    def pr2(self, child: Vertex, grandchildren: list[Vertex]) -> list[Vertex]:
+        return pr2_prune_children(
+            self.working, child, grandchildren, swap_safe=swap_safe_ghw
+        )
+
+
 def branch_and_bound_ghw(
     hypergraph: Hypergraph,
     time_limit: float | None = None,
@@ -121,180 +180,7 @@ def branch_and_bound_ghw(
     cooperatively, prune against the portfolio incumbent, publish bound
     improvements and best-so-far checkpoints.
     """
-    budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
-    name = "bb-ghw"
-    ins = obs.current()
-    metrics = ins.metrics
-    nodes_total = metrics.counter("nodes", solver=name)
-    prune_pr1 = metrics.counter("prunes", rule="pr1", solver=name)
-    prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
-    prune_incumbent = metrics.counter("prunes", rule="incumbent", solver=name)
-    prune_lb = metrics.counter("prunes", rule="lb", solver=name)
-    forced_total = metrics.counter("reductions", kind="forced", solver=name)
-
-    def _finish(result: SearchResult) -> SearchResult:
-        return attach_metrics(result, metrics)
-
-    n = hypergraph.num_vertices()
-    if n == 0 or hypergraph.num_edges() == 0:
-        return _finish(
-            certified(0, sorted(hypergraph.vertices(), key=repr), budget, name)
-        )
-
-    primal = hypergraph.primal_graph()
-    working = EliminationGraph(primal)
-    bh = BitHypergraph.from_hypergraph(hypergraph, vertices=working.labels)
-    solver = ExactSetCoverSolver(bh)
-
-    with ins.tracer.span(name, vertices=n, edges=hypergraph.num_edges()):
-        with ins.tracer.span("root_bounds"):
-            root_lb = tw_ksc_width_remaining(
-                hypergraph, primal, tw_methods=lb_methods, rng=rng
-            )
-            ub_width, ub_ordering = initial_ghw_incumbent(hypergraph, solver, rng)
-        incumbent = _Incumbent(ub_width, ub_ordering, control)
-        if control is not None:
-            control.publish_lower(root_lb)
-        if root_lb >= incumbent.width:
-            return _finish(
-                certified(incumbent.width, incumbent.ordering, budget, name)
-            )
-
-        aborted = False
-        ext_floor: int | None = None
-
-        def bound() -> int:
-            """Effective pruning bound: own incumbent vs the bus incumbent."""
-            nonlocal ext_floor
-            if control is not None:
-                shared = control.shared_upper_bound()
-                if shared is not None and shared < incumbent.width:
-                    ext_floor = (
-                        shared if ext_floor is None else min(ext_floor, shared)
-                    )
-                    return shared
-            return incumbent.width
-
-        # alive -> (forced simplicial vertex, h): both depend only on the
-        # eliminated set, never on the order it was eliminated in.
-        reduced: dict[int, tuple[Vertex | None, int]] = {}
-
-        def visit(g: int, children: list[Vertex], forced: bool) -> None:
-            nonlocal aborted
-            if (
-                aborted
-                or budget.exhausted()
-                or (control is not None and control.should_stop())
-            ):
-                aborted = True
-                return
-            budget.charge()
-            nodes_total.inc()
-            if control is not None:
-                control.checkpoint(
-                    {
-                        "best_fitness": incumbent.width,
-                        "best_individual": list(incumbent.ordering),
-                        "lower_bound": root_lb,
-                        "nodes": budget.nodes,
-                    }
-                )
-
-            prefix = working.eliminated()
-            if working.num_vertices() == 0:
-                incumbent.offer(g, list(prefix))
-                return
-
-            # PR1 needs the greedy remainder cover only when it could close
-            # the node or beat the incumbent; greedy >= floor always.
-            floor = remainder_cover_floor(bh, working.alive)
-            if floor <= g or floor < incumbent.width:
-                remainder = len(greedy_set_cover(working.alive, bh))
-                achievable, close = pr1_ghw(g, remainder)
-                if achievable < incumbent.width:
-                    incumbent.offer(
-                        achievable,
-                        list(prefix) + sorted(working.vertices(), key=repr),
-                    )
-                if close:
-                    prune_pr1.inc()
-                    return
-
-            ranked = sorted(
-                children, key=lambda v: (working.degree(v), repr(v))
-            )
-            for child in ranked:
-                if aborted:
-                    return
-                limit = bound()
-                i = working.index[child]
-                child_g = max(g, solver.cover_size((1 << i) | working.masks[i]))
-                if child_g >= limit:
-                    prune_incumbent.inc()
-                    continue
-                grandchildren = [v for v in working.vertices() if v != child]
-                if use_pr2 and not forced:
-                    kept = pr2_prune_children(
-                        working, child, grandchildren,
-                        swap_safe=swap_safe_ghw,
-                    )
-                    prune_pr2.inc(len(grandchildren) - len(kept))
-                    grandchildren = kept
-                working.eliminate(child)
-                entry = reduced.get(working.alive)
-                if entry is None:
-                    simplicial = (
-                        find_simplicial(working) if use_reductions else None
-                    )
-                    # Per-node bounds tie on repr (rng=None): only the root
-                    # calls consume ``rng``; the bitmask kernel reads the
-                    # live masks.
-                    h = tw_ksc_width_remaining(
-                        bh, working, tw_methods=lb_methods, rng=None
-                    )
-                    reduced[working.alive] = (simplicial, h)
-                else:
-                    simplicial, h = entry
-                child_forced = simplicial is not None
-                if child_forced:
-                    grandchildren = [simplicial]
-                    forced_total.inc()
-                if max(child_g, h) < limit:
-                    visit(child_g, grandchildren, child_forced)
-                else:
-                    prune_lb.inc()
-                working.restore()
-
-        root_children = sorted(primal.vertices(), key=repr)
-        root_forced = False
-        if use_reductions:
-            simplicial = find_simplicial(working)
-            if simplicial is not None:
-                root_children = [simplicial]
-                root_forced = True
-        with ins.tracer.span("search"):
-            visit(0, root_children, root_forced)
-
-        if aborted:
-            return _finish(
-                interrupted(
-                    root_lb, incumbent.width, incumbent.ordering, budget, name
-                )
-            )
-        if ext_floor is not None and ext_floor < incumbent.width:
-            # Exhausted while pruning against a portfolio bound below our
-            # own incumbent: optimum >= that bound is proven here, the
-            # matching witness lives elsewhere on the bus.
-            final_lb = max(root_lb, ext_floor)
-            if control is not None:
-                control.publish_lower(final_lb)
-            return _finish(
-                interrupted(
-                    final_lb, incumbent.width, incumbent.ordering, budget, name
-                )
-            )
-        if control is not None:
-            control.publish_lower(incumbent.width)
-        return _finish(
-            certified(incumbent.width, incumbent.ordering, budget, name)
-        )
+    return branch_and_bound(
+        GhwMeasure(hypergraph, lb_methods, use_reductions),
+        time_limit, node_limit, use_pr2, rng, control,
+    )

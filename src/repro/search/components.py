@@ -85,6 +85,40 @@ def _spend(
     return remaining_nodes, exhausted
 
 
+def _by_components(
+    components: list[set[Vertex]],
+    piece: Callable[[set[Vertex]], object],
+    solver: Callable[..., SearchResult],
+    time_limit: float | None,
+    node_limit: int | None,
+    rng: random.Random | None,
+    fallback_name: str,
+) -> SearchResult:
+    """Run ``solver`` on ``piece(component)`` for every component.
+
+    The node budget is shared across components, largest component first
+    so the hard part gets the freshest budget.
+    """
+    components.sort(key=len, reverse=True)
+    pieces: list[SearchResult] = []
+    remaining_nodes = node_limit
+    exhausted = False
+    for index, component in enumerate(components):
+        result = solver(
+            piece(component),
+            time_limit=time_limit,
+            node_limit=remaining_nodes,
+            rng=rng,
+        )
+        pieces.append(result)
+        remaining_nodes, ran_dry = _spend(
+            remaining_nodes, result, len(components) - index - 1
+        )
+        exhausted = exhausted or ran_dry
+    name = pieces[0].algorithm if pieces else fallback_name
+    return _combine(pieces, name, budget_exhausted=exhausted)
+
+
 def treewidth_by_components(
     graph: Graph,
     solver: GraphSolver,
@@ -96,29 +130,12 @@ def treewidth_by_components(
 
     ``solver`` is one of the exact algorithms
     (:func:`repro.search.astar_tw.astar_treewidth` or
-    :func:`repro.search.bb_tw.branch_and_bound_treewidth`); the node
-    budget is shared across components, largest component first so the
-    hard part gets the freshest budget.
+    :func:`repro.search.bb_tw.branch_and_bound_treewidth`).
     """
-    components = graph.connected_components()
-    components.sort(key=len, reverse=True)
-    pieces: list[SearchResult] = []
-    remaining_nodes = node_limit
-    exhausted = False
-    for index, component in enumerate(components):
-        piece = solver(
-            graph.subgraph(component),
-            time_limit=time_limit,
-            node_limit=remaining_nodes,
-            rng=rng,
-        )
-        pieces.append(piece)
-        remaining_nodes, ran_dry = _spend(
-            remaining_nodes, piece, len(components) - index - 1
-        )
-        exhausted = exhausted or ran_dry
-    name = pieces[0].algorithm if pieces else "tw"
-    return _combine(pieces, name, budget_exhausted=exhausted)
+    return _by_components(
+        graph.connected_components(), graph.subgraph,
+        solver, time_limit, node_limit, rng, "tw",
+    )
 
 
 def ghw_by_components(
@@ -134,31 +151,19 @@ def ghw_by_components(
     exactly the hyperedges inside its component (hyperedges never span
     components, by definition of the primal graph).
     """
-    primal = hypergraph.primal_graph()
-    components = primal.connected_components()
-    components.sort(key=len, reverse=True)
-    pieces: list[SearchResult] = []
-    remaining_nodes = node_limit
-    exhausted = False
-    for index, component in enumerate(components):
+
+    def piece(component: set[Vertex]) -> Hypergraph:
         names = {
             name
             for name, edge in hypergraph.edges().items()
             if edge & component
         }
-        piece_hypergraph = Hypergraph(vertices=component)
+        sub = Hypergraph(vertices=component)
         for name in sorted(names, key=repr):
-            piece_hypergraph.add_edge(name, hypergraph.edge(name))
-        piece = solver(
-            piece_hypergraph,
-            time_limit=time_limit,
-            node_limit=remaining_nodes,
-            rng=rng,
-        )
-        pieces.append(piece)
-        remaining_nodes, ran_dry = _spend(
-            remaining_nodes, piece, len(components) - index - 1
-        )
-        exhausted = exhausted or ran_dry
-    name = pieces[0].algorithm if pieces else "ghw"
-    return _combine(pieces, name, budget_exhausted=exhausted)
+            sub.add_edge(name, hypergraph.edge(name))
+        return sub
+
+    return _by_components(
+        hypergraph.primal_graph().connected_components(), piece,
+        solver, time_limit, node_limit, rng, "ghw",
+    )

@@ -6,14 +6,38 @@ state, and — for the exact searches — prune against an injected shared
 upper bound without ever claiming a lower bound it did not prove.
 """
 
+import pytest
+
 from repro.genetic.ga_ghw import ga_ghw
 from repro.genetic.ga_tw import ga_treewidth
 from repro.genetic.saiga import saiga_ghw
 from repro.localsearch.simulated_annealing import sa_ghw
 from repro.localsearch.tabu import tabu_ghw
+from repro.instances.registry import instance
 from repro.obs.control import LocalControl
+from repro.search.astar_ghw import astar_ghw
+from repro.search.bb_ghw import branch_and_bound_ghw
 from repro.search.bb_tw import branch_and_bound_treewidth
 from repro.search.astar_tw import astar_treewidth
+
+#: The four exact searches, each with an instance whose root lower bound
+#: stays below its root upper bound, so the search itself runs.
+EXACT_SEARCHES = [
+    pytest.param(branch_and_bound_treewidth, "tw", id="bb-tw"),
+    pytest.param(astar_treewidth, "tw", id="astar-tw"),
+    pytest.param(branch_and_bound_ghw, "ghw", id="bb-ghw"),
+    pytest.param(astar_ghw, "ghw", id="astar-ghw"),
+]
+
+#: measure -> (instance, its width; root heuristic ub is optimal, root lb is not)
+OPTIMAL_UB = {"tw": ("myciel3", 5), "ghw": ("adder_6", 2)}
+
+#: measure -> (instance, root lb, root ub): a shared ub at the root lb
+#: lies below the search's own incumbent.
+ROOT_GAP = {"tw": ("myciel3", 4, 5), "ghw": ("grid2d_3", 2, 3)}
+
+#: measure -> an instance the search does not certify at its root.
+UNCERTIFIED_AT_ROOT = {"tw": "queen4_4", "ghw": "grid2d_5"}
 
 
 class TestHeuristicHooks:
@@ -117,3 +141,36 @@ class TestExactHooks:
         result = astar_treewidth(square, control=control)
         assert result.optimal and result.value == 2
         assert control.best_lower == 2
+
+    @pytest.mark.parametrize("search, measure", EXACT_SEARCHES)
+    def test_exact_search_publishes_both_bounds(self, search, measure):
+        name, width = OPTIMAL_UB[measure]
+        control = LocalControl()
+        result = search(instance(name), control=control)
+        assert result.optimal and result.value == width
+        assert control.best_upper == width
+        assert control.best_lower == width
+
+    @pytest.mark.parametrize("search, measure", EXACT_SEARCHES)
+    def test_exact_search_brackets_against_a_shared_upper_bound(
+        self, search, measure
+    ):
+        # The shared ub sits below the search's own incumbent: the search
+        # prunes against it and exhausts, which proves only lb >= that
+        # bound. The witness would live on the bus, so no certificate.
+        name, root_lb, root_ub = ROOT_GAP[measure]
+        control = LocalControl(upper_bound=root_lb)
+        result = search(instance(name), control=control)
+        assert not result.optimal
+        assert (result.lower_bound, result.upper_bound) == (root_lb, root_ub)
+        assert control.best_lower == root_lb
+
+    @pytest.mark.parametrize("search, measure", EXACT_SEARCHES)
+    def test_exact_search_stops_cooperatively(self, search, measure):
+        control = LocalControl()
+        control.stop = True
+        result = search(instance(UNCERTIFIED_AT_ROOT[measure]), control=control)
+        assert result.nodes_expanded == 0
+        assert not result.optimal
+        assert result.lower_bound < result.upper_bound
+        assert control.best_upper == result.upper_bound
