@@ -1,21 +1,26 @@
 """Benchmark the bitset kernel + shared cover cache against the
 pure-Python GA fitness evaluation of the test oracle.
 
-Two workload phases per instance, both replaying the exact populations a
-GA-ghw run sees:
+Three workload phases per instance, all replaying the exact populations
+a GA-ghw run sees:
 
 * **random** — generation-0 style populations of uniformly random
   orderings (every bag is new, so this measures the raw kernel);
 * **converged** — late-run style populations built from an elite
   min-fill ordering plus small ISM mutations (bags repeat massively
   across individuals and generations, so this also measures the shared
-  cover cache).
+  cover cache);
+* **random_ties** — the random populations again, on GA-ghw's default
+  path: random greedy tie-breaks from a seeded ``rng``, uncached.
 
 Both sides evaluate the *same* populations. The "python" side is the
 dict-of-sets bucket elimination and greedy loop kept as the oracle in
-``tests/reference.py`` (every library evaluator runs on the kernel), with
-the deterministic greedy tie-break (``rng=None``), so widths must match
-the bitset kernel exactly — the bench asserts it.
+``tests/reference.py`` (every library evaluator runs on the kernel).
+The first two phases break greedy ties deterministically
+(``rng=None``); in **random_ties** each side draws from its own
+``random.Random`` with the same seed, so the widths agree only if both
+loops make the same draws. Widths must match the bitset kernel exactly
+in every phase — the bench asserts it.
 
 Usage::
 
@@ -39,7 +44,13 @@ from pathlib import Path
 #: The repository root, so the oracle in ``tests/reference.py`` imports.
 ROOT = Path(__file__).resolve().parents[1]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+#: Seed of both random sources in the ``random_ties`` phase.
+TIE_SEED = 0
+
+#: The workload phases of every instance, in run order.
+PHASES = ("random", "converged", "random_ties")
 
 #: (instance, population size, rounds) per mode. Rounds mimic GA
 #: generations: each round is one population evaluated in full.
@@ -94,6 +105,7 @@ def _time_evaluator(evaluate, populations):
 def bench_instance(name, size, rounds):
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))
+    from repro.genetic.ga_ghw import make_ghw_evaluator
     from repro.instances.registry import instance as registry_instance
     from repro.kernels.cache import cover_cache
     from repro.kernels.evaluators import make_bit_ghw_evaluator
@@ -102,25 +114,38 @@ def bench_instance(name, size, rounds):
     hypergraph = registry_instance(name)
     vertices = sorted(hypergraph.vertices(), key=repr)
     rng = random.Random(0)
+    random_orderings = _random_populations(vertices, size, rounds, rng)
     workloads = {
-        "random": _random_populations(vertices, size, rounds, rng),
+        "random": random_orderings,
         "converged": _converged_populations(hypergraph, size, rounds, rng),
+        "random_ties": random_orderings,
     }
 
     cache = cover_cache()
     phases = []
     python_total = bitset_total = 0.0
     for phase, populations in workloads.items():
-        python_s, python_widths = _time_evaluator(
-            make_reference_ghw_evaluator(hypergraph), populations
-        )
+        if phase == "random_ties":
+            python_rng = random.Random(TIE_SEED)
+            bitset_rng = random.Random(TIE_SEED)
+            reference = make_reference_ghw_evaluator(hypergraph, rng=python_rng)
+            kernel = make_ghw_evaluator(hypergraph, rng=bitset_rng)
+        else:
+            python_rng = bitset_rng = None
+            reference = make_reference_ghw_evaluator(hypergraph)
+            kernel = make_bit_ghw_evaluator(hypergraph)
+        python_s, python_widths = _time_evaluator(reference, populations)
         cache.clear()
-        bitset_s, bitset_widths = _time_evaluator(
-            make_bit_ghw_evaluator(hypergraph), populations
-        )
+        bitset_s, bitset_widths = _time_evaluator(kernel, populations)
         if python_widths != bitset_widths:
             raise AssertionError(
                 f"{name}/{phase}: bitset widths diverge from python widths"
+            )
+        if python_rng is not None and (
+            python_rng.getstate() != bitset_rng.getstate()
+        ):
+            raise AssertionError(
+                f"{name}/{phase}: bitset tie draws diverge from python draws"
             )
         python_total += python_s
         bitset_total += bitset_s
@@ -190,7 +215,11 @@ def validate(payload: dict) -> list[str]:
 
     if not isinstance(payload, dict):
         return ["payload is not an object"]
-    need(payload, "schema_version", int, "payload")
+    version = need(payload, "schema_version", int, "payload")
+    if version is not None and version != SCHEMA_VERSION:
+        errors.append(
+            f"payload.schema_version: expected {SCHEMA_VERSION}, got {version}"
+        )
     mode = need(payload, "mode", str, "payload")
     if mode is not None and mode not in ("full", "smoke"):
         errors.append(f"payload.mode: unknown mode {mode!r}")
@@ -216,7 +245,7 @@ def validate(payload: dict) -> list[str]:
                     errors.append(f"{pwhere}: not an object")
                     continue
                 kind = need(phase, "phase", str, pwhere)
-                if kind is not None and kind not in ("random", "converged"):
+                if kind is not None and kind not in PHASES:
                     errors.append(f"{pwhere}.phase: unknown phase {kind!r}")
                 need(phase, "evaluations", int, pwhere)
                 need(phase, "python_s", (int, float), pwhere)
@@ -264,17 +293,17 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, "src")
     payload = run(smoke=args.smoke)
-    print(f"{'instance':<10} {'phase':<10} {'evals':>6} "
+    print(f"{'instance':<10} {'phase':<11} {'evals':>6} "
           f"{'python_s':>9} {'bitset_s':>9} {'speedup':>8}")
     for result in payload["results"]:
         for phase in result["phases"]:
             print(
-                f"{result['instance']:<10} {phase['phase']:<10} "
+                f"{result['instance']:<10} {phase['phase']:<11} "
                 f"{phase['evaluations']:>6} {phase['python_s']:>9.3f} "
                 f"{phase['bitset_s']:>9.3f} {phase['speedup']:>7.1f}x"
             )
         print(
-            f"{result['instance']:<10} {'total':<10} {'':>6} "
+            f"{result['instance']:<10} {'total':<11} {'':>6} "
             f"{result['python_s']:>9.3f} {result['bitset_s']:>9.3f} "
             f"{result['speedup']:>7.1f}x"
         )

@@ -11,8 +11,9 @@ population evaluation:
   :func:`bit_ordering_ghw` — incremental bucket elimination over masks
   (:func:`repro.decompositions.elimination.elimination_bags` runs on it),
 * :func:`~repro.kernels.cover.greedy_cover_indices` — the library's
-  one greedy set-cover loop, with the thesis's random tie-breaks
-  replayed exactly (:func:`repro.setcover.greedy.greedy_set_cover` and
+  one greedy set-cover loop, on bit-sliced gain counters over edge
+  indices, with the thesis's random tie-breaks replayed exactly
+  (:func:`repro.setcover.greedy.greedy_set_cover` and
   :func:`greedy_cover_mask` run on it),
 * :func:`exact_cover_mask` — the library's one exact set-cover search
   (:class:`repro.setcover.exact.ExactSetCoverSolver` answers through it),

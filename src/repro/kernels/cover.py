@@ -5,22 +5,24 @@ used by the bitset elimination kernel:
 
 * :func:`greedy_cover_indices` is the greedy loop behind
   :func:`~repro.setcover.greedy.greedy_set_cover` and
-  :func:`greedy_cover_mask`. At every step it lists the maximum-gain
-  edges in edge insertion order; with an ``rng`` it draws
-  ``rng.choice`` from that list (the thesis's random tie-breaking, one
-  draw per step), without one it takes the edge whose *name* is
-  smallest under ``repr``;
+  :func:`greedy_cover_mask`. It keeps the gains of all edges in
+  bit-sliced counters — one mask over edge indices per bit of the gain
+  — built once from the per-vertex incidence masks and lowered with a
+  borrow chain as vertices get covered, so no step rescans the edges.
+  The maximum-gain edges come out in edge insertion order; with an
+  ``rng`` the loop makes the draw ``rng.choice`` makes on that list
+  (the thesis's random tie-breaking, one draw per step), without one it
+  takes the edge whose *name* is smallest under ``repr``;
 * :func:`exact_cover_mask` is the library's one exact set-cover
   search; :class:`~repro.setcover.exact.ExactSetCoverSolver` answers
   through it.
 
-Neither routine ever scans the full edge family: the candidate set
-starts from the per-vertex incidence masks (only edges meeting the bag)
-and shrinks as edges stop contributing. Deterministic covers are cached
-in the shared :mod:`repro.kernels.cache` keyed by the bag bitmask, which
-is what makes GA-scale evaluation cheap: across a population of
-orderings the same bags recur constantly. Random-tie covers are never
-cached.
+Neither routine ever scans the full edge family: edges meeting no bag
+vertex never enter the counters or the exact search's edge list.
+Deterministic covers are cached in the shared :mod:`repro.kernels.cache`
+keyed by the bag bitmask, which is what makes GA-scale evaluation cheap:
+across a population of orderings the same bags recur constantly.
+Random-tie covers are never cached.
 """
 
 from __future__ import annotations
@@ -58,45 +60,76 @@ def _candidate_edges(bh: BitHypergraph, bag_mask: int) -> int:
 def greedy_cover_indices(
     vertices: Sequence[Vertex],
     edge_masks: Sequence[int],
-    candidates: list[int],
+    incidence: Sequence[int],
     uncovered: int,
     rng: random.Random | None,
     tie_key: Callable[[int], object],
 ) -> list[int]:
     """The greedy loop: cover ``uncovered``, return chosen edge indices.
 
-    ``candidates`` lists, in edge insertion order, the indices of the
-    edges meeting ``uncovered``; ``vertices[i]`` names bit ``i`` for the
-    error message. Among the maximum-gain edges, still in insertion
-    order, ``rng.choice`` picks one when an ``rng`` is given — called
-    at every step, even on a single tie, so the random stream advances
-    exactly as the thesis's loop over all edges does — and
-    ``min(ties, key=tie_key)`` picks otherwise.
+    ``incidence[v]`` is the mask over edge indices of the edges holding
+    vertex bit ``v``; ``vertices[i]`` names bit ``i`` for the error
+    message. The gains (uncovered vertices held) of all edges live in
+    bit-sliced counters: bit ``i`` of ``planes[j]`` is bit ``j`` of edge
+    ``i``'s gain. They are summed once from the incidence masks of the
+    uncovered vertices and lowered, with a borrow chain, by the
+    incidence masks of the vertices each pick covers. Every step
+    narrows the top non-empty plane down through the lower ones to the
+    maximum-gain edges, in index (that is, insertion) order — the list
+    the thesis's loop over all edges builds. With an ``rng`` the loop
+    takes the ``k``-th of them for ``k = rng.choice(range(count))``,
+    which is the draw ``rng.choice`` makes on that list, at every step,
+    even on a single tie, so the random stream advances exactly as in
+    that loop. Without one it takes ``min(ties, key=tie_key)``.
     """
+    # A gain never exceeds |uncovered|, so this many planes never overflow.
+    planes = [0] * uncovered.bit_count().bit_length()
+    probe = uncovered
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        carry = incidence[low.bit_length() - 1]  # add 1 to these gains
+        j = 0
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    top = len(planes) - 1
     chosen: list[int] = []
-    best_gain = 0
     while uncovered:
-        if best_gain == 1:
-            # Gains never grow, and every candidate still meets the
-            # uncovered vertices: all of them tie at gain 1.
-            ties = candidates
-        else:
-            best_gain = 0
-            ties = []
-            for i in candidates:
-                gain = (edge_masks[i] & uncovered).bit_count()
-                if gain > best_gain:
-                    best_gain = gain
-                    ties = [i]
-                elif gain == best_gain:
-                    ties.append(i)
-        if not ties:
+        while top >= 0 and not planes[top]:
+            top -= 1  # gains never grow
+        if top < 0:
             raise _uncoverable(vertices, uncovered)
-        pick = rng.choice(ties) if rng is not None else min(ties, key=tie_key)
+        ties = planes[top]
+        for j in range(top - 1, -1, -1):
+            narrowed = ties & planes[j]
+            if narrowed:
+                ties = narrowed
+        if rng is not None:
+            for _ in range(rng.choice(range(ties.bit_count()))):
+                ties &= ties - 1
+            pick = (ties & -ties).bit_length() - 1
+        else:
+            pick = min(bits_of(ties), key=tie_key)
+        covered = edge_masks[pick] & uncovered
+        if not covered:
+            # Only corrupt counters get here; without the check the
+            # loop would pick the same edge forever.
+            raise RuntimeError(f"greedy cover: edge {pick} has no gain")
         chosen.append(pick)
-        uncovered &= ~edge_masks[pick]
-        if uncovered:
-            candidates = [i for i in candidates if edge_masks[i] & uncovered]
+        uncovered ^= covered
+        while covered:
+            low = covered & -covered
+            covered ^= low
+            borrow = incidence[low.bit_length() - 1]  # these gains lose 1
+            j = 0
+            while borrow:
+                plane = planes[j]
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+                j += 1
     return chosen
 
 
@@ -112,7 +145,7 @@ def greedy_cover_mask(
         greedy_cover_indices(
             bh.vertices,
             bh.edge_masks,
-            bits_of(_candidate_edges(bh, bag_mask)),
+            bh.incidence_masks,
             bag_mask,
             rng,
             bh.tie_rank.__getitem__,

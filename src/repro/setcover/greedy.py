@@ -65,21 +65,26 @@ def greedy_set_cover(
     vertices = list(set(target))
     if not vertices:
         return []
-    bit_of = {vertex: 1 << i for i, vertex in enumerate(vertices)}
-    wanted = bit_of.keys()
+    index = {vertex: i for i, vertex in enumerate(vertices)}
+    wanted = index.keys()
     names: list[EdgeName] = []
     masks: list[int] = []
+    incidence = [0] * len(vertices)
     for name, edge in edges.items():
-        mask = 0
-        for vertex in wanted & edge:
-            mask |= bit_of[vertex]
-        if mask:
+        hit = wanted & edge
+        if hit:
+            bit = 1 << len(names)
+            mask = 0
+            for vertex in hit:
+                i = index[vertex]
+                mask |= 1 << i
+                incidence[i] |= bit
             names.append(name)
             masks.append(mask)
     chosen = greedy_cover_indices(
         vertices,
         masks,
-        list(range(len(masks))),
+        incidence,
         (1 << len(vertices)) - 1,
         rng,
         lambda i: repr(names[i]),

@@ -7,13 +7,17 @@ depends on its random tie-breaks, so the loop must list the
 maximum-gain edges exactly as the pure-Python loop of
 :mod:`tests.reference` does — in edge insertion order, not ``repr``
 order — and call ``rng.choice`` at every step. Both the returned names
-and the final ``rng.getstate()`` are compared.
+and the final ``rng.getstate()`` are compared. The loop keeps every
+edge's gain in bit-sliced counters, so a second family runs them wide
+(masks past 64 edges, gains across five or more bit planes) and fixed
+cases put the maximum gain exactly on a power of two.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +137,82 @@ def test_ties_are_drawn_in_insertion_order_not_repr_order():
         mapping = _run(greedy_set_cover, {1, 2, 3}, edges, random.Random(seed))
         masks = _run(greedy_set_cover, 0b111, bh, random.Random(seed))
         assert mapping == masks == reference
+
+
+@st.composite
+def wide_families(draw):
+    """``(vertices, edges, target)`` whose gain counters are wide.
+
+    65-150 edges, so masks over edge indices pass 64 bits; edges of up
+    to 40 vertices and targets of up to 70, so carries and borrows cross
+    five or more bit planes. Duplicate, nested and empty edges again,
+    with names inserted in a shuffled order.
+    """
+    kind = draw(st.sampled_from(LABEL_KINDS))
+    name_kind = draw(st.sampled_from(LABEL_KINDS))
+    n = draw(st.integers(min_value=1, max_value=70))
+    m = draw(st.integers(min_value=65, max_value=150))
+    build = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    vertices = [_vertex(kind, i) for i in range(n)]
+    order = list(range(m))
+    build.shuffle(order)
+    edges: dict = {}
+    for i in order:
+        shape = build.choice(("fresh", "fresh", "duplicate", "nested", "empty"))
+        earlier = list(edges.values())
+        if shape == "duplicate" and earlier:
+            edge = build.choice(earlier)
+        elif shape == "nested" and earlier:
+            parent = sorted(build.choice(earlier), key=repr)
+            edge = build.sample(parent, build.randint(0, len(parent)))
+        elif shape == "empty":
+            edge = ()
+        else:
+            edge = build.sample(vertices, build.randint(1, min(n, 40)))
+        edges[_edge_name(name_kind, i)] = frozenset(edge)
+    target = set(build.sample(vertices, build.randint(0, n)))
+    return vertices, edges, target
+
+
+def _assert_all_paths_replay_the_reference(vertices, edges, target, seeds):
+    """Mapping and mask paths give the oracle's names and rng state."""
+    bh = _intern(vertices, edges)
+    for seed in seeds:
+        rng = None if seed is None else random.Random(seed)
+        reference = _run(reference_greedy_set_cover, target, edges, rng)
+        rng = None if seed is None else random.Random(seed)
+        assert _run(greedy_set_cover, target, edges, rng) == reference
+        rng = None if seed is None else random.Random(seed)
+        assert _run(greedy_set_cover, bh.mask_of(target), bh, rng) == reference
+
+
+@given(wide_families(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_wide_gain_counters_replay_the_reference(case, seed):
+    _assert_all_paths_replay_the_reference(*case, seeds=(seed, None))
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32, 64])
+def test_maximum_gain_equal_to_the_bag_size(size):
+    # The best gain |bag| = 2**k sets only the top bit plane: several
+    # edges equal to the bag (or holding it) tie there, beside subsets,
+    # duplicates and edges reaching outside the bag.
+    build = random.Random(size)
+    vertices = [_vertex("int", i) for i in range(size + 8)]
+    target = set(vertices[:size])
+    family = [target, target, set(vertices), target | set(vertices[-3:])]
+    for _ in range(40):
+        family.append(set(build.sample(vertices, build.randint(1, size))))
+        family.append(set(build.sample(sorted(target), build.randint(1, size))))
+    build.shuffle(family)
+    edges = {f"e{i}": frozenset(edge) for i, edge in enumerate(family)}
+    _assert_all_paths_replay_the_reference(
+        vertices, edges, target, seeds=(*range(10), None)
+    )
+    single = {"whole": frozenset(target), "part": frozenset(vertices[:1])}
+    _assert_all_paths_replay_the_reference(
+        vertices, single, target, seeds=(0, None)
+    )
 
 
 @st.composite
