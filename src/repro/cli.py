@@ -32,14 +32,13 @@ import time
 from contextlib import contextmanager
 
 from repro import obs
-from repro.core.api import (
-    decompose,
-    decompose_graph,
-    generalized_hypertree_width,
-    ghw_upper_bound,
-    treewidth,
-    treewidth_upper_bound,
+from repro.core.api import validate_hypergraph
+from repro.core.solvers import kinds, lookup
+from repro.decompositions.elimination import (
+    ordering_to_ghd,
+    ordering_to_tree_decomposition,
 )
+from repro.decompositions.ghd import make_complete
 from repro.decompositions.hypertree import hypertree_width
 from repro.decompositions.io import write_ghd, write_tree_decomposition
 from repro.hypergraphs.graph import Graph
@@ -48,6 +47,8 @@ from repro.hypergraphs.io import read_dimacs, read_hypergraph
 from repro.instances.registry import instance as registry_instance
 from repro.obs.render import render_metrics, render_spans
 from repro.obs.report import RunReport, append_jsonl
+from repro.portfolio.strategies import StrategySpec
+from repro.portfolio.workers import run_strategy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         default="astar",
         help=(
-            "astar | bb (exact); ga | saiga | sa | tabu "
-            "(heuristic upper bound)"
+            " | ".join(kinds())
+            + " (astar and bb are exact, the rest give upper bounds; "
+            "saiga is ghw only, the ordering heuristics tw only)"
         ),
     )
     parser.add_argument(
@@ -95,15 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-limit", type=int, default=None, help="search node budget"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--backend",
-        choices=("python", "bitset"),
-        default="python",
-        help=(
-            "fitness kernel for the heuristics: pure-Python reference or "
-            "the bitset kernel with the shared cover cache"
-        ),
-    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -179,12 +172,6 @@ def build_portfolio_parser() -> argparse.ArgumentParser:
         help="worker processes (true race) or sequential time slices",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--backend",
-        choices=("python", "bitset"),
-        default="python",
-        help="fitness kernel for the heuristic strategies",
-    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -293,7 +280,6 @@ def main_portfolio(argv: list[str]) -> int:
                     seed=args.seed,
                 )
                 for strategy in strategies:
-                    strategy.backend = args.backend
                     strategy.jobs = args.jobs
                 spec = PortfolioSpec(
                     measure=args.measure,
@@ -334,12 +320,7 @@ def main_portfolio(argv: list[str]) -> int:
                 result.upper_bound,
                 strict=args.measure == "tw",
             ),
-            meta={
-                "seed": args.seed,
-                "backend": args.backend,
-                "jobs": args.jobs,
-                "mode": args.mode,
-            },
+            meta={"seed": args.seed, "jobs": args.jobs, "mode": args.mode},
         )
         if args.metrics:
             print("-- metrics --", file=sys.stderr)
@@ -367,33 +348,6 @@ def _load(args: argparse.Namespace) -> Graph | Hypergraph:
     if text.startswith(("c", "p")):
         return read_dimacs(args.file)
     return read_hypergraph(args.file)
-
-
-def _search_fields(result) -> dict:
-    """Structured outcome of an exact SearchResult for telemetry."""
-    if result.optimal:
-        return {
-            "status": "optimal",
-            "value": result.value,
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-        }
-    return {
-        "status": "interrupted",
-        "value": None,
-        "lower_bound": result.lower_bound,
-        "upper_bound": result.upper_bound,
-    }
-
-
-def _bound_fields(bound: int) -> dict:
-    """Structured outcome of a heuristic upper bound for telemetry."""
-    return {
-        "status": "heuristic",
-        "value": None,
-        "lower_bound": None,
-        "upper_bound": bound,
-    }
 
 
 def _certify_claim(
@@ -428,6 +382,39 @@ def _plain_context():
     yield obs.DISABLED
 
 
+def _summary(result, measure: str) -> str:
+    """The result line: SearchResult's for exact runs, ``ub`` otherwise."""
+    if result.lower_bound is None:
+        return f"{measure} <= {result.upper_bound} ({result.kind})"
+    optimal = result.status == "optimal"
+    shown = (
+        result.upper_bound
+        if optimal
+        else f"[{result.lower_bound}, {result.upper_bound}]"
+    )
+    return (
+        f"{result.detail['algorithm']}: width={shown} ({result.status}), "
+        f"nodes={result.detail['nodes']}, time={result.elapsed:.2f}s"
+    )
+
+
+def _write_decomposition(
+    loaded: Graph | Hypergraph, measure: str, ordering: list, path: str
+) -> None:
+    """Write the decomposition of the run's own witness ordering."""
+    if measure == "tw":
+        graph = (
+            loaded.primal_graph() if isinstance(loaded, Hypergraph) else loaded
+        )
+        decomposition = ordering_to_tree_decomposition(graph, ordering)
+        decomposition.validate(graph)
+        write_tree_decomposition(decomposition, path)
+        return
+    ghd = make_complete(ordering_to_ghd(loaded, ordering, cover="exact"), loaded)
+    ghd.validate(loaded)
+    write_ghd(ghd, path)
+
+
 def _run_measure(
     args: argparse.Namespace,
     loaded: Graph | Hypergraph,
@@ -435,142 +422,63 @@ def _run_measure(
     size: str,
 ) -> tuple[int, dict]:
     """Run the requested width computation; return (exit code, fields)."""
-    fields: dict = {}
-    if args.measure == "tw":
-        if args.algorithm in ("astar", "bb"):
-            result = treewidth(
-                loaded,
-                algorithm=args.algorithm,
-                time_limit=args.time_limit,
-                node_limit=args.node_limit,
-                seed=args.seed,
-            )
-            print(f"{label}  {size}  {result.summary()}")
-            fields = _search_fields(result)
-            fields["certified"] = _certify_claim(
-                loaded, "tw", result.ordering, result.upper_bound, strict=True
-            )
-        elif args.algorithm in ("sa", "tabu"):
-            from repro.localsearch import sa_treewidth, tabu_treewidth
-
-            run = sa_treewidth if args.algorithm == "sa" else tabu_treewidth
-            local = run(
-                loaded,
-                seed=args.seed,
-                time_limit=args.time_limit,
-                backend=args.backend,
-            )
-            bound = local.best_fitness
-            print(f"{label}  {size}  tw <= {bound} ({args.algorithm})")
-            fields = _bound_fields(bound)
-            fields["certified"] = _certify_claim(
-                loaded, "tw", local.best_individual, bound, strict=True
-            )
-        else:
-            bound = treewidth_upper_bound(
-                loaded,
-                method=args.algorithm,
-                seed=args.seed,
-                time_limit=args.time_limit,
-                backend=args.backend,
-                jobs=args.jobs,
-            )
-            print(f"{label}  {size}  tw <= {bound} ({args.algorithm})")
-            fields = _bound_fields(bound)
-        if args.output:
-            graph = (
-                loaded.primal_graph()
-                if isinstance(loaded, Hypergraph)
-                else loaded
-            )
-            decomposition = decompose_graph(
-                graph,
-                algorithm=args.algorithm
-                if args.algorithm in ("astar", "bb", "ga", "min-fill")
-                else "min-fill",
-                time_limit=args.time_limit,
-                node_limit=args.node_limit,
-                seed=args.seed,
-                backend=args.backend,
-                jobs=args.jobs,
-            )
-            write_tree_decomposition(decomposition, args.output)
-            print(f"wrote {args.output}")
-    elif args.measure == "hw":
-        if not isinstance(loaded, Hypergraph):
-            print("error: hw needs a hypergraph instance", file=sys.stderr)
-            return 2, fields
+    if args.measure != "tw" and not isinstance(loaded, Hypergraph):
+        print(
+            f"error: {args.measure} needs a hypergraph instance",
+            file=sys.stderr,
+        )
+        return 2, {}
+    if args.measure == "hw":
         k, decomposition = hypertree_width(loaded)
         print(f"{label}  {size}  hw = {k}")
-        fields = {
+        if args.output:
+            write_ghd(decomposition.ghd, args.output)
+            print(f"wrote {args.output}")
+        return 0, {
             "status": "optimal",
             "value": k,
             "lower_bound": k,
             "upper_bound": k,
         }
-        if args.output:
-            write_ghd(decomposition.ghd, args.output)
-            print(f"wrote {args.output}")
-    else:
-        if not isinstance(loaded, Hypergraph):
-            print(
-                "error: ghw needs a hypergraph instance", file=sys.stderr
-            )
+    try:
+        solver = lookup(args.algorithm, args.measure)
+        if args.measure == "ghw":
+            validate_hypergraph(loaded)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, {}
+    spec = StrategySpec(
+        name=args.algorithm,
+        kind=args.algorithm,
+        seed=args.seed,
+        jobs=args.jobs,
+        options=solver.options(node_limit=args.node_limit),
+    )
+    result = run_strategy(
+        spec, loaded, args.measure, time_limit=args.time_limit
+    )
+    print(f"{label}  {size}  {_summary(result, args.measure)}")
+    fields = {
+        "status": result.status,
+        "value": result.upper_bound if result.status == "optimal" else None,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        # tw widths and exact-cover ghw claims are exact for their
+        # ordering; greedy-cover ghw claims may exceed their witness.
+        "certified": _certify_claim(
+            loaded,
+            args.measure,
+            result.ordering,
+            result.upper_bound,
+            strict=solver.exact or args.measure == "tw",
+        ),
+    }
+    if args.output:
+        if not result.ordering:
+            print("error: the instance has no vertices", file=sys.stderr)
             return 2, fields
-        if args.algorithm in ("astar", "bb"):
-            result = generalized_hypertree_width(
-                loaded,
-                algorithm=args.algorithm,
-                time_limit=args.time_limit,
-                node_limit=args.node_limit,
-                seed=args.seed,
-            )
-            print(f"{label}  {size}  {result.summary()}")
-            fields = _search_fields(result)
-            fields["certified"] = _certify_claim(
-                loaded, "ghw", result.ordering, result.upper_bound, strict=True
-            )
-        elif args.algorithm in ("sa", "tabu"):
-            from repro.localsearch import sa_ghw, tabu_ghw
-
-            run = sa_ghw if args.algorithm == "sa" else tabu_ghw
-            local = run(
-                loaded,
-                seed=args.seed,
-                time_limit=args.time_limit,
-                backend=args.backend,
-            )
-            bound = local.best_fitness
-            print(f"{label}  {size}  ghw <= {bound} ({args.algorithm})")
-            fields = _bound_fields(bound)
-            fields["certified"] = _certify_claim(
-                loaded, "ghw", local.best_individual, bound, strict=False
-            )
-        else:
-            bound = ghw_upper_bound(
-                loaded,
-                method=args.algorithm,
-                seed=args.seed,
-                time_limit=args.time_limit,
-                backend=args.backend,
-                jobs=args.jobs,
-            )
-            print(f"{label}  {size}  ghw <= {bound} ({args.algorithm})")
-            fields = _bound_fields(bound)
-        if args.output:
-            ghd = decompose(
-                loaded,
-                algorithm=args.algorithm
-                if args.algorithm in ("astar", "bb", "ga", "saiga")
-                else "bb",
-                time_limit=args.time_limit,
-                node_limit=args.node_limit,
-                seed=args.seed,
-                backend=args.backend,
-                jobs=args.jobs,
-            )
-            write_ghd(ghd, args.output)
-            print(f"wrote {args.output}")
+        _write_decomposition(loaded, args.measure, result.ordering, args.output)
+        print(f"wrote {args.output}")
     return 0, fields
 
 
@@ -627,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
             elapsed_s=time.monotonic() - started,
             meta={
                 "seed": args.seed,
-                "backend": args.backend,
                 "jobs": args.jobs,
                 "cover_cache_size": cache.maxsize,
                 "cover_cache": cache.stats(),

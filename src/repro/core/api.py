@@ -12,7 +12,8 @@ Most users want one of four things; each is one call here:
   the best ordering the selected method finds.
 
 Everything accepts either exact algorithms (``"astar"``/``"bb"``) or
-heuristics (``"ga"``, ``"saiga"``, ``"min-fill"``, ...).
+heuristics (``"ga"``, ``"saiga"``, ``"min-fill"``, ...): the names of the
+solver table :data:`repro.core.solvers.SOLVERS`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import random
 from repro.bounds.ghw_lower import tw_ksc_width
 from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
+from repro.core.solvers import SOLVERS, Solver, lookup
 from repro.decompositions.elimination import (
+    ordering_ghw,
     ordering_to_ghd,
     ordering_to_tree_decomposition,
 )
@@ -32,15 +35,8 @@ from repro.decompositions.ghd import (
 )
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.genetic.engine import GAParameters
-from repro.genetic.ga_ghw import ga_ghw
-from repro.genetic.ga_tw import ga_treewidth
-from repro.genetic.saiga import saiga_ghw
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
-from repro.search.bb_tw import branch_and_bound_treewidth
 from repro.search.common import SearchResult
 
 
@@ -63,6 +59,37 @@ def validate_hypergraph(hypergraph: Hypergraph) -> None:
         )
 
 
+def _row(name: str, measure: str, exact: bool, label: str) -> Solver:
+    """The table row ``name`` of ``measure``, if it is (not) ``exact``."""
+    solver = SOLVERS.get((name, measure))
+    if solver is None or solver.exact != exact:
+        raise ValueError(f"unknown {label} {name!r}")
+    return solver
+
+
+def _run(
+    solver: Solver,
+    instance: Graph | Hypergraph,
+    seed: int,
+    time_limit: float | None,
+    node_limit: int | None,
+    jobs: int,
+    parameters=None,
+):
+    """Run ``solver`` once through :func:`~repro.portfolio.workers.run_strategy`."""
+    from repro.portfolio.strategies import StrategySpec
+    from repro.portfolio.workers import run_strategy
+
+    spec = StrategySpec(
+        name=solver.kind,
+        kind=solver.kind,
+        seed=seed,
+        jobs=jobs,
+        options=solver.options(node_limit=node_limit, parameters=parameters),
+    )
+    return run_strategy(spec, instance, solver.measure, time_limit=time_limit)
+
+
 def treewidth(
     instance: Graph | Hypergraph,
     algorithm: str = "astar",
@@ -77,14 +104,9 @@ def treewidth(
     (the treewidth of a graph is the maximum over its components), which
     is strictly cheaper on disconnected instances.
     """
+    solver = _row(algorithm, "tw", True, "treewidth algorithm").function
     graph = _as_graph(instance)
     rng = random.Random(seed)
-    if algorithm == "astar":
-        solver = astar_treewidth
-    elif algorithm == "bb":
-        solver = branch_and_bound_treewidth
-    else:
-        raise ValueError(f"unknown treewidth algorithm {algorithm!r}")
     if by_components:
         from repro.search.components import treewidth_by_components
 
@@ -139,29 +161,20 @@ def treewidth_upper_bound(
     parameters: GAParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    backend: str = "python",
     jobs: int = 1,
 ) -> int:
-    """Heuristic treewidth upper bound: ``"ga"`` (GA-tw) or an ordering
-    heuristic name (``"min-fill"``, ``"min-degree"``, ...).
+    """Heuristic treewidth upper bound: ``"ga"`` (GA-tw), ``"sa"``,
+    ``"tabu"`` or an ordering heuristic name (``"min-fill"``,
+    ``"min-degree"``, ...).
 
-    ``backend``/``jobs`` select the GA's fitness kernel and parallelism
-    (see :mod:`repro.kernels`); ordering heuristics ignore them.
+    ``parameters`` apply when they are the method's parameter class
+    (``GAParameters`` for ``"ga"``) and ``jobs`` to GA-tw's population
+    evaluation (see :mod:`repro.kernels`); other methods ignore them.
     """
-    graph = _as_graph(instance)
-    if method == "ga":
-        return ga_treewidth(
-            graph,
-            parameters=parameters,
-            seed=seed,
-            time_limit=time_limit,
-            backend=backend,
-            jobs=jobs,
-        ).best_fitness
-    width, _ordering = upper_bound_ordering(
-        graph, method, random.Random(seed)
-    )
-    return width
+    solver = _row(method, "tw", False, "treewidth upper-bound method")
+    return _run(
+        solver, instance, seed, time_limit, None, jobs, parameters
+    ).upper_bound
 
 
 def generalized_hypertree_width(
@@ -177,14 +190,9 @@ def generalized_hypertree_width(
     ``by_components=True`` splits the hypergraph at its primal-graph
     components before searching.
     """
+    solver = _row(algorithm, "ghw", True, "ghw algorithm").function
     validate_hypergraph(hypergraph)
     rng = random.Random(seed)
-    if algorithm == "bb":
-        solver = branch_and_bound_ghw
-    elif algorithm == "astar":
-        solver = astar_ghw
-    else:
-        raise ValueError(f"unknown ghw algorithm {algorithm!r}")
     if by_components:
         from repro.search.components import ghw_by_components
 
@@ -230,8 +238,6 @@ def ghw_bounds(hypergraph: Hypergraph, seed: int = 0) -> tuple[int, int]:
     _width, ordering = upper_bound_ordering(
         hypergraph.primal_graph(), "min-fill", rng
     )
-    from repro.decompositions.elimination import ordering_ghw
-
     upper = ordering_ghw(hypergraph, ordering, cover="greedy")
     return lower, upper
 
@@ -242,33 +248,20 @@ def ghw_upper_bound(
     parameters: GAParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    backend: str = "python",
     jobs: int = 1,
 ) -> int:
-    """Heuristic ghw upper bound: ``"ga"`` (GA-ghw) or ``"saiga"``.
+    """Heuristic ghw upper bound: ``"ga"`` (GA-ghw), ``"saiga"``,
+    ``"sa"``, ``"tabu"`` or an ordering heuristic name.
 
-    ``backend``/``jobs`` select the fitness kernel and parallelism
-    (see :mod:`repro.kernels`).
+    ``parameters`` apply when they are the method's parameter class
+    (``GAParameters`` for ``"ga"``) and ``jobs`` to GA/SAIGA population
+    evaluation (see :mod:`repro.kernels`); other methods ignore them.
     """
+    solver = _row(method, "ghw", False, "ghw upper-bound method")
     validate_hypergraph(hypergraph)
-    if method == "ga":
-        return ga_ghw(
-            hypergraph,
-            parameters=parameters,
-            seed=seed,
-            time_limit=time_limit,
-            backend=backend,
-            jobs=jobs,
-        ).best_fitness
-    if method == "saiga":
-        return saiga_ghw(
-            hypergraph,
-            seed=seed,
-            time_limit=time_limit,
-            backend=backend,
-            jobs=jobs,
-        ).best_fitness
-    raise ValueError(f"unknown ghw upper-bound method {method!r}")
+    return _run(
+        solver, hypergraph, seed, time_limit, None, jobs, parameters
+    ).upper_bound
 
 
 def decompose_graph(
@@ -277,34 +270,21 @@ def decompose_graph(
     time_limit: float | None = None,
     node_limit: int | None = None,
     seed: int = 0,
-    backend: str = "python",
     jobs: int = 1,
 ) -> TreeDecomposition:
     """A validated tree decomposition of ``graph``.
 
-    Exact algorithms produce optimal width when they finish; under a
-    budget the best ordering found so far is materialised.
-    ``backend``/``jobs`` apply to the ``"ga"`` path only.
+    ``algorithm`` is any treewidth name of the solver table. Exact
+    algorithms produce optimal width when they finish; under a budget
+    the best ordering found so far is materialised. ``jobs`` applies to
+    the ``"ga"`` path only.
     """
+    solver = lookup(algorithm, "tw")
     if graph.num_vertices() == 0:
         raise ValueError("cannot decompose the empty graph")
-    if algorithm in ("astar", "bb"):
-        result = treewidth(
-            graph,
-            algorithm=algorithm,
-            time_limit=time_limit,
-            node_limit=node_limit,
-            seed=seed,
-        )
-        ordering = result.ordering
-    elif algorithm == "ga":
-        ordering = ga_treewidth(
-            graph, seed=seed, time_limit=time_limit, backend=backend, jobs=jobs
-        ).best_individual
-    else:
-        _width, ordering = upper_bound_ordering(
-            graph, algorithm, random.Random(seed)
-        )
+    ordering = _run(
+        solver, graph, seed, time_limit, node_limit, jobs
+    ).ordering
     decomposition = ordering_to_tree_decomposition(graph, ordering)
     decomposition.validate(graph)
     return decomposition
@@ -318,48 +298,25 @@ def decompose(
     node_limit: int | None = None,
     seed: int = 0,
     complete: bool = True,
-    backend: str = "python",
     jobs: int = 1,
 ) -> GeneralizedHypertreeDecomposition:
     """A validated (complete) GHD of ``hypergraph``.
 
-    ``algorithm`` selects how the ordering is found (``"bb"``,
-    ``"astar"``, ``"ga"``, ``"saiga"`` or an ordering heuristic name);
-    ``cover`` selects how bags are covered (``"exact"`` or ``"greedy"``);
-    ``backend``/``jobs`` apply to the ``"ga"``/``"saiga"`` paths.
+    ``algorithm`` selects how the ordering is found: a ghw name of the
+    solver table (``"bb"``, ``"astar"``, ``"ga"``, ``"saiga"``, ``"sa"``,
+    ``"tabu"``) or else a treewidth one (an ordering heuristic name such
+    as ``"min-fill"``), whose ordering of the primal graph is an
+    elimination ordering of the hypergraph too. ``cover`` selects how
+    bags are covered (``"exact"`` or ``"greedy"``); ``jobs`` applies to
+    the ``"ga"``/``"saiga"`` paths.
     """
+    solver = SOLVERS.get((algorithm, "ghw")) or lookup(algorithm, "tw")
     validate_hypergraph(hypergraph)
     if hypergraph.num_vertices() == 0:
         raise ValueError("cannot decompose the empty hypergraph")
-    if algorithm in ("bb", "astar"):
-        result = generalized_hypertree_width(
-            hypergraph,
-            algorithm=algorithm,
-            time_limit=time_limit,
-            node_limit=node_limit,
-            seed=seed,
-        )
-        ordering = result.ordering
-    elif algorithm == "ga":
-        ordering = ga_ghw(
-            hypergraph,
-            seed=seed,
-            time_limit=time_limit,
-            backend=backend,
-            jobs=jobs,
-        ).best_individual
-    elif algorithm == "saiga":
-        ordering = saiga_ghw(
-            hypergraph,
-            seed=seed,
-            time_limit=time_limit,
-            backend=backend,
-            jobs=jobs,
-        ).best_individual
-    else:
-        _width, ordering = upper_bound_ordering(
-            hypergraph.primal_graph(), algorithm, random.Random(seed)
-        )
+    ordering = _run(
+        solver, hypergraph, seed, time_limit, node_limit, jobs
+    ).ordering
     ghd = ordering_to_ghd(hypergraph, ordering, cover=cover)
     if complete:
         ghd = make_complete(ghd, hypergraph)

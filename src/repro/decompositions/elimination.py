@@ -20,31 +20,33 @@ objects in the GA inner loop; it is the O(|V| + |E'|) bucket-propagation
 scheme of Golumbic's perfect-elimination test. :func:`elimination_bags`
 runs it on the :mod:`repro.kernels` bitmasks, and takes an interned
 :class:`~repro.kernels.BitGraph` directly (returning bag masks) so hot
-loops intern once. ``backend="bitset"`` switches :func:`ordering_width`
-and :func:`ordering_ghw` to the kernel's width and cached-cover paths,
-which return identical widths (property-tested); hot loops should build
-a kernel evaluator once via :mod:`repro.kernels.evaluators` instead of
-paying the per-call interning here.
+loops intern once. :func:`ordering_width` and :func:`ordering_ghw` run
+on the kernel too (the pure-Python loops are the test oracle in
+``tests/reference.py``); hot loops should build a kernel evaluator once
+via :mod:`repro.kernels.evaluators` instead of paying the per-call
+interning here.
 
-Set covers — greedy deterministic and exact — are memoised in the
-process-wide :func:`~repro.kernels.cache.cover_cache`, so
-:func:`ordering_to_ghd` reuses the covers :func:`ordering_ghw` already
-computed for the same bags rather than solving them again.
+:func:`ordering_ghw` and :func:`ordering_to_ghd` cover bag masks of the
+same interned :class:`~repro.kernels.BitHypergraph`, and set covers —
+greedy deterministic and exact — are memoised in the process-wide
+:func:`~repro.kernels.cache.cover_cache`, so :func:`ordering_to_ghd`
+reuses the covers :func:`ordering_ghw` already computed for the same
+bags rather than solving them again.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence, Set as AbstractSet
+from collections.abc import Sequence, Set as AbstractSet
 
 from repro.decompositions.ghd import GeneralizedHypertreeDecomposition
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
-from repro.kernels.bithypergraph import BitGraph
-from repro.kernels.cache import cover_cache, edges_token
-from repro.kernels.elimination import bit_elimination_bags
-from repro.setcover.exact import ExactSetCoverSolver
+from repro.kernels.bithypergraph import BitGraph, BitHypergraph
+from repro.kernels.cache import cover_cache
+from repro.kernels.cover import cover_mask
+from repro.kernels.elimination import bit_elimination_bags, bit_ordering_width
 from repro.setcover.greedy import greedy_set_cover
 
 
@@ -77,32 +79,6 @@ def _check_ordering(
         )
 
 
-def _cached_greedy_cover(
-    bag: set[Vertex],
-    edges: Mapping[EdgeName, frozenset[Vertex]],
-    rng: random.Random | None,
-    token: int | None,
-) -> list[EdgeName]:
-    """Greedy cover of ``bag``, via the shared cache when deterministic.
-
-    With an ``rng`` the thesis's randomised tie-breaking applies and the
-    result is intentionally never cached (re-randomisation is part of
-    the semantics); without one the deterministic greedy cover is
-    memoised process-wide, so :func:`ordering_ghw` and
-    :func:`ordering_to_ghd` each solve any given bag at most once.
-    """
-    if rng is not None or token is None:
-        return greedy_set_cover(bag, edges, rng=rng)
-    cache = cover_cache()
-    key = frozenset(bag)
-    cached = cache.get(token, "greedy", key)
-    if cached is not None:
-        return list(cached)
-    cover = greedy_set_cover(bag, edges)
-    cache.put(token, "greedy", key, tuple(cover))
-    return cover
-
-
 def elimination_bags(
     graph: Graph | BitGraph, ordering: Sequence[Vertex]
 ) -> dict[Vertex, set[Vertex]] | dict[Vertex, int]:
@@ -129,46 +105,31 @@ def elimination_bags(
     )
 
 
-def ordering_width(
-    graph: Graph, ordering: Sequence[Vertex], backend: str = "python"
-) -> int:
+def ordering_width(graph: Graph, ordering: Sequence[Vertex]) -> int:
     """Width of the tree decomposition induced by ``ordering``.
 
-    Equals ``max |bag| - 1``. Includes the early exit of Figure 6.2: once
-    the running width reaches the number of remaining vertices minus one,
-    no later bag can exceed it. ``backend="bitset"`` evaluates on the
-    bitmask kernel instead (identical result).
+    Equals ``max |bag| - 1``, evaluated on the bitmask kernel
+    (:func:`~repro.kernels.elimination.bit_ordering_width`) with the
+    early exit of Figure 6.2: once the running width reaches the number
+    of remaining vertices minus one, no later bag can exceed it.
     """
-    if backend != "python":
-        from repro.kernels.bithypergraph import BitGraph
-        from repro.kernels.elimination import bit_ordering_width
-        from repro.kernels.evaluators import check_backend
+    bg = BitGraph.from_graph(graph)
+    _check_ordering(bg.index.keys(), ordering)
+    return bit_ordering_width(bg, bg.order_of(ordering))
 
-        check_backend(backend)
-        bg = BitGraph.from_graph(graph)
-        return bit_ordering_width(bg, bg.order_of(ordering))
-    _check_ordering(graph.vertices(), ordering)
-    position = {vertex: i for i, vertex in enumerate(ordering)}
-    forward: dict[Vertex, set[Vertex]] = {
-        vertex: {
-            neighbour
-            for neighbour in graph.neighbours(vertex)
-            if position[neighbour] > position[vertex]
-        }
-        for vertex in ordering
-    }
-    width = 0
-    total = len(ordering)
-    for index, vertex in enumerate(ordering):
-        remaining = total - index - 1
-        if width >= remaining:
-            break
-        clique = forward[vertex]
-        width = max(width, len(clique))
-        if clique:
-            successor = min(clique, key=position.__getitem__)
-            forward[successor] |= clique - {successor}
-    return width
+
+def _bag_cover(
+    bh: BitHypergraph, bag: int, cover: str, rng: random.Random | None
+) -> list[EdgeName]:
+    """Edge names covering the bag mask ``bag`` in mode ``cover``.
+
+    Greedy covers with an ``rng`` take the thesis's random tie-breaks
+    and are never cached (re-randomisation is part of their semantics);
+    every other cover goes through the shared cover cache.
+    """
+    if cover == "greedy" and rng is not None:
+        return greedy_set_cover(bag, bh, rng=rng)
+    return bh.names_of(cover_mask(bh, bag, cover, cover_cache()))
 
 
 def ordering_ghw(
@@ -176,8 +137,6 @@ def ordering_ghw(
     ordering: Sequence[Vertex],
     cover: str = "greedy",
     rng: random.Random | None = None,
-    solver: ExactSetCoverSolver | None = None,
-    backend: str = "python",
 ) -> int:
     """Cover width of ``ordering``: ``width(sigma, H)`` of Definition 17.
 
@@ -185,44 +144,17 @@ def ordering_ghw(
     the maximum cover size over all bags is returned. With
     ``cover="exact"`` this is the exact quantity whose minimum over all
     orderings equals ``ghw(H)`` (Theorem 3); with ``cover="greedy"`` it is
-    the upper bound GA-ghw optimises (Figure 7.1). Covers are memoised
-    in the shared cover cache, except greedy covers with an ``rng``:
-    their random tie-breaks must stay fresh, so every backend runs them
-    uncached on the bitmask kernel and leaves ``rng`` in the same state.
-    ``backend="bitset"`` evaluates the other paths on the kernel too;
-    identical widths.
+    the upper bound GA-ghw optimises (Figure 7.1). Bags and covers run
+    on the bitmask kernel. Covers are memoised in the shared cover
+    cache, except greedy covers with an ``rng``: their random tie-breaks
+    must stay fresh, so they run uncached and draw from ``rng`` exactly
+    as the thesis's loop does.
     """
-    random_ties = cover == "greedy" and rng is not None
-    if backend != "python" or random_ties:
-        from repro.kernels.bithypergraph import BitHypergraph
-        from repro.kernels.elimination import bit_ordering_ghw
-        from repro.kernels.evaluators import check_backend
-
-        check_backend(backend)
-        bh = BitHypergraph.from_hypergraph(hypergraph)
-        if random_ties:
-            return max(
-                (
-                    len(greedy_set_cover(bag, bh, rng=rng))
-                    for bag in elimination_bags(bh, ordering).values()
-                ),
-                default=0,
-            )
-        return bit_ordering_ghw(bh, bh.order_of(ordering), cover=cover)
-    bags = elimination_bags(hypergraph.primal_graph(), ordering)
-    edges = hypergraph.edges()
-    if cover == "exact":
-        active_solver = solver or ExactSetCoverSolver(edges)
-        return max(
-            (active_solver.cover_size(bag) for bag in bags.values()), default=0
-        )
-    if cover != "greedy":
-        raise ValueError(f"unknown cover mode {cover!r}")
-    token = edges_token(edges)
+    bh = BitHypergraph.from_hypergraph(hypergraph)
     return max(
         (
-            len(_cached_greedy_cover(bag, edges, None, token))
-            for bag in bags.values()
+            len(_bag_cover(bh, bag, cover, rng))
+            for bag in elimination_bags(bh, ordering).values()
         ),
         default=0,
     )
@@ -262,31 +194,22 @@ def ordering_to_ghd(
     ordering: Sequence[Vertex],
     cover: str = "greedy",
     rng: random.Random | None = None,
-    solver: ExactSetCoverSolver | None = None,
 ) -> GeneralizedHypertreeDecomposition:
     """Build the GHD McMahan-style: tree decomposition + per-bag covers.
 
     The chi-labels come from bucket elimination on the primal graph; each
     lambda-label is a set cover of the bag (greedy or exact). The width of
     the result equals :func:`ordering_ghw` for the same cover mode — and
-    both draw covers from the shared cover cache, so building the GHD for
-    an ordering whose width was already evaluated re-solves nothing.
+    both cover masks of the same interned hypergraph through the shared
+    cover cache, so building the GHD for an ordering whose width was
+    already evaluated re-solves nothing.
     """
     tree = ordering_to_tree_decomposition(hypergraph.primal_graph(), ordering)
-    edges = hypergraph.edges()
+    bh = BitHypergraph.from_hypergraph(hypergraph)
     ghd = GeneralizedHypertreeDecomposition(tree=tree)
-    if cover == "exact":
-        active_solver = solver or ExactSetCoverSolver(edges)
-        for node in tree.nodes():
-            ghd.covers[node] = set(active_solver.cover(tree.bags[node]))
-    elif cover == "greedy":
-        token = None if rng is not None else edges_token(edges)
-        for node in tree.nodes():
-            ghd.covers[node] = set(
-                _cached_greedy_cover(tree.bags[node], edges, rng, token)
-            )
-    else:
-        raise ValueError(f"unknown cover mode {cover!r}")
+    for node in tree.nodes():
+        bag = bh.mask_of(tree.bags[node])
+        ghd.covers[node] = set(_bag_cover(bh, bag, cover, rng))
     return ghd
 
 

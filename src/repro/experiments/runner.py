@@ -14,9 +14,12 @@ without copying the benchmark harness:
     table = run_experiment(spec)
     print(table.to_text())
 
-Algorithms are addressed by the same names the CLI uses; exact
-algorithms report ``value`` or ``lb*[ub]`` brackets, heuristics report
-their upper bound. Results are plain data (list of dicts), so they feed
+Algorithms are addressed by the same names the CLI uses — the kinds of
+the solver table :data:`repro.core.solvers.SOLVERS`, plus
+``"portfolio"`` — and every cell runs through
+:func:`repro.portfolio.workers.run_strategy`; exact algorithms report
+``value`` or ``lb*[ub]`` brackets, heuristics report their upper
+bound. Results are plain data (list of dicts), so they feed
 into any further analysis.
 """
 
@@ -27,16 +30,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.core.solvers import SOLVERS, kinds
 from repro.genetic.engine import GAParameters
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.registry import instance as registry_instance
 from repro.obs.report import RunReport, append_jsonl
+from repro.portfolio.results import WorkerResult
+from repro.portfolio.strategies import StrategySpec
+from repro.portfolio.workers import run_strategy
 
-EXACT_TW = ("astar", "bb")
-EXACT_GHW = ("astar", "bb")
-HEURISTIC_TW = ("ga", "sa", "tabu", "min-fill", "min-degree", "min-width", "mcs")
-HEURISTIC_GHW = ("ga", "saiga", "sa", "tabu")
 #: The anytime racing portfolio (inline mode): certifies when any
 #: worker's lower bound meets any worker's upper bound.
 PORTFOLIO = "portfolio"
@@ -53,25 +56,15 @@ class ExperimentSpec:
     node_limit: int | None = None
     seed: int = 0
     ga_parameters: GAParameters | None = None
-    backend: str = "python"
-    """Fitness kernel for the heuristics: ``"python"`` or ``"bitset"``."""
     jobs: int = 1
     """Process-pool width for GA/SAIGA population evaluation (1 = serial)."""
 
     def validated(self) -> "ExperimentSpec":
         if self.measure not in ("tw", "ghw"):
             raise ValueError("measure must be 'tw' or 'ghw'")
-        from repro.kernels.evaluators import check_backend
-
-        check_backend(self.backend)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        known = (
-            set(EXACT_TW) | set(HEURISTIC_TW)
-            if self.measure == "tw"
-            else set(EXACT_GHW) | set(HEURISTIC_GHW)
-        )
-        known.add(PORTFOLIO)
+        known = {*kinds(self.measure), PORTFOLIO}
         unknown = [a for a in self.algorithms if a not in known]
         if unknown:
             raise ValueError(
@@ -112,34 +105,19 @@ class ExperimentTable:
         return [row[name] for row in self.rows]
 
 
-def _exact_fields(result) -> tuple[str | int, dict]:
-    """Cell text plus structured outcome for an exact SearchResult."""
-    if result.optimal:
-        cell: str | int = result.value
-        fields = {
-            "status": "optimal",
-            "value": result.value,
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-        }
+def _fields(result: WorkerResult) -> tuple[str | int, dict]:
+    """Cell text plus structured outcome; heuristics certify only an
+    upper bound, interrupted searches show an ``lb*[ub]`` bracket."""
+    optimal = result.status == "optimal"
+    if result.status == "interrupted":
+        cell: str | int = f"{result.lower_bound}*[{result.upper_bound}]"
     else:
-        cell = f"{result.lower_bound}*[{result.upper_bound}]"
-        fields = {
-            "status": "interrupted",
-            "value": None,
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-        }
-    return cell, fields
-
-
-def _heuristic_fields(best_fitness: int) -> tuple[int, dict]:
-    """Heuristics certify only an upper bound."""
-    return best_fitness, {
-        "status": "heuristic",
-        "value": None,
-        "lower_bound": None,
-        "upper_bound": best_fitness,
+        cell = result.upper_bound
+    return cell, {
+        "status": result.status,
+        "value": result.upper_bound if optimal else None,
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
     }
 
 
@@ -171,107 +149,22 @@ def _run_portfolio(instance, spec) -> tuple[str | int, dict]:
     }
 
 
-def _run_tw_algorithm(name, graph, spec) -> tuple[str | int, dict]:
-    from repro.core.api import treewidth, treewidth_upper_bound
-    from repro.localsearch import sa_treewidth, tabu_treewidth
-
+def _run_algorithm(name, instance, spec) -> tuple[str | int, dict]:
     if name == PORTFOLIO:
-        return _run_portfolio(graph, spec)
-    if name in EXACT_TW:
-        result = treewidth(
-            graph,
-            algorithm=name,
-            time_limit=spec.time_limit,
-            node_limit=spec.node_limit,
-            seed=spec.seed,
-        )
-        return _exact_fields(result)
-    if name == "sa":
-        result = sa_treewidth(
-            graph,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-        )
-        return _heuristic_fields(result.best_fitness)
-    if name == "tabu":
-        result = tabu_treewidth(
-            graph,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-        )
-        return _heuristic_fields(result.best_fitness)
-    if name == "ga":
-        from repro.genetic.ga_tw import ga_treewidth
-
-        result = ga_treewidth(
-            graph,
-            parameters=spec.ga_parameters,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-            jobs=spec.jobs,
-        )
-        return _heuristic_fields(result.best_fitness)
-    return _heuristic_fields(
-        treewidth_upper_bound(graph, method=name, seed=spec.seed)
-    )
-
-
-def _run_ghw_algorithm(name, hypergraph, spec) -> tuple[str | int, dict]:
-    from repro.core.api import generalized_hypertree_width
-    from repro.localsearch import sa_ghw, tabu_ghw
-
-    if name == PORTFOLIO:
-        return _run_portfolio(hypergraph, spec)
-    if name in EXACT_GHW:
-        result = generalized_hypertree_width(
-            hypergraph,
-            algorithm=name,
-            time_limit=spec.time_limit,
-            node_limit=spec.node_limit,
-            seed=spec.seed,
-        )
-        return _exact_fields(result)
-    if name == "sa":
-        result = sa_ghw(
-            hypergraph,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-        )
-        return _heuristic_fields(result.best_fitness)
-    if name == "tabu":
-        result = tabu_ghw(
-            hypergraph,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-        )
-        return _heuristic_fields(result.best_fitness)
-    if name == "saiga":
-        from repro.genetic.saiga import saiga_ghw
-
-        result = saiga_ghw(
-            hypergraph,
-            seed=spec.seed,
-            time_limit=spec.time_limit,
-            backend=spec.backend,
-            jobs=spec.jobs,
-        )
-        return _heuristic_fields(result.best_fitness)
-    from repro.genetic.ga_ghw import ga_ghw
-
-    result = ga_ghw(
-        hypergraph,
-        parameters=spec.ga_parameters,
+        return _run_portfolio(instance, spec)
+    solver = SOLVERS[(name, spec.measure)]
+    strategy = StrategySpec(
+        name=name,
+        kind=name,
         seed=spec.seed,
-        time_limit=spec.time_limit,
-        backend=spec.backend,
         jobs=spec.jobs,
+        options=solver.options(
+            node_limit=spec.node_limit, parameters=spec.ga_parameters
+        ),
     )
-    return _heuristic_fields(result.best_fitness)
+    return _fields(
+        run_strategy(strategy, instance, spec.measure, time_limit=spec.time_limit)
+    )
 
 
 def run_experiment(
@@ -298,10 +191,7 @@ def run_experiment(
         for algorithm in spec.algorithms:
             started = time.monotonic()
             with obs.instrument() if telemetry else _noop_context() as ins:
-                if spec.measure == "tw":
-                    cell, fields = _run_tw_algorithm(algorithm, loaded, spec)
-                else:
-                    cell, fields = _run_ghw_algorithm(algorithm, loaded, spec)
+                cell, fields = _run_algorithm(algorithm, loaded, spec)
             elapsed = time.monotonic() - started
             row[algorithm] = cell
             row[f"{algorithm}_s"] = round(elapsed, 2)
@@ -313,11 +203,7 @@ def run_experiment(
                         solver=algorithm,
                         measure=spec.measure,
                         elapsed_s=elapsed,
-                        meta={
-                            "seed": spec.seed,
-                            "backend": spec.backend,
-                            "jobs": spec.jobs,
-                        },
+                        meta={"seed": spec.seed, "jobs": spec.jobs},
                         **fields,
                     )
                 )

@@ -57,21 +57,18 @@ def ga_ghw(
     seed_heuristics: bool = True,
     time_limit: float | None = None,
     target: int | None = None,
-    backend: str = "python",
     jobs: int = 1,
     control: SolverControl | None = None,
     resume_state: dict | None = None,
 ) -> GAResult:
     """Run GA-ghw on ``hypergraph``; best fitness is a ghw upper bound.
 
-    Fitness always runs on the :mod:`repro.kernels` bitmask kernel;
-    ``backend`` selects only the greedy tie rule. ``"python"`` (the
-    default) breaks ties randomly from this run's ``rng`` as the thesis
-    does, uncached, bit-identical to earlier releases; ``"bitset"``
-    breaks them deterministically and caches covers in the shared cover
-    cache. ``jobs > 1`` fans each population out over a process pool;
-    pool workers cannot share the parent's ``rng``, so it always uses
-    deterministic ties.
+    Fitness always runs on the :mod:`repro.kernels` bitmask kernel, and
+    the greedy tie rule follows ``jobs``. At ``jobs=1`` (the default)
+    ties break randomly from this run's ``rng`` as the thesis does,
+    uncached. ``jobs > 1`` fans each population out over a process pool;
+    pool workers cannot share the parent's ``rng``, so they break ties
+    deterministically and cache covers in their own cover cache.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     parameters = parameters or GAParameters()
@@ -93,9 +90,7 @@ def ga_ghw(
             min_degree_ordering(primal, rng),
         ]
 
-    evaluate, batch_evaluate, closer = _make_evaluators(
-        hypergraph, backend, jobs, rng
-    )
+    evaluate, batch_evaluate, closer = _make_evaluators(hypergraph, jobs, rng)
     try:
         return run_ga(
             vertices,
@@ -114,25 +109,15 @@ def ga_ghw(
             closer()
 
 
-def _make_evaluators(
-    hypergraph: Hypergraph,
-    backend: str,
-    jobs: int,
-    rng: random.Random,
-):
-    """(per-individual, per-population, close) evaluators for a backend."""
-    from repro.kernels.evaluators import check_backend, make_ghw_evaluator_backend
-
-    check_backend(backend)
+def _make_evaluators(hypergraph: Hypergraph, jobs: int, rng: random.Random):
+    """(per-individual, per-population, close) evaluators for ``jobs``:
+    the run's random ties in-process, a deterministic-tie pool beyond."""
     if jobs > 1:
         from repro.kernels.parallel import ParallelEvaluator
 
-        evaluator = ParallelEvaluator(
-            hypergraph, measure="ghw", jobs=jobs, backend=backend
-        )
+        evaluator = ParallelEvaluator(hypergraph, measure="ghw", jobs=jobs)
         return evaluator, evaluator.evaluate_population, evaluator.close
-    evaluate = make_ghw_evaluator_backend(hypergraph, backend=backend, rng=rng)
-    return evaluate, None, None
+    return make_ghw_evaluator(hypergraph, rng=rng), None, None
 
 
 def ga_ghw_upper_bound(

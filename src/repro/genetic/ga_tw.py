@@ -26,7 +26,6 @@ def ga_treewidth(
     seed_heuristics: bool = True,
     time_limit: float | None = None,
     target: int | None = None,
-    backend: str = "python",
     jobs: int = 1,
     control: SolverControl | None = None,
     resume_state: dict | None = None,
@@ -47,11 +46,10 @@ def ga_treewidth(
         population (off reproduces the thesis's purely random start).
     time_limit, target:
         Optional early-stop conditions forwarded to the engine.
-    backend, jobs:
-        Fitness always runs on the bitmask kernel; treewidth has no
-        ties to break, so ``backend`` selects nothing and is only
-        checked. ``jobs > 1`` fans each population out over a process
-        pool.
+    jobs:
+        Fitness always runs on the bitmask kernel; ``jobs > 1`` fans
+        each population out over a process pool (treewidth has no ties
+        to break, so the result does not depend on it).
     control, resume_state:
         Portfolio hooks forwarded to :func:`~repro.genetic.engine.run_ga`.
     """
@@ -82,14 +80,12 @@ def ga_treewidth(
     if jobs > 1:
         from repro.kernels.parallel import ParallelEvaluator
 
-        evaluator = ParallelEvaluator(
-            graph, measure="tw", jobs=jobs, backend=backend
-        )
+        evaluator = ParallelEvaluator(graph, measure="tw", jobs=jobs)
         evaluate = evaluator
         batch_evaluate = evaluator.evaluate_population
         closer = evaluator.close
     else:
-        evaluate = make_tw_evaluator(graph, backend=backend)
+        evaluate = make_tw_evaluator(graph)
     try:
         return run_ga(
             vertices,

@@ -164,20 +164,18 @@ def saiga_ghw(
     seed: int | random.Random = 0,
     time_limit: float | None = None,
     target: int | None = None,
-    backend: str = "python",
     jobs: int = 1,
     control: SolverControl | None = None,
     resume_state: dict | None = None,
 ) -> SAIGAResult:
     """Run SAIGA-ghw; the best fitness found is a ghw upper bound.
 
-    Fitness runs on the :mod:`repro.kernels` bitmask kernel;
-    ``backend`` selects the greedy tie rule as in
-    :func:`~repro.genetic.ga_ghw.ga_ghw` (``"python"``: the run's random
-    ties; ``"bitset"``: deterministic ties through the shared cover
-    cache). ``jobs > 1`` fans each island's population evaluation out
-    over a process pool, with deterministic ties. Defaults reproduce the
-    seed behaviour exactly.
+    Fitness runs on the :mod:`repro.kernels` bitmask kernel with the
+    greedy tie rule of :func:`~repro.genetic.ga_ghw.ga_ghw`: the run's
+    random ties at ``jobs=1``; ``jobs > 1`` fans each island's
+    population evaluation out over a process pool, with deterministic
+    ties through each worker's cover cache. Defaults reproduce the seed
+    behaviour exactly.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     budget = Budget(time_limit=time_limit)
@@ -201,9 +199,7 @@ def saiga_ghw(
 
     from repro.genetic.ga_ghw import _make_evaluators
 
-    evaluate, batch_evaluate, closer = _make_evaluators(
-        hypergraph, backend, jobs, rng
-    )
+    evaluate, batch_evaluate, closer = _make_evaluators(hypergraph, jobs, rng)
 
     def evaluate_population(population: list[Permutation]) -> list[int]:
         if batch_evaluate is not None:

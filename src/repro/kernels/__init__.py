@@ -1,4 +1,4 @@
-"""repro.kernels — the bitset compute backend.
+"""repro.kernels — the bitset compute kernels.
 
 Everything the heuristics spend their time on — elimination-ordering
 evaluation and per-bag set covers — runs here over interned bitmask
@@ -26,11 +26,12 @@ population evaluation:
   the exact searches (``treewidth_lower_bound`` routes every
   ``rng=None`` request here).
 
-Every GA/SAIGA/SA/tabu fitness evaluation runs on this kernel; the
-``backend`` knob only selects the greedy tie rule (random and uncached,
-or deterministic and cached). The pure-Python implementations are kept
-as test oracles (``tests/reference.py``), and the property suite holds
-the kernel to them.
+Every GA/SAIGA/SA/tabu fitness evaluation runs on this kernel. The
+greedy tie rule of ghw fitness follows the job count: random and
+uncached at ``jobs=1``, deterministic and cached in pool workers (see
+:mod:`repro.kernels.evaluators`). The pure-Python implementations are
+kept as test oracles (``tests/reference.py``), and the property suite
+holds the kernel to them.
 """
 
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
@@ -47,19 +48,11 @@ from repro.kernels.elimination import (
     bit_ordering_ghw,
     bit_ordering_width,
 )
-from repro.kernels.evaluators import (
-    BACKENDS,
-    check_backend,
-    make_bit_ghw_evaluator,
-    make_bit_tw_evaluator,
-    make_ghw_evaluator_backend,
-    make_tw_evaluator,
-)
+from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
 from repro.kernels.minor_bound import minor_lower_bound
 from repro.kernels.parallel import ParallelEvaluator
 
 __all__ = [
-    "BACKENDS",
     "BitGraph",
     "BitHypergraph",
     "CoverCache",
@@ -68,7 +61,6 @@ __all__ = [
     "bit_ordering_ghw",
     "bit_ordering_width",
     "bits_of",
-    "check_backend",
     "configure_cover_cache",
     "cover_cache",
     "cover_mask",
@@ -77,8 +69,6 @@ __all__ = [
     "family_token",
     "greedy_cover_mask",
     "make_bit_ghw_evaluator",
-    "make_bit_tw_evaluator",
-    "make_ghw_evaluator_backend",
     "make_tw_evaluator",
     "minor_lower_bound",
 ]

@@ -1,4 +1,4 @@
-"""The process-wide bag -> cover LRU cache shared by all cover backends.
+"""The process-wide bag -> cover LRU cache shared by every cover call.
 
 Every heuristic in the pipeline evaluates thousands of highly-similar
 elimination orderings; the bags they produce overlap massively both
@@ -6,8 +6,8 @@ elimination orderings; the bags they produce overlap massively both
 GA/SAIGA/SA/tabu run. Before this module each :class:`ExactSetCoverSolver`
 kept a private memo that died with the solver, and greedy covers were
 never reused at all. The :class:`CoverCache` replaces both with one
-process-wide LRU, so a bag solved once — by any backend, exact or greedy,
-pure-Python or bitset — is free for every later candidate of the run.
+process-wide LRU, so a bag solved once — exact or greedy — is free for
+every later candidate of the run.
 
 Keys are ``(family token, mode, bag)``:
 
@@ -18,10 +18,9 @@ Keys are ``(family token, mode, bag)``:
   names isolates them completely;
 * the **mode** is ``"exact"`` or ``"greedy"`` — the two never mix because
   greedy covers may be suboptimal;
-* the **bag** is a ``frozenset`` of vertices (pure-Python backends) or an
-  ``int`` bitmask (bitset kernel).
+* the **bag** is an ``int`` bitmask over the family's interned vertices.
 
-Values are tuples of edge names / edge indices; cover *size* is their
+Values are tuples of edge indices; cover *size* is their
 length. Randomised greedy covers (``rng`` tie-breaking) are deliberately
 never cached — re-randomisation is part of their semantics.
 
@@ -129,7 +128,7 @@ class CoverCache:
             }
 
 
-#: The process-wide instance every backend shares by default.
+#: The process-wide instance every cover call shares by default.
 _GLOBAL_CACHE = CoverCache()
 
 #: Interned edge-family fingerprints -> small integer tokens.

@@ -5,7 +5,9 @@ evaluates ``n`` independent orderings. This module fans a population out
 over a :class:`concurrent.futures.ProcessPoolExecutor`; each worker
 builds the bitset evaluator once (in the pool initializer) and then
 evaluates chunks of orderings, so per-generation IPC is one pickle of the
-orderings and one of the integer fitnesses.
+orderings and one of the integer fitnesses. Workers cannot share the
+parent's ``rng``, so ghw fitness breaks greedy ties deterministically
+and caches covers (:func:`~repro.kernels.evaluators.make_bit_ghw_evaluator`).
 
 Parallelism is strictly opt-in (``jobs=1`` — the default everywhere —
 never spawns a process): on small instances the fork+pickle overhead
@@ -28,30 +30,22 @@ from concurrent.futures import ProcessPoolExecutor
 from repro import obs
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.kernels.evaluators import (
-    check_backend,
-    make_ghw_evaluator_backend,
-    make_tw_evaluator,
-)
+from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
 
 #: Per-process evaluator state, populated by the pool initializer.
 _WORKER_STATE: dict = {}
 
 
-def _build_evaluator(
-    measure: str, instance: Graph | Hypergraph, backend: str, cover: str
-):
+def _build_evaluator(measure: str, instance: Graph | Hypergraph):
     if measure == "tw":
-        return make_tw_evaluator(instance, backend=backend)
+        return make_tw_evaluator(instance)
     if measure == "ghw":
-        return make_ghw_evaluator_backend(instance, backend=backend, cover=cover)
+        return make_bit_ghw_evaluator(instance)
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def _init_worker(
-    measure: str, instance: Graph | Hypergraph, backend: str, cover: str
-) -> None:
-    _WORKER_STATE["evaluate"] = _build_evaluator(measure, instance, backend, cover)
+def _init_worker(measure: str, instance: Graph | Hypergraph) -> None:
+    _WORKER_STATE["evaluate"] = _build_evaluator(measure, instance)
 
 
 def _evaluate_chunk(
@@ -75,20 +69,17 @@ class ParallelEvaluator:
         instance: Graph | Hypergraph,
         measure: str = "ghw",
         jobs: int = 1,
-        backend: str = "bitset",
-        cover: str = "greedy",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        check_backend(backend)
         self.jobs = jobs
-        self._local = _build_evaluator(measure, instance, backend, cover)
+        self._local = _build_evaluator(measure, instance)
         self._pool: ProcessPoolExecutor | None = None
         if jobs > 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_init_worker,
-                initargs=(measure, instance, backend, cover),
+                initargs=(measure, instance),
             )
         self.batches = 0
         self.tasks = 0

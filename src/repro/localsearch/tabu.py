@@ -225,14 +225,12 @@ def tabu_treewidth(
     parameters: TabuParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    backend: str = "python",
     control: SolverControl | None = None,
     resume_state: dict | None = None,
 ) -> TabuResult:
     """Tabu-search upper bound on the treewidth of ``graph``.
 
-    Widths are evaluated on the :mod:`repro.kernels` bitmask kernel on
-    every ``backend``.
+    Widths are evaluated on the :mod:`repro.kernels` bitmask kernel.
     """
     from repro.bounds.upper import min_fill_ordering
     from repro.hypergraphs.hypergraph import Hypergraph
@@ -246,7 +244,7 @@ def tabu_treewidth(
         return TabuResult(0, vertices, 0, 0, [0])
     return tabu_search(
         vertices,
-        make_tw_evaluator(graph, backend=backend),
+        make_tw_evaluator(graph),
         parameters=parameters,
         seed=rng,
         initial=min_fill_ordering(graph, rng),
@@ -261,18 +259,16 @@ def tabu_ghw(
     parameters: TabuParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    backend: str = "python",
     control: SolverControl | None = None,
     resume_state: dict | None = None,
 ) -> TabuResult:
     """Tabu-search upper bound on ``ghw(hypergraph)``.
 
-    Greedy cover widths are evaluated on the bitmask kernel;
-    ``backend="bitset"`` breaks greedy ties deterministically through
-    the shared cover cache instead of with the run's ``rng``.
+    Greedy cover widths are evaluated on the bitmask kernel, with
+    greedy ties broken by the run's ``rng`` as in the thesis.
     """
     from repro.bounds.upper import min_fill_ordering
-    from repro.kernels.evaluators import make_ghw_evaluator_backend
+    from repro.genetic.ga_ghw import make_ghw_evaluator
 
     rng = random.Random(seed)
     vertices = sorted(hypergraph.vertices(), key=repr)
@@ -282,7 +278,7 @@ def tabu_ghw(
     primal = hypergraph.primal_graph()
     return tabu_search(
         vertices,
-        make_ghw_evaluator_backend(hypergraph, backend=backend, rng=rng),
+        make_ghw_evaluator(hypergraph, rng=rng),
         parameters=parameters,
         seed=rng,
         initial=min_fill_ordering(primal, rng),

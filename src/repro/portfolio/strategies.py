@@ -1,25 +1,25 @@
 """Strategy specifications for the anytime portfolio.
 
 A :class:`StrategySpec` names one configured solver in a race: which
-family to run (``kind``), its RNG seed, the fitness backend, and a bag of
+family to run (``kind``), its RNG seed, its job count, and a bag of
 family-specific options (GA parameters, annealing schedule, node limits).
 Specs are plain data — JSON round-trippable so a checkpointed race can be
 resumed with the exact strategy set it started with.
 
-The solver families mirror the library: the two exact searches (``bb``,
-``astar``) contribute lower bounds and certification, the four
-heuristics (``ga``, ``saiga``, ``sa``, ``tabu``) contribute fast upper
-bounds for the exact searches to prune against.
+The kinds are the rows of :data:`repro.core.solvers.SOLVERS`: the exact
+searches (``bb``, ``astar``) contribute lower bounds and certification,
+the heuristics (``ga``, ``saiga``, ``sa``, ``tabu`` and the ordering
+heuristics) contribute fast upper bounds for the exact searches to
+prune against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-KINDS = ("bb", "astar", "ga", "saiga", "sa", "tabu")
-EXACT_KINDS = ("bb", "astar")
-HEURISTIC_KINDS = ("ga", "saiga", "sa", "tabu")
-GHW_ONLY_KINDS = ("saiga",)
+from repro.core.solvers import SOLVERS, lookup
+
+EXACT_KINDS = frozenset(kind for (kind, _), row in SOLVERS.items() if row.exact)
 
 
 @dataclass
@@ -29,19 +29,13 @@ class StrategySpec:
     name: str
     kind: str
     seed: int = 0
-    backend: str = "python"
     jobs: int = 1
     options: dict = field(default_factory=dict)
     """Family-specific keyword options (e.g. GA ``population_size``,
     SA ``initial_temperature``, search ``node_limit``)."""
 
     def validated(self, measure: str) -> "StrategySpec":
-        if self.kind not in KINDS:
-            raise ValueError(
-                f"unknown strategy kind {self.kind!r}; choose from {list(KINDS)}"
-            )
-        if measure == "tw" and self.kind in GHW_ONLY_KINDS:
-            raise ValueError(f"strategy {self.kind!r} only applies to ghw")
+        lookup(self.kind, measure)
         if not self.name:
             raise ValueError("strategy needs a name")
         if self.jobs < 1:
@@ -57,18 +51,18 @@ class StrategySpec:
             "name": self.name,
             "kind": self.kind,
             "seed": self.seed,
-            "backend": self.backend,
             "jobs": self.jobs,
             "options": dict(self.options),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "StrategySpec":
+        """Rebuild a spec; a ``"backend"`` key from older checkpoints,
+        which picked between equivalent fitness kernels, is ignored."""
         return cls(
             name=str(data["name"]),
             kind=str(data["kind"]),
             seed=int(data.get("seed", 0)),
-            backend=str(data.get("backend", "python")),
             jobs=int(data.get("jobs", 1)),
             options=dict(data.get("options", {})),
         )

@@ -1,9 +1,10 @@
 """Running one portfolio strategy — shared by both scheduler modes.
 
 :func:`run_strategy` is the single dispatch point from a
-:class:`~repro.portfolio.strategies.StrategySpec` to the library's solver
-families, normalising their heterogeneous results (SearchResult,
-GAResult, AnnealingResult, TabuResult) into one
+:class:`~repro.portfolio.strategies.StrategySpec` to the solver table
+(:data:`repro.core.solvers.SOLVERS`), normalising the entries'
+heterogeneous results (SearchResult, GAResult, AnnealingResult,
+TabuResult, OrderingResult) into one
 :class:`~repro.portfolio.results.WorkerResult`.
 
 :func:`worker_main` is the entry point of a worker *process*: it wires
@@ -17,11 +18,11 @@ reporting path runs.
 
 from __future__ import annotations
 
-import random
 import signal
 import time
 
 from repro import obs
+from repro.core.solvers import lookup
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.obs.control import SolverControl
 from repro.obs.report import RunReport
@@ -37,34 +38,6 @@ def _primal(instance, measure: str):
     return instance
 
 
-def _from_search(spec: StrategySpec, result) -> WorkerResult:
-    return WorkerResult(
-        name=spec.name,
-        kind=spec.kind,
-        status="optimal" if result.optimal else "interrupted",
-        lower_bound=result.lower_bound,
-        upper_bound=result.upper_bound,
-        ordering=list(result.ordering),
-        elapsed=result.elapsed,
-        detail={"nodes": result.nodes_expanded},
-    )
-
-
-def _from_heuristic(spec: StrategySpec, result, extra: dict | None = None) -> WorkerResult:
-    detail = {"evaluations": result.evaluations}
-    detail.update(extra or {})
-    return WorkerResult(
-        name=spec.name,
-        kind=spec.kind,
-        status="heuristic",
-        lower_bound=None,
-        upper_bound=result.best_fitness,
-        ordering=list(result.best_individual),
-        elapsed=result.elapsed,
-        detail=detail,
-    )
-
-
 def run_strategy(
     spec: StrategySpec,
     instance,
@@ -75,138 +48,44 @@ def run_strategy(
 ) -> WorkerResult:
     """Run one strategy to completion (or cooperative stop).
 
-    The exact searches cannot resume mid-tree, so for them
-    ``resume_state`` is ignored here — the scheduler instead seeds the
-    shared incumbent from the checkpoint, which the restarted search
-    prunes against from its first node.
+    The solver is the ``(spec.kind, measure)`` row of
+    :data:`~repro.core.solvers.SOLVERS`. The exact searches cannot
+    resume mid-tree, so for them ``resume_state`` is ignored here — the
+    scheduler instead seeds the shared incumbent from the checkpoint,
+    which the restarted search prunes against from its first node.
     """
-    options = dict(spec.options)
-    if spec.kind == "bb":
-        rng = random.Random(spec.seed)
-        if measure == "tw":
-            from repro.search.bb_tw import branch_and_bound_treewidth
-
-            result = branch_and_bound_treewidth(
-                _primal(instance, measure),
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        else:
-            from repro.search.bb_ghw import branch_and_bound_ghw
-
-            result = branch_and_bound_ghw(
-                instance,
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        return _from_search(spec, result)
-    if spec.kind == "astar":
-        rng = random.Random(spec.seed)
-        if measure == "tw":
-            from repro.search.astar_tw import astar_treewidth
-
-            result = astar_treewidth(
-                _primal(instance, measure),
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        else:
-            from repro.search.astar_ghw import astar_ghw
-
-            result = astar_ghw(
-                instance,
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        return _from_search(spec, result)
-    if spec.kind == "ga":
-        from repro.genetic.engine import GAParameters
-
-        parameters = GAParameters(**options) if options else None
-        if measure == "tw":
-            from repro.genetic.ga_tw import ga_treewidth
-
-            result = ga_treewidth(
-                _primal(instance, measure),
-                parameters=parameters,
-                seed=spec.seed,
-                time_limit=time_limit,
-                backend=spec.backend,
-                jobs=spec.jobs,
-                control=control,
-                resume_state=resume_state,
-            )
-        else:
-            from repro.genetic.ga_ghw import ga_ghw
-
-            result = ga_ghw(
-                instance,
-                parameters=parameters,
-                seed=spec.seed,
-                time_limit=time_limit,
-                backend=spec.backend,
-                jobs=spec.jobs,
-                control=control,
-                resume_state=resume_state,
-            )
-        return _from_heuristic(spec, result, {"generations": result.generations})
-    if spec.kind == "saiga":
-        from repro.genetic.saiga import saiga_ghw
-
-        result = saiga_ghw(
-            instance,
-            seed=spec.seed,
-            time_limit=time_limit,
-            backend=spec.backend,
-            jobs=spec.jobs,
-            control=control,
-            resume_state=resume_state,
-            **options,
+    solver = lookup(spec.kind, measure)
+    result = solver.run(
+        _primal(instance, measure),
+        seed=spec.seed,
+        time_limit=time_limit,
+        jobs=spec.jobs,
+        options=spec.options,
+        control=control,
+        resume_state=resume_state,
+    )
+    detail = {key: getattr(result, name) for key, name in solver.detail}
+    if solver.exact:
+        return WorkerResult(
+            name=spec.name,
+            kind=spec.kind,
+            status="optimal" if result.optimal else "interrupted",
+            lower_bound=result.lower_bound,
+            upper_bound=result.upper_bound,
+            ordering=list(result.ordering),
+            elapsed=result.elapsed,
+            detail=detail,
         )
-        return _from_heuristic(spec, result, {"generations": result.generations})
-    if spec.kind == "sa":
-        from repro.localsearch.simulated_annealing import (
-            AnnealingParameters,
-            sa_ghw,
-            sa_treewidth,
-        )
-
-        parameters = AnnealingParameters(**options) if options else None
-        runner = sa_treewidth if measure == "tw" else sa_ghw
-        result = runner(
-            _primal(instance, measure) if measure == "tw" else instance,
-            parameters=parameters,
-            seed=spec.seed,
-            time_limit=time_limit,
-            backend=spec.backend,
-            control=control,
-            resume_state=resume_state,
-        )
-        return _from_heuristic(spec, result, {"accepted": result.accepted_moves})
-    if spec.kind == "tabu":
-        from repro.localsearch.tabu import TabuParameters, tabu_ghw, tabu_treewidth
-
-        parameters = TabuParameters(**options) if options else None
-        runner = tabu_treewidth if measure == "tw" else tabu_ghw
-        result = runner(
-            _primal(instance, measure) if measure == "tw" else instance,
-            parameters=parameters,
-            seed=spec.seed,
-            time_limit=time_limit,
-            backend=spec.backend,
-            control=control,
-            resume_state=resume_state,
-        )
-        return _from_heuristic(spec, result, {"iterations": result.iterations})
-    raise ValueError(f"unknown strategy kind {spec.kind!r}")
+    return WorkerResult(
+        name=spec.name,
+        kind=spec.kind,
+        status="heuristic",
+        lower_bound=None,
+        upper_bound=result.best_fitness,
+        ordering=list(result.best_individual),
+        elapsed=result.elapsed,
+        detail={"evaluations": result.evaluations, **detail},
+    )
 
 
 def capture_worker_report(
@@ -231,7 +110,6 @@ def capture_worker_report(
         meta={
             "kind": spec.kind,
             "seed": spec.seed,
-            "backend": spec.backend,
             "jobs": spec.jobs,
         },
     )

@@ -1,10 +1,10 @@
 """Differential conformance testing and witness certification.
 
-Six solver families x two compute backends x serial/parallel/portfolio/
-resume execution paths all claim widths on the same instances; nothing
-short of cross-checking them against each other (and certifying every
-claim with a validated witness decomposition) catches a silent
-regression in one path. This package is that cross-check:
+Every registered solver, on serial/parallel/portfolio/resume execution
+paths, claims widths on the same instances; nothing short of
+cross-checking them against each other (and certifying every claim with
+a validated witness decomposition) catches a silent regression in one
+path. This package is that cross-check:
 
 * :mod:`repro.verify.generators` — seeded random instance generators
   (primal-graph families, uniform CSP hypergraphs, alpha-acyclic and
@@ -12,9 +12,10 @@ regression in one path. This package is that cross-check:
 * :mod:`repro.verify.certify` — witness certification: rebuild the
   decomposition a claim's ordering induces, ``validate`` it, complete
   it, and compare its width against the claim;
-* :mod:`repro.verify.conformance` — the matrix runner: every solver
-  family, both backends, ``jobs=1`` vs ``jobs=2``, fresh vs
-  kill-and-resume portfolio races, with cross-cell divergence checks;
+* :mod:`repro.verify.conformance` — the matrix runner: every
+  ``(kind, measure)`` of the solver table, ``jobs=1`` vs ``jobs=2``,
+  fresh vs kill-and-resume portfolio races, with cross-cell divergence
+  checks;
 * :mod:`repro.verify.shrink` — a delta-debugging shrinker that
   minimises any divergent instance and emits it as a ready-to-commit
   regression test.

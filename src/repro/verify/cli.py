@@ -34,8 +34,8 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-decompose verify",
         description=(
-            "Differential conformance: run every solver family across "
-            "backends and execution modes on seeded random instances, "
+            "Differential conformance: run every registered solver across "
+            "execution modes on seeded random instances, "
             "certify every claimed width with a validated witness, and "
             "shrink any divergence to a minimal regression test."
         ),

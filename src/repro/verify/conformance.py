@@ -1,5 +1,5 @@
-"""The differential conformance matrix: every solver family, both
-backends, serial and parallel, fresh and resumed — cross-checked.
+"""The differential conformance matrix: every registered solver, serial
+and parallel, fresh and resumed — cross-checked.
 
 Each generated instance is pushed through a matrix of *cells*. A cell is
 one configured solver run (a :class:`~repro.portfolio.strategies.
@@ -13,9 +13,8 @@ oracle:
   agree on the optimum;
 * no certified witness may beat a proven optimum, and no claimed lower
   bound may exceed a certified upper bound;
-* deterministic cells that differ only in backend or job count
-  (treewidth fitness is deterministic on both backends) must report
-  identical widths;
+* deterministic cells that differ only in job count (treewidth fitness
+  has no ties to break) must report identical widths;
 * a resumed portfolio race may only match or improve the incumbent it
   was killed with, and two closed races must agree on the optimum;
 * ``ghw(H) <= tw(H) + 1`` whenever both optima are proven.
@@ -30,6 +29,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from repro.core.solvers import SOLVERS
 from repro.portfolio.scheduler import (
     PortfolioSpec,
     resume_portfolio,
@@ -51,7 +51,8 @@ from repro.verify.generators import (
 MEASURES = ("tw", "ghw")
 
 #: Deliberately small heuristic budgets: the matrix needs breadth (many
-#: seeds x many cells), not per-cell solution quality.
+#: seeds x many cells), not per-cell solution quality. Kinds not listed
+#: (the exact searches and ordering heuristics) run with no options.
 GA_OPTIONS = {"population_size": 12, "max_iterations": 15}
 SAIGA_OPTIONS = {
     "islands": 2,
@@ -70,6 +71,12 @@ TABU_OPTIONS = {
     "neighbourhood_sample": 10,
     "stall_restart": 15,
 }
+CELL_OPTIONS = {
+    "ga": GA_OPTIONS,
+    "saiga": SAIGA_OPTIONS,
+    "sa": SA_OPTIONS,
+    "tabu": TABU_OPTIONS,
+}
 
 
 @dataclass
@@ -79,7 +86,6 @@ class CellSpec:
     name: str
     measure: str
     kind: str
-    backend: str = "python"
     jobs: int = 1
     options: dict = field(default_factory=dict)
     strict: bool = False
@@ -220,44 +226,34 @@ class ConformanceReport:
 def default_matrix(
     measures: tuple[str, ...] = MEASURES, seed: int = 0
 ) -> list[CellSpec]:
-    """The standard matrix for one instance.
+    """The standard matrix for one instance: one cell per
+    ``(kind, measure)`` row of :data:`~repro.core.solvers.SOLVERS`, plus
+    a ``jobs=2`` GA cell per measure.
 
     Treewidth cells carry ``strict=True`` throughout: every tw evaluator
     in the library is deterministic, so claim and witness must agree
     exactly. For ghw only the exact searches are strict — they score
     incumbents with exact covers — while the heuristics cover greedily
-    (randomised on the python backend), so their claims are upper bounds
+    (with random ties at ``jobs=1``), so their claims are upper bounds
     on their own witness's exact-cover width.
     """
     cells: list[CellSpec] = []
     for measure in measures:
-        strict_all = measure == "tw"
-
-        def cell(name, kind, backend="python", jobs=1, options=None,
-                 strict=False, _measure=measure, _strict_all=strict_all):
-            cells.append(
-                CellSpec(
-                    name=f"{name}-{_measure}",
-                    measure=_measure,
-                    kind=kind,
-                    backend=backend,
-                    jobs=jobs,
-                    options=dict(options or {}),
-                    strict=strict or _strict_all,
+        for (kind, row_measure), solver in SOLVERS.items():
+            if row_measure != measure:
+                continue
+            for jobs in (1, 2) if kind == "ga" else (1,):
+                suffix = "-j2" if jobs > 1 else ""
+                cells.append(
+                    CellSpec(
+                        name=f"{kind}{suffix}-{measure}",
+                        measure=measure,
+                        kind=kind,
+                        jobs=jobs,
+                        options=dict(CELL_OPTIONS.get(kind, {})),
+                        strict=solver.exact or measure == "tw",
+                    )
                 )
-            )
-
-        cell("bb", "bb", strict=True)
-        cell("astar", "astar", strict=True)
-        cell("ga-python", "ga", options=GA_OPTIONS)
-        cell("ga-bitset", "ga", backend="bitset", options=GA_OPTIONS)
-        cell("ga-python-j2", "ga", jobs=2, options=GA_OPTIONS)
-        cell("sa-python", "sa", options=SA_OPTIONS)
-        cell("sa-bitset", "sa", backend="bitset", options=SA_OPTIONS)
-        cell("tabu-python", "tabu", options=TABU_OPTIONS)
-        cell("tabu-bitset", "tabu", backend="bitset", options=TABU_OPTIONS)
-        if measure == "ghw":
-            cell("saiga-python", "saiga", options=SAIGA_OPTIONS)
     return cells
 
 
@@ -291,7 +287,6 @@ def run_cell(
         name=cell.name,
         kind=cell.kind,
         seed=seed,
-        backend=cell.backend,
         jobs=cell.jobs,
         options=dict(cell.options),
     )
@@ -480,8 +475,8 @@ def run_portfolio_cells(
 
 def _parity_key(cell: CellSpec, seed: int) -> tuple:
     """Cells equal under this key must report equal widths (tw only:
-    both backends evaluate tw fitness deterministically, and parallel
-    evaluation must not change results)."""
+    tw fitness is deterministic, and parallel evaluation must not change
+    results)."""
     return (
         cell.measure,
         cell.kind,
@@ -578,7 +573,7 @@ def _parity_check(
                     cells=[r.cell.name for r in group],
                     detail=(
                         f"deterministic cells disagree across "
-                        f"backend/jobs: widths {widths}"
+                        f"jobs: widths {widths}"
                     ),
                 )
             )

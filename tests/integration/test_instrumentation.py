@@ -168,7 +168,7 @@ class TestCliTelemetry:
         for report in reports:
             validate_report(report.to_dict())
         assert reports[0].meta["seed"] == 0
-        assert reports[0].meta["backend"] == "python"
+        assert "backend" not in reports[0].meta
         assert reports[0].meta["jobs"] == 1
         assert "hits" in reports[0].meta["cover_cache"]
 

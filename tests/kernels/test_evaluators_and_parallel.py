@@ -1,5 +1,5 @@
-"""Unit tests for the backend evaluators, parallel evaluation and the
-backend/jobs knobs exposed by the heuristics, the runner and the CLI."""
+"""Unit tests for the kernel evaluators, parallel evaluation and the
+jobs knob exposed by the heuristics, the runner and the CLI."""
 
 from __future__ import annotations
 
@@ -8,18 +8,15 @@ import random
 
 import pytest
 
+from repro.bounds.upper import min_degree_ordering, min_fill_ordering
+from repro.decompositions.elimination import ordering_width
 from repro.genetic.engine import GAParameters, run_ga
 from repro.genetic.ga_ghw import ga_ghw, make_ghw_evaluator
 from repro.genetic.ga_tw import ga_treewidth
 from repro.genetic.saiga import saiga_ghw
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.kernels.evaluators import (
-    BACKENDS,
-    check_backend,
-    make_ghw_evaluator_backend,
-    make_tw_evaluator,
-)
+from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
 from repro.kernels.parallel import ParallelEvaluator
 
 
@@ -46,34 +43,28 @@ def orderings(vertices, count=6, seed=0):
     return out
 
 
-def test_check_backend():
-    for backend in BACKENDS:
-        assert check_backend(backend) == backend
-    with pytest.raises(ValueError, match="unknown backend"):
-        check_backend("cuda")
-
-
 def test_tw_evaluators_agree():
     graph = small_graph()
-    python = make_tw_evaluator(graph, backend="python")
-    bitset = make_tw_evaluator(graph, backend="bitset")
+    evaluate = make_tw_evaluator(graph)
     for ordering in orderings(sorted(graph.vertices())):
-        assert python(ordering) == bitset(ordering)
+        assert evaluate(ordering) == ordering_width(graph, ordering)
 
 
 def test_ghw_evaluators_agree():
+    # the pool's cached evaluator and the uncached one without an rng
+    # both break greedy ties deterministically
     h = small_hypergraph()
-    python = make_ghw_evaluator_backend(h, backend="python")
-    bitset = make_ghw_evaluator_backend(h, backend="bitset")
+    cached = make_bit_ghw_evaluator(h)
+    uncached = make_ghw_evaluator(h)
     for ordering in orderings(sorted(h.vertices())):
-        assert python(ordering) == bitset(ordering)
+        assert cached(ordering) == uncached(ordering)
 
 
 def test_parallel_evaluator_matches_serial():
     h = small_hypergraph()
     population = orderings(sorted(h.vertices()), count=7)
-    serial = [make_ghw_evaluator_backend(h, backend="bitset")(o) for o in population]
-    with ParallelEvaluator(h, measure="ghw", jobs=2, backend="bitset") as pe:
+    serial = [make_bit_ghw_evaluator(h)(o) for o in population]
+    with ParallelEvaluator(h, measure="ghw", jobs=2) as pe:
         assert pe.evaluate_population(population) == serial
         # single-ordering calls bypass the pool but agree too
         assert [pe(o) for o in population] == serial
@@ -87,7 +78,7 @@ def test_parallel_evaluator_tw_and_tiny_populations():
     with ParallelEvaluator(g, measure="tw", jobs=2) as pe:
         # < 2 individuals short-circuits to in-process evaluation
         assert pe.evaluate_population(population) == [
-            make_tw_evaluator(g, backend="bitset")(population[0])
+            make_tw_evaluator(g)(population[0])
         ]
 
 
@@ -116,21 +107,31 @@ def test_run_ga_batch_evaluate_equivalent():
 
 
 def test_ga_ghw_backends_and_jobs_agree():
+    # jobs=2 scores with the pool's deterministic ties: the same run as
+    # the engine driven in-process by the cached deterministic evaluator
     h = small_hypergraph()
     params = GAParameters(population_size=8, max_iterations=3)
-    bitset = ga_ghw(h, parameters=params, seed=5, backend="bitset")
-    parallel = ga_ghw(h, parameters=params, seed=5, backend="bitset", jobs=2)
-    assert bitset.best_fitness == parallel.best_fitness
-    assert bitset.history == parallel.history
+    parallel = ga_ghw(h, parameters=params, seed=5, jobs=2)
+    rng = random.Random(5)
+    primal = h.primal_graph()
+    serial = run_ga(
+        sorted(h.vertices(), key=repr),
+        make_bit_ghw_evaluator(h),
+        params,
+        rng,
+        seeds=[min_fill_ordering(primal, rng), min_degree_ordering(primal, rng)],
+    )
+    assert serial.best_fitness == parallel.best_fitness
+    assert serial.history == parallel.history
 
 
-def test_ga_tw_and_saiga_accept_backend():
+def test_ga_tw_and_saiga_pools_match_serial():
     g = small_graph()
     params = GAParameters(population_size=6, max_iterations=2)
-    assert (
-        ga_treewidth(g, parameters=params, seed=1, backend="bitset").best_fitness
-        == ga_treewidth(g, parameters=params, seed=1).best_fitness
-    )
+    serial = ga_treewidth(g, parameters=params, seed=1)
+    pooled = ga_treewidth(g, parameters=params, seed=1, jobs=2)
+    assert serial.best_fitness == pooled.best_fitness
+    assert serial.history == pooled.history
     result = saiga_ghw(
         small_hypergraph(),
         islands=2,
@@ -138,7 +139,7 @@ def test_ga_tw_and_saiga_accept_backend():
         epochs=1,
         epoch_generations=1,
         seed=1,
-        backend="bitset",
+        jobs=2,
     )
     assert result.best_fitness >= 1
 
@@ -150,20 +151,19 @@ def test_experiment_runner_backend_jobs_meta():
         instances=["adder_3"],
         measure="ghw",
         algorithms=["ga"],
-        backend="bitset",
         jobs=1,
         ga_parameters=GAParameters(population_size=4, max_iterations=2),
     )
     table = run_experiment(spec, collect_reports=True)
-    assert table.reports[0].meta["backend"] == "bitset"
+    assert "backend" not in table.reports[0].meta
     assert table.reports[0].meta["jobs"] == 1
-    with pytest.raises(ValueError, match="unknown backend"):
-        ExperimentSpec(instances=["adder_3"], backend="simd").validated()
+    with pytest.raises(TypeError, match="backend"):
+        ExperimentSpec(instances=["adder_3"], backend="bitset")
     with pytest.raises(ValueError, match="jobs"):
         ExperimentSpec(instances=["adder_3"], jobs=0).validated()
 
 
-def test_cli_backend_flags_recorded(tmp_path, capsys):
+def test_cli_knob_flags_recorded(tmp_path, capsys):
     from repro.cli import main
 
     out = tmp_path / "runs.jsonl"
@@ -175,8 +175,6 @@ def test_cli_backend_flags_recorded(tmp_path, capsys):
             "ghw",
             "--algorithm",
             "ga",
-            "--backend",
-            "bitset",
             "--jobs",
             "1",
             "--cover-cache-size",
@@ -187,7 +185,7 @@ def test_cli_backend_flags_recorded(tmp_path, capsys):
     )
     assert code == 0
     report = json.loads(out.read_text().strip())
-    assert report["meta"]["backend"] == "bitset"
+    assert "backend" not in report["meta"]
     assert report["meta"]["jobs"] == 1
     assert report["meta"]["cover_cache_size"] == 4096
     assert "hits" in report["meta"]["cover_cache"]

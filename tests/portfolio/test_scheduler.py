@@ -10,6 +10,8 @@
   processes and nested RunReports.
 """
 
+import json
+
 import pytest
 
 from repro import obs
@@ -134,6 +136,33 @@ class TestCheckpointResume:
         resumed = resume_portfolio(instance, str(tmp_path), time_limit=BUDGET)
         # the resumed race starts from the checkpointed incumbent, so it
         # can only match or improve it
+        if first.upper_bound is not None:
+            assert resumed.upper_bound <= first.upper_bound
+        assert resumed.upper_bound is not None
+
+    def test_resume_from_spec_with_legacy_backend_key(self, tmp_path):
+        # checkpoints written before the fitness-kernel knob was removed
+        # carry a "backend" key in every strategy spec; resume ignores it
+        instance = grid2d(4)
+        spec = PortfolioSpec(
+            measure="ghw",
+            strategies=parse_strategies("ga,sa", "ghw"),
+            time_limit=0.05,
+            mode="inline",
+            checkpoint_dir=str(tmp_path),
+            checkpoint_interval=0.0,
+        )
+        first = run_portfolio(instance, spec)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert all("backend" not in s for s in manifest["strategies"])
+        for strategy in manifest["strategies"]:
+            strategy["backend"] = "bitset"
+        manifest_path.write_text(json.dumps(manifest))
+
+        resumed = resume_portfolio(instance, str(tmp_path), time_limit=BUDGET)
+        assert [w.name for w in resumed.workers] == ["ga", "sa"]
+        assert all(w.status != "error" for w in resumed.workers)
         if first.upper_bound is not None:
             assert resumed.upper_bound <= first.upper_bound
         assert resumed.upper_bound is not None

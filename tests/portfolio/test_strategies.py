@@ -41,10 +41,16 @@ class TestParseStrategies:
 class TestStrategySpec:
     def test_round_trip(self):
         spec = StrategySpec(
-            name="ga-1", kind="ga", seed=7, backend="bitset", jobs=2,
+            name="ga-1", kind="ga", seed=7, jobs=2,
             options={"population_size": 20},
         )
         assert StrategySpec.from_dict(spec.to_dict()) == spec
+
+    def test_legacy_backend_key_ignored(self):
+        spec = StrategySpec(name="ga-1", kind="ga", seed=7, jobs=2)
+        data = {**spec.to_dict(), "backend": "bitset"}
+        assert "backend" not in spec.to_dict()
+        assert StrategySpec.from_dict(data) == spec
 
     def test_exact_property(self):
         assert StrategySpec(name="bb", kind="bb").exact

@@ -1,8 +1,9 @@
 """The bitset kernel must agree with the pure-Python oracle exactly.
 
 The kernel (:mod:`repro.kernels`) runs bucket elimination and set
-covering on interned bitmasks for both backends; the pure-Python
-implementations live in :mod:`tests.reference` as the oracle. On every
+covering on interned bitmasks, and :func:`ordering_width` /
+:func:`ordering_ghw` run on it; the pure-Python implementations live in
+:mod:`tests.reference` as the oracle. On every
 deterministic path the kernel must return *identical* values — not
 merely consistent bounds — because the greedy cover reproduces the
 oracle's tie-break (smallest edge name by ``repr``) and exact covers are
@@ -18,10 +19,11 @@ from repro.decompositions.elimination import ordering_ghw, ordering_width
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
-from repro.setcover.exact import ExactSetCoverSolver
 from tests.reference import (
+    ReferenceExactSetCoverSolver,
     reference_elimination_bags,
     reference_greedy_set_cover,
+    reference_ordering_width,
 )
 
 
@@ -30,7 +32,7 @@ def _oracle_ghw(hypergraph: Hypergraph, ordering: list, cover: str) -> int:
     edges = hypergraph.edges()
     bags = reference_elimination_bags(hypergraph.primal_graph(), ordering)
     if cover == "exact":
-        solver = ExactSetCoverSolver(edges)
+        solver = ReferenceExactSetCoverSolver(edges)
         return max((solver.cover_size(bag) for bag in bags.values()), default=0)
     return max(
         (len(reference_greedy_set_cover(bag, edges)) for bag in bags.values()),
@@ -89,8 +91,8 @@ def test_ordering_width_backends_agree(case):
     graph, ordering = case
     bags = reference_elimination_bags(graph, ordering)
     oracle = max((len(bag) - 1 for bag in bags.values()), default=0)
-    assert ordering_width(graph, ordering, backend="bitset") == oracle
-    assert ordering_width(graph, ordering, backend="python") == oracle
+    assert reference_ordering_width(graph, ordering) == oracle
+    assert ordering_width(graph, ordering) == oracle
 
 
 @given(hypergraph_and_ordering())
@@ -98,9 +100,7 @@ def test_ordering_width_backends_agree(case):
 def test_ordering_ghw_greedy_backends_agree(case):
     hypergraph, ordering = case
     oracle = _oracle_ghw(hypergraph, ordering, "greedy")
-    python = ordering_ghw(hypergraph, ordering, cover="greedy")
-    bitset = ordering_ghw(hypergraph, ordering, cover="greedy", backend="bitset")
-    assert python == bitset == oracle
+    assert ordering_ghw(hypergraph, ordering, cover="greedy") == oracle
 
 
 @given(hypergraph_and_ordering())
@@ -108,9 +108,7 @@ def test_ordering_ghw_greedy_backends_agree(case):
 def test_ordering_ghw_exact_backends_agree(case):
     hypergraph, ordering = case
     oracle = _oracle_ghw(hypergraph, ordering, "exact")
-    python = ordering_ghw(hypergraph, ordering, cover="exact")
-    bitset = ordering_ghw(hypergraph, ordering, cover="exact", backend="bitset")
-    assert python == bitset == oracle
+    assert ordering_ghw(hypergraph, ordering, cover="exact") == oracle
 
 
 @given(hypergraphs())

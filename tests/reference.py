@@ -12,8 +12,11 @@
   insertion order and breaks ties with ``rng.choice`` or the smallest
   name by ``repr``.
 * :func:`reference_elimination_bags` is the set-based bucket
-  propagation of Figure 6.2, and :func:`make_reference_ghw_evaluator`
-  the GA-ghw fitness (Figure 7.1) built from the two.
+  propagation of Figure 6.2, :func:`reference_ordering_width` the same
+  propagation with Figure 6.2's early exit (what
+  :func:`repro.decompositions.elimination.ordering_width` ran before it
+  moved to the kernel), and :func:`make_reference_ghw_evaluator` the
+  GA-ghw fitness (Figure 7.1) built from the bags and the greedy loop.
 * :class:`ReferenceExactSetCoverSolver` is the frozenset branch and
   bound that :class:`repro.setcover.exact.ExactSetCoverSolver` ran before
   it became a facade over the bitmask kernel; uncached.
@@ -177,6 +180,35 @@ def reference_elimination_bags(
             successor = min(clique, key=position.__getitem__)
             forward[successor] |= clique - {successor}
     return bags
+
+
+def reference_ordering_width(graph: Graph, ordering: Sequence[Vertex]) -> int:
+    """Width ``max |bag| - 1`` by set-based propagation, stopping once
+    the width reaches the number of vertices still to eliminate minus
+    one (no later bag can exceed it)."""
+    position = {vertex: i for i, vertex in enumerate(ordering)}
+    if len(position) != len(ordering) or set(position) != graph.vertices():
+        raise ValueError("ordering is not a permutation of the vertices")
+    forward: dict[Vertex, set[Vertex]] = {
+        vertex: {
+            neighbour
+            for neighbour in graph.neighbours(vertex)
+            if position[neighbour] > position[vertex]
+        }
+        for vertex in ordering
+    }
+    width = 0
+    total = len(ordering)
+    for index, vertex in enumerate(ordering):
+        remaining = total - index - 1
+        if width >= remaining:
+            break
+        clique = forward[vertex]
+        width = max(width, len(clique))
+        if clique:
+            successor = min(clique, key=position.__getitem__)
+            forward[successor] |= clique - {successor}
+    return width
 
 
 def make_reference_ghw_evaluator(

@@ -1,4 +1,4 @@
-"""Regression: vertex tie-breaks must be canonical across backends.
+"""Regression: vertex tie-breaks must be canonical across code paths.
 
 ``find_simplicial`` used to break ties by ``repr``-sorting vertices, so
 on integer-labelled graphs vertex 10 sorted before vertex 2 ("10" < "2"
@@ -43,10 +43,11 @@ class TestCanonicalVertexOrder:
         )
 
 
-class TestBackendParity:
-    def test_ga_tw_python_and_bitset_agree_on_two_digit_labels(self):
+class TestJobsParity:
+    def test_ga_tw_serial_and_pooled_agree(self):
         # A graph whose integer labels straddle the 1-digit/2-digit
-        # boundary: repr-order and numeric order genuinely differ.
+        # boundary: repr-order and numeric order genuinely differ. The
+        # in-process evaluator and the pool workers intern it apart.
         graph = Graph(vertices=range(13))
         for offset in (1, 2, 9, 11):
             for u in range(13):
@@ -54,15 +55,8 @@ class TestBackendParity:
                     graph.add_edge(u, u + offset)
         parameters = GAParameters(population_size=8, max_iterations=6)
         results = {
-            backend: ga_treewidth(
-                graph, parameters=parameters, seed=11, backend=backend
-            )
-            for backend in ("python", "bitset")
+            jobs: ga_treewidth(graph, parameters=parameters, seed=11, jobs=jobs)
+            for jobs in (1, 2)
         }
-        assert (
-            results["python"].best_fitness == results["bitset"].best_fitness
-        )
-        assert (
-            results["python"].best_individual
-            == results["bitset"].best_individual
-        )
+        assert results[1].best_fitness == results[2].best_fitness
+        assert results[1].best_individual == results[2].best_individual

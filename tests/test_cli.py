@@ -145,3 +145,71 @@ class TestRuns:
         from repro.decompositions.io import read_ghd
 
         assert read_ghd(out).width() == 2
+
+
+class TestOutputWritesTheRunsOwnOrdering:
+    """``--output`` writes the decomposition of the ordering the run just
+    returned: it never runs a second search."""
+
+    @staticmethod
+    def _printed_bound(out: str) -> int:
+        line = next(line for line in out.splitlines() if "<=" in line)
+        return int(line.split("<=")[1].split()[0])
+
+    @pytest.mark.parametrize("algorithm", ["sa", "tabu"])
+    def test_tw_written_width_equals_printed_bound(
+        self, capsys, tmp_path, algorithm
+    ):
+        from repro.decompositions.io import read_tree_decomposition
+
+        out = tmp_path / "myciel5.td"
+        code = main(
+            [
+                "--instance", "myciel5", "--measure", "tw",
+                "--algorithm", algorithm, "--seed", "1",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        printed = self._printed_bound(capsys.readouterr().out)
+        assert read_tree_decomposition(out).width() == printed
+
+    @pytest.mark.parametrize("algorithm", ["sa", "tabu"])
+    def test_ghw_written_width_at_most_printed_bound(
+        self, capsys, tmp_path, algorithm
+    ):
+        # the written GHD covers the run's ordering exactly, so it can
+        # only beat the greedy-cover bound the heuristic printed
+        from repro.decompositions.io import read_ghd
+
+        out = tmp_path / "grid.ghd"
+        code = main(
+            [
+                "--instance", "grid2d_4", "--measure", "ghw",
+                "--algorithm", algorithm, "--seed", "1",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        printed = self._printed_bound(capsys.readouterr().out)
+        assert read_ghd(out).width() <= printed
+
+    def test_node_counter_unchanged_by_output(self, capsys, tmp_path):
+        import json
+
+        def nodes(*extra):
+            path = tmp_path / f"run{len(extra)}.jsonl"
+            code = main(
+                [
+                    "--instance", "grid2d_5", "--measure", "ghw",
+                    "--algorithm", "bb", "--telemetry-out", str(path),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            report = json.loads(path.read_text().splitlines()[-1])
+            return report["counters"]['nodes{solver="bb-ghw"}']
+
+        plain = nodes()
+        assert plain == nodes("--output", str(tmp_path / "grid.ghd"))
+        assert plain == 155

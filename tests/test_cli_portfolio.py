@@ -1,4 +1,4 @@
-"""CLI knobs (--backend/--jobs/--cover-cache-size) and the portfolio
+"""CLI knobs (--jobs/--cover-cache-size) and the portfolio
 subcommand."""
 
 import json
@@ -12,26 +12,25 @@ from repro.obs.report import validate_report
 class TestKnobParsing:
     def test_defaults(self):
         args = build_parser().parse_args(["--instance", "grid3"])
-        assert args.backend == "python"
+        assert not hasattr(args, "backend")
         assert args.jobs == 1
         assert args.cover_cache_size is None
 
     def test_explicit_values(self):
         args = build_parser().parse_args(
             [
-                "--instance", "grid3", "--backend", "bitset",
+                "--instance", "grid3",
                 "--jobs", "4", "--cover-cache-size", "1024",
             ]
         )
-        assert args.backend == "bitset"
         assert args.jobs == 4
         assert args.cover_cache_size == 1024
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["--instance", "grid3", "--backend", "fortran"]
-            )
+        # the fitness kernel is no longer selectable: the flag is gone
+        for parser in (build_parser(), build_portfolio_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--instance", "grid3", "--backend", "bitset"])
 
     def test_jobs_must_be_positive(self, capsys):
         code = main(["--instance", "grid3", "--jobs", "0"])
@@ -50,14 +49,14 @@ class TestKnobsInTelemetry:
         code = main(
             [
                 "--instance", "adder_3", "--measure", "ghw",
-                "--algorithm", "ga", "--backend", "bitset", "--jobs", "1",
+                "--algorithm", "ga", "--jobs", "1",
                 "--cover-cache-size", "4096", "--telemetry-out", str(out),
             ]
         )
         assert code == 0
         report = json.loads(out.read_text().splitlines()[-1])
         validate_report(report)
-        assert report["meta"]["backend"] == "bitset"
+        assert "backend" not in report["meta"]
         assert report["meta"]["jobs"] == 1
         assert report["meta"]["cover_cache_size"] == 4096
         assert "hits" in report["meta"]["cover_cache"]

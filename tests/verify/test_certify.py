@@ -51,9 +51,9 @@ class TestGhwWitness:
         assert certification.witness_width == 2
 
     def test_heuristic_overclaim_allowed_lenient(self):
-        # Python-backend heuristics score orderings with randomised
-        # greedy covers, so a claim above the exact-cover width of the
-        # same ordering is legitimate.
+        # The heuristics score orderings with greedy covers (random ties
+        # at jobs=1), so a claim above the exact-cover width of the same
+        # ordering is legitimate.
         assert certify_ghw_witness(TRIANGLE, ["a", "b", "c"], 3).ok
         assert not certify_ghw_witness(
             TRIANGLE, ["a", "b", "c"], 3, strict=True

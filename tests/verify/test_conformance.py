@@ -1,6 +1,7 @@
 """The conformance matrix: cells certify and cross-cell relations hold
 — and violated relations are actually detected."""
 
+from repro.core.solvers import SOLVERS
 from repro.verify.conformance import (
     CellResult,
     CellSpec,
@@ -24,13 +25,10 @@ def _cell_result(
     upper=None,
     witness=None,
     certified=True,
-    backend="python",
     jobs=1,
 ):
     return CellResult(
-        cell=CellSpec(
-            name=name, measure=measure, kind=kind, backend=backend, jobs=jobs
-        ),
+        cell=CellSpec(name=name, measure=measure, kind=kind, jobs=jobs),
         status=status,
         lower_bound=lower,
         upper_bound=upper,
@@ -41,12 +39,17 @@ def _cell_result(
 
 class TestDefaultMatrix:
     def test_covers_families_backends_and_jobs(self):
+        # one cell per solver-table row (no fitness-kernel axis), plus a
+        # jobs=2 GA cell per measure
         matrix = default_matrix()
         kinds = {(c.measure, c.kind) for c in matrix}
-        assert ("tw", "bb") in kinds and ("ghw", "astar") in kinds
+        assert kinds == {(m, k) for k, m in SOLVERS}
         assert ("ghw", "saiga") in kinds and ("tw", "saiga") not in kinds
-        assert any(c.backend == "bitset" for c in matrix)
-        assert any(c.jobs > 1 for c in matrix)
+        assert len(matrix) == len(SOLVERS) + 2
+        assert {(c.measure, c.kind) for c in matrix if c.jobs > 1} == {
+            ("tw", "ga"),
+            ("ghw", "ga"),
+        }
 
     def test_tw_cells_all_strict(self):
         assert all(
@@ -133,29 +136,29 @@ class TestCrossChecks:
         assert "bound-crossing" in kinds
 
     def test_backend_parity_violation_flagged(self):
+        # tw cells that differ only in job count must agree
         instance = generate_instance(0)
         results = [
-            _cell_result("ga-python", kind="ga", status="heuristic", upper=3),
+            _cell_result("ga-tw", kind="ga", status="heuristic", upper=3),
             _cell_result(
-                "ga-bitset", kind="ga", status="heuristic", upper=4,
-                backend="bitset",
+                "ga-j2-tw", kind="ga", status="heuristic", upper=4, jobs=2
             ),
         ]
         divergences = _parity_check(instance, results, seed=0)
         assert [d.kind for d in divergences] == ["parity"]
 
     def test_parity_skips_ghw(self):
-        # ghw fitness is randomised-greedy on the python backend, so
-        # backend disagreement there is not a bug.
+        # ghw fitness has random greedy ties at jobs=1 and deterministic
+        # ones in pools, so disagreement across jobs is not a bug.
         instance = generate_instance(0)
         results = [
             _cell_result(
-                "ga-python", measure="ghw", kind="ga", status="heuristic",
+                "ga-ghw", measure="ghw", kind="ga", status="heuristic",
                 upper=2,
             ),
             _cell_result(
-                "ga-bitset", measure="ghw", kind="ga", status="heuristic",
-                upper=3, backend="bitset",
+                "ga-j2-ghw", measure="ghw", kind="ga", status="heuristic",
+                upper=3, jobs=2,
             ),
         ]
         assert _parity_check(instance, results, seed=0) == []
