@@ -4,7 +4,10 @@ GA-ghw, GA-tw, SA-ghw and tabu-ghw runs on the default backend, with
 the values each produced before their fitness moved to the bitset
 kernel: best fitness, evaluation count, the next ``rng.random()`` after
 a GA run (which replays every random tie-break of every greedy cover),
-and a digest of the best individual and the history.
+and a digest of the best individual and the history. SAIGA-ghw, SA-tw,
+tabu-tw and GA-ghw over a two-worker pool are pinned the same way, with
+the values they produced before the heuristics shared one ordering
+problem and one anytime loop.
 
 b08 and adder_30 have string vertex labels, and the min-fill and
 min-degree seed orderings iterate sets of them, so their runs depend on
@@ -29,9 +32,12 @@ import hashlib, json, random, sys
 from repro.genetic.engine import GAParameters
 from repro.genetic.ga_ghw import ga_ghw
 from repro.genetic.ga_tw import ga_treewidth
+from repro.genetic.saiga import saiga_ghw
 from repro.instances.registry import instance
-from repro.localsearch.simulated_annealing import AnnealingParameters, sa_ghw
-from repro.localsearch.tabu import TabuParameters, tabu_ghw
+from repro.localsearch.simulated_annealing import (
+    AnnealingParameters, sa_ghw, sa_treewidth,
+)
+from repro.localsearch.tabu import TabuParameters, tabu_ghw, tabu_treewidth
 
 def digest(result):
     text = repr((list(result.best_individual), list(result.history)))
@@ -60,6 +66,29 @@ result = sa_ghw(
 out["sa grid2d_4"] = [result.best_fitness, result.evaluations, result.accepted_moves, digest(result)]
 result = tabu_ghw(instance("grid2d_4"), parameters=TabuParameters(iterations=15), seed=seed)
 out["tabu grid2d_4"] = [result.best_fitness, result.evaluations, result.iterations, digest(result)]
+for name in ("grid2d_4", "adder_30"):
+    rng = random.Random(seed)
+    result = saiga_ghw(
+        instance(name), islands=2, island_population=10, epochs=3,
+        epoch_generations=3, seed=rng,
+    )
+    out["saiga " + name] = [result.best_fitness, result.evaluations, rng.random(), digest(result)]
+result = sa_treewidth(
+    instance("queen5_5"),
+    parameters=AnnealingParameters(steps_per_temperature=5, minimum_temperature=1.0),
+    seed=seed,
+)
+out["sa-tw queen5_5"] = [result.best_fitness, result.evaluations, result.accepted_moves, digest(result)]
+result = tabu_treewidth(instance("queen5_5"), parameters=TabuParameters(iterations=15), seed=seed)
+out["tabu-tw queen5_5"] = [result.best_fitness, result.evaluations, result.iterations, digest(result)]
+rng = random.Random(seed)
+result = ga_ghw(
+    instance("grid2d_6"),
+    parameters=GAParameters(population_size=30, max_iterations=5),
+    seed=rng,
+    jobs=2,
+)
+out["ga-j2 grid2d_6"] = [result.best_fitness, result.evaluations, rng.random(), digest(result)]
 print(json.dumps(out))
 """
 
@@ -73,6 +102,11 @@ PINS = {
         "queen8_8": [48, 630, 0.9526796483286978, "5ec9d11802731631"],
         "sa grid2d_4": [4, 231, 216, "1015b24585b4b41a"],
         "tabu grid2d_4": [4, 417, 15, "5ab2eb8f86b9fbb2"],
+        "saiga grid2d_4": [4, 200, 0.6073343561741162, "159ea04138bf53ff"],
+        "saiga adder_30": [6, 200, 0.7314825618319982, "a4e7d7be5456b5ab"],
+        "sa-tw queen5_5": [18, 231, 219, "b3883c35e1d2e919"],
+        "tabu-tw queen5_5": [18, 435, 15, "9515c5fa52c3335f"],
+        "ga-j2 grid2d_6": [6, 180, 0.5924753097890262, "ae5a405fcca2ea3c"],
     },
     7: {
         "b08": [6, 60, 0.007589983441868675, "3a7357579e95f379"],
@@ -81,6 +115,11 @@ PINS = {
         "queen8_8": [48, 630, 0.5590074362022225, "ee6f91f2996b7b48"],
         "sa grid2d_4": [4, 231, 210, "abc4dc3c5a0a7d72"],
         "tabu grid2d_4": [3, 426, 15, "e6733bd72a43e8f0"],
+        "saiga grid2d_4": [4, 200, 0.9291478064107646, "868751c602e5e25a"],
+        "saiga adder_30": [6, 200, 0.663192603271208, "1c3931a75ec2ae03"],
+        "sa-tw queen5_5": [18, 231, 227, "4b6b2d36fb88f7a2"],
+        "tabu-tw queen5_5": [18, 436, 15, "ce4a57980fefb2fc"],
+        "ga-j2 grid2d_6": [5, 180, 0.43834447478821725, "2c319161b3699600"],
     },
 }
 
