@@ -2,8 +2,8 @@
 
 from repro.genetic.crossover import CROSSOVER_OPERATORS, get_crossover
 from repro.genetic.engine import GAParameters, GAResult, run_ga
-from repro.genetic.ga_ghw import ga_ghw, ga_ghw_upper_bound
-from repro.genetic.ga_tw import ga_treewidth, ga_treewidth_upper_bound
+from repro.genetic.ga_ghw import ga_ghw
+from repro.genetic.ga_tw import ga_treewidth
 from repro.genetic.mutation import MUTATION_OPERATORS, get_mutation
 from repro.genetic.saiga import ParameterVector, SAIGAResult, saiga_ghw
 from repro.genetic.selection import best_individual, tournament_selection
@@ -21,9 +21,7 @@ __all__ = [
     "SAIGAResult",
     "best_individual",
     "ga_ghw",
-    "ga_ghw_upper_bound",
     "ga_treewidth",
-    "ga_treewidth_upper_bound",
     "ga_weighted_triangulation",
     "triangulation_weight",
     "get_crossover",

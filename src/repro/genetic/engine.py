@@ -21,11 +21,13 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.genetic.anytime import AnytimeLoop
 from repro.genetic.crossover import CrossoverOperator, get_crossover
 from repro.genetic.mutation import MutationOperator, get_mutation
+from repro.genetic.problem import OrderingProblem, solve
 from repro.genetic.selection import best_individual, tournament_selection
-from repro.hypergraphs.graph import Vertex
-from repro.obs.budget import Budget
+from repro.hypergraphs.graph import Graph, Vertex
+from repro.hypergraphs.hypergraph import Hypergraph
 from repro.obs.control import SolverControl
 
 Permutation = list[Vertex]
@@ -67,8 +69,8 @@ class GAResult:
 
     best_fitness: int
     best_individual: Permutation
-    generations: int
-    evaluations: int
+    generations: int = 0
+    evaluations: int = 0
     history: list[int] = field(default_factory=list)
     """Best-so-far fitness after each generation (generation 0 included)."""
 
@@ -94,6 +96,45 @@ def _initial_population(
     return population
 
 
+def next_generation(
+    population: list[Permutation],
+    fitnesses: list[int],
+    parameters: GAParameters,
+    rng: random.Random,
+    evaluate_population: PopulationEvaluator,
+) -> tuple[list[Permutation], list[int]]:
+    """One generation of Figure 6.1: select, recombine, mutate, evaluate.
+
+    GA-tw/GA-ghw run it on their one population, SAIGA on each island
+    with the island's parameter vector.
+    """
+    crossover: CrossoverOperator = get_crossover(parameters.crossover)
+    mutation: MutationOperator = get_mutation(parameters.mutation)
+    population = tournament_selection(
+        population,
+        fitnesses,
+        parameters.group_size,
+        parameters.population_size,
+        rng,
+    )
+
+    # Recombination: pair up a p_c fraction of the population.
+    pair_count = int(parameters.crossover_rate * len(population)) // 2
+    if pair_count:
+        indices = rng.sample(range(len(population)), 2 * pair_count)
+        for k in range(pair_count):
+            i, j = indices[2 * k], indices[2 * k + 1]
+            child1, child2 = crossover(population[i], population[j], rng)
+            population[i], population[j] = child1, child2
+
+    # Mutation: each individual mutates with probability p_m.
+    for i in range(len(population)):
+        if rng.random() < parameters.mutation_rate:
+            population[i] = mutation(population[i], rng)
+
+    return population, list(evaluate_population(population))
+
+
 def run_ga(
     elements: Sequence[Vertex],
     evaluate: Evaluator,
@@ -103,7 +144,7 @@ def run_ga(
     time_limit: float | None = None,
     target: int | None = None,
     batch_evaluate: PopulationEvaluator | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> GAResult:
     """Run the Figure 6.1 loop and return the best ordering found.
@@ -129,10 +170,11 @@ def run_ga(
         :class:`~repro.kernels.parallel.ParallelEvaluator`); when given
         it replaces the per-individual ``evaluate`` loop each generation.
     control:
-        Optional portfolio control: the loop stops cooperatively, stops
-        early when the champion reaches the portfolio-wide lower bound,
-        publishes champion improvements, and offers a resume snapshot
-        after every generation.
+        Portfolio control, inert by default: the loop stops
+        cooperatively, stops early when the champion reaches the
+        portfolio-wide lower bound, publishes champion improvements, and
+        offers a resume snapshot after every generation (all through
+        :class:`~repro.genetic.anytime.AnytimeLoop`).
     resume_state:
         A snapshot previously offered through ``control.checkpoint`` (with
         ``rng_state`` already decoded to a ``random.Random`` state tuple);
@@ -140,41 +182,36 @@ def run_ga(
         initialising a fresh one.
     """
     parameters = parameters.validated()
-    crossover: CrossoverOperator = get_crossover(parameters.crossover)
-    mutation: MutationOperator = get_mutation(parameters.mutation)
+    if batch_evaluate is None:
 
-    def evaluate_population(population: list[Permutation]) -> list[int]:
-        if batch_evaluate is not None:
-            return list(batch_evaluate(population))
-        return [evaluate(individual) for individual in population]
+        def batch_evaluate(population):
+            return [evaluate(individual) for individual in population]
 
-    budget = Budget(time_limit=time_limit)
-    ins = obs.current()
-    metrics = ins.metrics
+    run = AnytimeLoop("ga", rng, time_limit, target, control, resume_state)
+    tracer = obs.current().tracer
+    metrics = run.metrics
     generations_total = metrics.counter("generations", solver="ga")
     evaluations_total = metrics.counter("evaluations", solver="ga")
     generation_seconds = metrics.histogram("generation_seconds", solver="ga")
 
-    with ins.tracer.span(
+    with tracer.span(
         "ga",
         population=parameters.population_size,
         crossover=parameters.crossover,
         mutation=parameters.mutation,
     ):
         if resume_state is None:
-            with ins.tracer.span("init_population"):
+            with tracer.span("init_population"):
                 population = _initial_population(
                     elements, parameters.population_size, rng, seeds
                 )
-                fitnesses = evaluate_population(population)
+                fitnesses = list(batch_evaluate(population))
             evaluations = len(population)
             evaluations_total.inc(evaluations)
             champion, champion_fitness = best_individual(population, fitnesses)
             history = [champion_fitness]
             generation = 0
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
             population = [list(ind) for ind in resume_state["population"]]
             fitnesses = list(resume_state["fitnesses"])
             champion = list(resume_state["best_individual"])
@@ -182,8 +219,7 @@ def run_ga(
             history = list(resume_state.get("history", [champion_fitness]))
             generation = int(resume_state.get("generation", 0))
             evaluations = int(resume_state.get("evaluations", len(population)))
-        if control is not None:
-            control.publish_upper(champion_fitness, champion)
+        run.publish(champion_fitness, champion)
 
         def snapshot() -> dict:
             return {
@@ -194,75 +230,73 @@ def run_ga(
                 "history": list(history),
                 "generation": generation,
                 "evaluations": evaluations,
-                "rng_state": rng.getstate(),
             }
 
-        if control is not None:
-            control.checkpoint(snapshot())
-        with ins.tracer.span("evolve"):
-            while generation < parameters.max_iterations:
-                if target is not None and champion_fitness <= target:
-                    break
-                if budget.exhausted():
-                    break
-                if control is not None:
-                    if control.should_stop():
-                        break
-                    shared_lb = control.shared_lower_bound()
-                    if shared_lb is not None and champion_fitness <= shared_lb:
-                        break
+        run.checkpoint(snapshot)
+        with tracer.span("evolve"):
+            while generation < parameters.max_iterations and not run.stopped(
+                champion_fitness
+            ):
                 generation += 1
-                generation_started = budget.elapsed()
-
-                population = tournament_selection(
-                    population,
-                    fitnesses,
-                    parameters.group_size,
-                    parameters.population_size,
-                    rng,
+                generation_started = run.budget.elapsed()
+                population, fitnesses = next_generation(
+                    population, fitnesses, parameters, rng, batch_evaluate
                 )
-
-                # Recombination: pair up a p_c fraction of the population.
-                pair_count = int(parameters.crossover_rate * len(population)) // 2
-                if pair_count:
-                    indices = rng.sample(range(len(population)), 2 * pair_count)
-                    for k in range(pair_count):
-                        i, j = indices[2 * k], indices[2 * k + 1]
-                        child1, child2 = crossover(population[i], population[j], rng)
-                        population[i], population[j] = child1, child2
-
-                # Mutation: each individual mutates with probability p_m.
-                for i in range(len(population)):
-                    if rng.random() < parameters.mutation_rate:
-                        population[i] = mutation(population[i], rng)
-
-                fitnesses = evaluate_population(population)
                 evaluations += len(population)
                 generations_total.inc()
                 evaluations_total.inc(len(population))
                 if metrics.enabled:
                     generation_seconds.observe(
-                        budget.elapsed() - generation_started
+                        run.budget.elapsed() - generation_started
                     )
                 generation_best, generation_fitness = best_individual(
                     population, fitnesses
                 )
                 if generation_fitness < champion_fitness:
                     champion, champion_fitness = generation_best, generation_fitness
-                    if control is not None:
-                        control.publish_upper(champion_fitness, champion)
+                    run.publish(champion_fitness, champion)
                 history.append(champion_fitness)
-                if control is not None:
-                    control.checkpoint(snapshot())
+                run.checkpoint(snapshot)
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="ga").set(champion_fitness)
     return GAResult(
         best_fitness=champion_fitness,
         best_individual=champion,
         generations=generation,
         evaluations=evaluations,
         history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
+        elapsed=run.budget.elapsed(),
+        metrics=run.finish(champion_fitness),
     )
+
+
+def ga(
+    instance: Graph | Hypergraph,
+    measure: str,
+    parameters: GAParameters | None,
+    seed: int | random.Random,
+    seed_heuristics: bool,
+    time_limit: float | None,
+    target: int | None,
+    jobs: int,
+    control: SolverControl,
+    resume_state: dict | None,
+) -> GAResult:
+    """GA-tw or GA-ghw: :func:`run_ga` on the measure's ordering problem,
+    seeded with its min-fill and min-degree orderings."""
+
+    def search(problem: OrderingProblem) -> GAResult:
+        seeds = [problem.min_fill(), problem.min_degree()] if seed_heuristics else []
+        return run_ga(
+            problem.elements,
+            problem.evaluate,
+            parameters or GAParameters(),
+            problem.rng,
+            seeds=seeds,
+            time_limit=time_limit,
+            target=target,
+            batch_evaluate=problem.evaluate_population,
+            control=control,
+            resume_state=resume_state,
+        )
+
+    return solve(instance, measure, seed, GAResult, search, jobs=jobs)

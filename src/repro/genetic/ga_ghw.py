@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.decompositions.elimination import elimination_bags
-from repro.genetic.engine import GAParameters, GAResult, run_ga
+from repro.genetic.engine import GAParameters, GAResult, ga
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
@@ -58,7 +57,7 @@ def ga_ghw(
     time_limit: float | None = None,
     target: int | None = None,
     jobs: int = 1,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> GAResult:
     """Run GA-ghw on ``hypergraph``; best fitness is a ghw upper bound.
@@ -68,75 +67,19 @@ def ga_ghw(
     ties break randomly from this run's ``rng`` as the thesis does,
     uncached. ``jobs > 1`` fans each population out over a process pool;
     pool workers cannot share the parent's ``rng``, so they break ties
-    deterministically and cache covers in their own cover cache.
+    deterministically and cache covers in their own cover cache. The
+    remaining parameters are those of
+    :func:`~repro.genetic.ga_tw.ga_treewidth`.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    parameters = parameters or GAParameters()
-
-    vertices: Sequence[Vertex] = sorted(hypergraph.vertices(), key=repr)
-    if len(vertices) <= 1 or hypergraph.num_edges() == 0:
-        return run_ga(
-            vertices,
-            lambda _ordering: 0 if hypergraph.num_edges() == 0 else 1,
-            GAParameters(population_size=2, max_iterations=0),
-            rng,
-        )
-
-    primal = hypergraph.primal_graph()
-    seeds: list[list[Vertex]] = []
-    if seed_heuristics:
-        seeds = [
-            min_fill_ordering(primal, rng),
-            min_degree_ordering(primal, rng),
-        ]
-
-    evaluate, batch_evaluate, closer = _make_evaluators(hypergraph, jobs, rng)
-    try:
-        return run_ga(
-            vertices,
-            evaluate,
-            parameters,
-            rng,
-            seeds=seeds,
-            time_limit=time_limit,
-            target=target,
-            batch_evaluate=batch_evaluate,
-            control=control,
-            resume_state=resume_state,
-        )
-    finally:
-        if closer is not None:
-            closer()
-
-
-def _make_evaluators(hypergraph: Hypergraph, jobs: int, rng: random.Random):
-    """(per-individual, per-population, close) evaluators for ``jobs``:
-    the run's random ties in-process, a deterministic-tie pool beyond."""
-    if jobs > 1:
-        from repro.kernels.parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(hypergraph, measure="ghw", jobs=jobs)
-        return evaluator, evaluator.evaluate_population, evaluator.close
-    return make_ghw_evaluator(hypergraph, rng=rng), None, None
-
-
-def ga_ghw_upper_bound(
-    hypergraph: Hypergraph,
-    parameters: GAParameters | None = None,
-    seed: int = 0,
-    runs: int = 1,
-    time_limit: float | None = None,
-) -> int:
-    """Best ghw upper bound over ``runs`` independent GA-ghw runs."""
-    best: int | None = None
-    for run in range(max(1, runs)):
-        result = ga_ghw(
-            hypergraph,
-            parameters=parameters,
-            seed=seed + run,
-            time_limit=time_limit,
-        )
-        if best is None or result.best_fitness < best:
-            best = result.best_fitness
-    assert best is not None
-    return best
+    return ga(
+        hypergraph,
+        "ghw",
+        parameters,
+        seed,
+        seed_heuristics,
+        time_limit,
+        target,
+        jobs,
+        control,
+        resume_state,
+    )

@@ -25,13 +25,14 @@ import random
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.genetic.crossover import CROSSOVER_OPERATORS, get_crossover
-from repro.genetic.engine import GAParameters, GAResult
-from repro.genetic.mutation import MUTATION_OPERATORS, get_mutation
-from repro.genetic.selection import best_individual, tournament_selection
+from repro.genetic.anytime import AnytimeLoop
+from repro.genetic.crossover import CROSSOVER_OPERATORS
+from repro.genetic.engine import GAParameters, GAResult, next_generation
+from repro.genetic.mutation import MUTATION_OPERATORS
+from repro.genetic.problem import OrderingProblem, solve
+from repro.genetic.selection import best_individual
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.obs.budget import Budget
 from repro.obs.control import SolverControl
 
 Permutation = list[Vertex]
@@ -165,7 +166,7 @@ def saiga_ghw(
     time_limit: float | None = None,
     target: int | None = None,
     jobs: int = 1,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> SAIGAResult:
     """Run SAIGA-ghw; the best fitness found is a ghw upper bound.
@@ -177,104 +178,54 @@ def saiga_ghw(
     ties through each worker's cover cache. Defaults reproduce the seed
     behaviour exactly.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    budget = Budget(time_limit=time_limit)
-    ins = obs.current()
-    metrics = ins.metrics
-    epochs_total = metrics.counter("epochs", solver="saiga")
-    generations_total = metrics.counter("generations", solver="saiga")
-    evaluations_total = metrics.counter("evaluations", solver="saiga")
-    migrations_total = metrics.counter("migrations", solver="saiga")
-    vertices = sorted(hypergraph.vertices(), key=repr)
 
-    if len(vertices) <= 1 or hypergraph.num_edges() == 0:
-        fitness = 0 if hypergraph.num_edges() == 0 else 1
-        return SAIGAResult(
-            best_fitness=fitness,
-            best_individual=list(vertices),
-            generations=0,
-            evaluations=0,
-            history=[fitness],
-        )
-
-    from repro.genetic.ga_ghw import _make_evaluators
-
-    evaluate, batch_evaluate, closer = _make_evaluators(hypergraph, jobs, rng)
-
-    def evaluate_population(population: list[Permutation]) -> list[int]:
-        if batch_evaluate is not None:
-            return list(batch_evaluate(population))
-        return [evaluate(individual) for individual in population]
-
-    def random_population() -> list[Permutation]:
-        population = []
-        for _ in range(island_population):
-            individual = vertices[:]
-            rng.shuffle(individual)
-            population.append(individual)
-        return population
-
-    try:
+    def search(problem: OrderingProblem) -> SAIGAResult:
         return _saiga_loop(
-            hypergraph=hypergraph,
-            islands=islands,
+            problem,
+            islands=max(1, islands),
             island_population=island_population,
             epochs=epochs,
             epoch_generations=epoch_generations,
-            rng=rng,
-            budget=budget,
-            target=target,
-            ins=ins,
-            metrics=metrics,
-            counters=(
-                epochs_total,
-                generations_total,
-                evaluations_total,
-                migrations_total,
+            run=AnytimeLoop(
+                "saiga", problem.rng, time_limit, target, control, resume_state
             ),
-            evaluate_population=evaluate_population,
-            random_population=random_population,
-            control=control,
             resume_state=resume_state,
         )
-    finally:
-        if closer is not None:
-            closer()
+
+    return solve(hypergraph, "ghw", seed, SAIGAResult, search, jobs=jobs)
 
 
 def _saiga_loop(
-    *,
-    hypergraph: Hypergraph,
+    problem: OrderingProblem,
     islands: int,
     island_population: int,
     epochs: int,
     epoch_generations: int,
-    rng: random.Random,
-    budget: Budget,
-    target: int | None,
-    ins,
-    metrics,
-    counters,
-    evaluate_population,
-    random_population,
-    control: SolverControl | None = None,
-    resume_state: dict | None = None,
+    run: AnytimeLoop,
+    resume_state: dict | None,
 ) -> SAIGAResult:
-    """The Figure 7.3 epoch/migration loop, split out of :func:`saiga_ghw`
-    so the evaluator's ``try/finally`` cleanup wraps the whole run."""
-    epochs_total, generations_total, evaluations_total, migrations_total = (
-        counters
-    )
-    with ins.tracer.span(
-        "saiga", islands=max(1, islands), island_population=island_population
+    """The Figure 7.3 epoch/migration loop."""
+    rng = problem.rng
+    metrics = run.metrics
+    epochs_total = metrics.counter("epochs", solver="saiga")
+    generations_total = metrics.counter("generations", solver="saiga")
+    evaluations_total = metrics.counter("evaluations", solver="saiga")
+    migrations_total = metrics.counter("migrations", solver="saiga")
+    tracer = obs.current().tracer
+    with tracer.span(
+        "saiga", islands=islands, island_population=island_population
     ):
         ring: list[_Island] = []
         evaluations = 0
         if resume_state is None:
-            with ins.tracer.span("init_islands"):
-                for _ in range(max(1, islands)):
-                    population = random_population()
-                    fitnesses = evaluate_population(population)
+            with tracer.span("init_islands"):
+                for _ in range(islands):
+                    population = []
+                    for _ in range(island_population):
+                        individual = problem.elements[:]
+                        rng.shuffle(individual)
+                        population.append(individual)
+                    fitnesses = problem.evaluate_population(population)
                     evaluations += len(population)
                     ring.append(
                         _Island(
@@ -294,8 +245,6 @@ def _saiga_loop(
             generations = 0
             epoch = 0
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
             for saved in resume_state["islands"]:
                 ring.append(
                     _Island(
@@ -312,8 +261,7 @@ def _saiga_loop(
             generations = int(resume_state.get("generations", 0))
             evaluations = int(resume_state.get("evaluations", 0))
             epoch = int(resume_state.get("epoch", 0))
-        if control is not None:
-            control.publish_upper(champion_fitness, champion)
+        run.publish(champion_fitness, champion)
 
         def snapshot() -> dict:
             return {
@@ -333,56 +281,24 @@ def _saiga_loop(
                 "generations": generations,
                 "evaluations": evaluations,
                 "epoch": epoch,
-                "rng_state": rng.getstate(),
             }
 
-        if control is not None:
-            control.checkpoint(snapshot())
-        while epoch < epochs:
-            if target is not None and champion_fitness <= target:
-                break
-            if budget.exhausted():
-                break
-            if control is not None:
-                if control.should_stop():
-                    break
-                shared_lb = control.shared_lower_bound()
-                if shared_lb is not None and champion_fitness <= shared_lb:
-                    break
+        run.checkpoint(snapshot)
+        while epoch < epochs and not run.stopped(champion_fitness):
             epoch += 1
             epochs_total.inc()
             for island in ring:
-                crossover = get_crossover(island.parameters.crossover)
-                mutate = get_mutation(island.parameters.mutation)
+                parameters = island.parameters.as_ga_parameters(
+                    island_population, epoch_generations
+                )
                 for _generation in range(epoch_generations):
-                    island.population = tournament_selection(
+                    island.population, island.fitnesses = next_generation(
                         island.population,
                         island.fitnesses,
-                        island.parameters.group_size,
-                        island_population,
+                        parameters,
                         rng,
+                        problem.evaluate_population,
                     )
-                    pair_count = (
-                        int(island.parameters.crossover_rate * island_population)
-                        // 2
-                    )
-                    if pair_count:
-                        indices = rng.sample(
-                            range(island_population), 2 * pair_count
-                        )
-                        for k in range(pair_count):
-                            i, j = indices[2 * k], indices[2 * k + 1]
-                            child1, child2 = crossover(
-                                island.population[i], island.population[j], rng
-                            )
-                            island.population[i] = child1
-                            island.population[j] = child2
-                    for i in range(island_population):
-                        if rng.random() < island.parameters.mutation_rate:
-                            island.population[i] = mutate(
-                                island.population[i], rng
-                            )
-                    island.fitnesses = evaluate_population(island.population)
                     evaluations += island_population
                     evaluations_total.inc(island_population)
                     generations += 1
@@ -394,8 +310,7 @@ def _saiga_loop(
                     champion, champion_fitness = best_individual(
                         island.population, island.fitnesses
                     )
-                    if control is not None:
-                        control.publish_upper(champion_fitness, champion)
+                    run.publish(champion_fitness, champion)
             history.append(champion_fitness)
 
             # Migration: each island's best replaces the next island's worst.
@@ -425,18 +340,15 @@ def _saiga_loop(
                 new_parameters.append(vector)
             for island, vector in zip(ring, new_parameters):
                 island.parameters = vector
-            if control is not None:
-                control.checkpoint(snapshot())
+            run.checkpoint(snapshot)
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="saiga").set(champion_fitness)
     return SAIGAResult(
         best_fitness=champion_fitness,
         best_individual=champion,
         generations=generations,
         evaluations=evaluations,
         history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
+        elapsed=run.budget.elapsed(),
+        metrics=run.finish(champion_fitness),
         final_parameters=[island.parameters for island in ring],
     )

@@ -21,9 +21,9 @@ import math
 import random
 from collections.abc import Mapping, Sequence
 
-from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.decompositions.elimination import elimination_bags
 from repro.genetic.engine import GAParameters, GAResult, run_ga
+from repro.genetic.problem import OrderingProblem, solve
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.kernels.bithypergraph import BitGraph, bits_of
 
@@ -72,29 +72,19 @@ def ga_weighted_triangulation(
         raise ValueError(
             f"missing state counts for {sorted(map(repr, missing))}"
         )
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    parameters = parameters or GAParameters()
-
-    vertices = sorted(graph.vertices(), key=repr)
-    if len(vertices) <= 1:
-        return run_ga(
-            vertices,
-            lambda _ordering: 0,
-            GAParameters(population_size=2, max_iterations=0),
-            rng,
-        )
-
     bg = BitGraph.from_graph(graph)
 
     def evaluate(ordering: Sequence[Vertex]) -> int:
         return round(1000 * triangulation_weight(bg, ordering, states))
 
-    seeds = [min_fill_ordering(graph, rng), min_degree_ordering(graph, rng)]
-    return run_ga(
-        vertices,
-        evaluate,
-        parameters,
-        rng,
-        seeds=seeds,
-        time_limit=time_limit,
-    )
+    def search(problem: OrderingProblem) -> GAResult:
+        return run_ga(
+            problem.elements,
+            problem.evaluate,
+            parameters or GAParameters(),
+            problem.rng,
+            seeds=[problem.min_fill(), problem.min_degree()],
+            time_limit=time_limit,
+        )
+
+    return solve(graph, "tw", seed, GAResult, search, evaluate=evaluate)

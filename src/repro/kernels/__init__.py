@@ -39,7 +39,6 @@ from repro.kernels.cache import (
     CoverCache,
     configure_cover_cache,
     cover_cache,
-    edges_token,
     family_token,
 )
 from repro.kernels.cover import cover_mask, exact_cover_mask, greedy_cover_mask
@@ -64,7 +63,6 @@ __all__ = [
     "configure_cover_cache",
     "cover_cache",
     "cover_mask",
-    "edges_token",
     "exact_cover_mask",
     "family_token",
     "greedy_cover_mask",

@@ -32,7 +32,7 @@ The cache is instrumented: it keeps cumulative hit/miss/eviction counts
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable
 from threading import Lock
 
 #: Default maximum number of cached covers. A cover entry is a small
@@ -161,8 +161,3 @@ def family_token(fingerprint: Hashable) -> int:
             token = len(_FAMILY_TOKENS)
             _FAMILY_TOKENS[fingerprint] = token
         return token
-
-
-def edges_token(edges: Mapping) -> int:
-    """Family token for a ``name -> frozenset(vertices)`` edge mapping."""
-    return family_token(frozenset(edges.items()))

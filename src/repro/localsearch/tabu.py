@@ -22,8 +22,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.genetic.anytime import AnytimeLoop
+from repro.genetic.problem import OrderingProblem, solve
 from repro.hypergraphs.graph import Vertex
-from repro.obs.budget import Budget
 from repro.obs.control import SolverControl
 
 Permutation = list[Vertex]
@@ -53,8 +54,8 @@ class TabuParameters:
 class TabuResult:
     best_fitness: int
     best_individual: Permutation
-    evaluations: int
-    iterations: int
+    evaluations: int = 0
+    iterations: int = 0
     history: list[int] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -70,7 +71,7 @@ def tabu_search(
     initial: Sequence[Vertex] | None = None,
     time_limit: float | None = None,
     target: int | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> TabuResult:
     """Tabu-search an ordering; smaller fitness is better.
@@ -83,13 +84,6 @@ def tabu_search(
     """
     parameters = (parameters or TabuParameters()).validated()
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    budget = Budget(time_limit=time_limit)
-    ins = obs.current()
-    metrics = ins.metrics
-    moves_applied = metrics.counter("moves", solver="tabu", outcome="applied")
-    moves_stalled = metrics.counter("moves", solver="tabu", outcome="stalled")
-    restarts_total = metrics.counter("restarts", solver="tabu")
-    evaluations_total = metrics.counter("evaluations", solver="tabu")
 
     if initial is not None:
         current = list(initial)
@@ -100,7 +94,14 @@ def tabu_search(
         rng.shuffle(current)
     n = len(current)
 
-    with ins.tracer.span(
+    run = AnytimeLoop("tabu", rng, time_limit, target, control, resume_state)
+    metrics = run.metrics
+    moves_applied = metrics.counter("moves", solver="tabu", outcome="applied")
+    moves_stalled = metrics.counter("moves", solver="tabu", outcome="stalled")
+    restarts_total = metrics.counter("restarts", solver="tabu")
+    evaluations_total = metrics.counter("evaluations", solver="tabu")
+
+    with obs.current().tracer.span(
         "tabu", tenure=parameters.tenure, iterations=parameters.iterations
     ):
         if resume_state is None:
@@ -113,8 +114,6 @@ def tabu_search(
             stalled = 0
             iteration = 0
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
             current = list(resume_state["current"])
             current_fitness = int(resume_state["current_fitness"])
             best = list(resume_state["best_individual"])
@@ -127,8 +126,7 @@ def tabu_search(
             }
             stalled = int(resume_state.get("stalled", 0))
             iteration = int(resume_state.get("iteration", 0))
-        if control is not None:
-            control.publish_upper(best_fitness, best)
+        run.publish(best_fitness, best)
 
         def snapshot() -> dict:
             return {
@@ -141,23 +139,10 @@ def tabu_search(
                 "iteration": iteration,
                 "evaluations": evaluations,
                 "history": list(history),
-                "rng_state": rng.getstate(),
             }
 
-        if control is not None:
-            control.checkpoint(snapshot())
-        while iteration < parameters.iterations:
-            if target is not None and best_fitness <= target:
-                break
-            if budget.exhausted():
-                break
-            if control is not None:
-                if control.should_stop():
-                    break
-                shared_lb = control.shared_lower_bound()
-                if shared_lb is not None and best_fitness <= shared_lb:
-                    break
-
+        run.checkpoint(snapshot)
+        while iteration < parameters.iterations and not run.stopped(best_fitness):
             best_move: tuple[int, int] | None = None
             best_move_fitness: int | None = None
             for _ in range(parameters.neighbourhood_sample):
@@ -192,8 +177,7 @@ def tabu_search(
                 if current_fitness < best_fitness:
                     best, best_fitness = list(current), current_fitness
                     stalled = 0
-                    if control is not None:
-                        control.publish_upper(best_fitness, best)
+                    run.publish(best_fitness, best)
                 else:
                     stalled += 1
             if stalled >= parameters.stall_restart:
@@ -204,20 +188,36 @@ def tabu_search(
                 restarts_total.inc()
             history.append(best_fitness)
             iteration += 1
-            if control is not None:
-                control.checkpoint(snapshot())
+            run.checkpoint(snapshot)
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="tabu").set(best_fitness)
     return TabuResult(
         best_fitness=best_fitness,
         best_individual=best,
         evaluations=evaluations,
         iterations=len(history) - 1,
         history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
+        elapsed=run.budget.elapsed(),
+        metrics=run.finish(best_fitness),
     )
+
+
+def _tabu(instance, measure, parameters, seed, time_limit, control, resume_state):
+    """Tabu search from the min-fill ordering of the measure's ordering
+    problem."""
+
+    def search(problem: OrderingProblem) -> TabuResult:
+        return tabu_search(
+            problem.elements,
+            problem.evaluate,
+            parameters=parameters,
+            seed=problem.rng,
+            initial=problem.min_fill(),
+            time_limit=time_limit,
+            control=control,
+            resume_state=resume_state,
+        )
+
+    return solve(instance, measure, seed, TabuResult, search)
 
 
 def tabu_treewidth(
@@ -225,33 +225,14 @@ def tabu_treewidth(
     parameters: TabuParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> TabuResult:
     """Tabu-search upper bound on the treewidth of ``graph``.
 
     Widths are evaluated on the :mod:`repro.kernels` bitmask kernel.
     """
-    from repro.bounds.upper import min_fill_ordering
-    from repro.hypergraphs.hypergraph import Hypergraph
-    from repro.kernels.evaluators import make_tw_evaluator
-
-    if isinstance(graph, Hypergraph):
-        graph = graph.primal_graph()
-    rng = random.Random(seed)
-    vertices = sorted(graph.vertices(), key=repr)
-    if len(vertices) <= 1:
-        return TabuResult(0, vertices, 0, 0, [0])
-    return tabu_search(
-        vertices,
-        make_tw_evaluator(graph),
-        parameters=parameters,
-        seed=rng,
-        initial=min_fill_ordering(graph, rng),
-        time_limit=time_limit,
-        control=control,
-        resume_state=resume_state,
-    )
+    return _tabu(graph, "tw", parameters, seed, time_limit, control, resume_state)
 
 
 def tabu_ghw(
@@ -259,7 +240,7 @@ def tabu_ghw(
     parameters: TabuParameters | None = None,
     seed: int = 0,
     time_limit: float | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl = SolverControl(),
     resume_state: dict | None = None,
 ) -> TabuResult:
     """Tabu-search upper bound on ``ghw(hypergraph)``.
@@ -267,22 +248,6 @@ def tabu_ghw(
     Greedy cover widths are evaluated on the bitmask kernel, with
     greedy ties broken by the run's ``rng`` as in the thesis.
     """
-    from repro.bounds.upper import min_fill_ordering
-    from repro.genetic.ga_ghw import make_ghw_evaluator
-
-    rng = random.Random(seed)
-    vertices = sorted(hypergraph.vertices(), key=repr)
-    if len(vertices) <= 1 or hypergraph.num_edges() == 0:
-        fitness = 0 if hypergraph.num_edges() == 0 else 1
-        return TabuResult(fitness, vertices, 0, 0, [fitness])
-    primal = hypergraph.primal_graph()
-    return tabu_search(
-        vertices,
-        make_ghw_evaluator(hypergraph, rng=rng),
-        parameters=parameters,
-        seed=rng,
-        initial=min_fill_ordering(primal, rng),
-        time_limit=time_limit,
-        control=control,
-        resume_state=resume_state,
+    return _tabu(
+        hypergraph, "ghw", parameters, seed, time_limit, control, resume_state
     )

@@ -15,7 +15,6 @@ from repro.setcover.greedy import (
     greedy_set_cover,
 )
 from repro.setcover.lower_bounds import (
-    ceiling_lower_bound,
     k_set_cover_lower_bound,
     size_profile_lower_bound,
 )
@@ -23,7 +22,6 @@ from repro.setcover.lower_bounds import (
 __all__ = [
     "ExactSetCoverSolver",
     "UncoverableError",
-    "ceiling_lower_bound",
     "exact_cover_size",
     "exact_set_cover",
     "fractional_cover_value",

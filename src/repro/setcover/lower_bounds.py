@@ -3,39 +3,22 @@
 The thesis's ghw lower bound ``tw-ksc-width`` needs, for a number ``k``, a
 lower bound on *how many hyperedges any k-element vertex set can require*.
 Because the adversarial k-set is unknown, a valid bound must hold for
-every possible k-subset of vertices; this module provides two such
-bounds plus their maximum:
-
-``size_profile_lower_bound``
-    The best imaginable cover uses the largest edges disjointly, so the
-    smallest ``m`` with ``|h_1| + ... + |h_m| >= k`` (edge sizes sorted
-    descending) edges are always necessary. Cheap and surprisingly
-    effective on uniform hypergraphs.
-
-``ceiling_lower_bound``
-    ``ceil(k / max edge size)`` — the textbook bound, dominated by the
-    profile bound but kept for reference and testing.
-
-Both are monotone in ``k``, which the branch-and-bound relies on.
+every possible k-subset of vertices. ``size_profile_lower_bound`` is
+such a bound: the best imaginable cover uses the largest edges
+disjointly, so the smallest ``m`` with ``|h_1| + ... + |h_m| >= k``
+(edge sizes sorted descending) edges are always necessary. Cheap and
+surprisingly effective on uniform hypergraphs, it dominates the
+textbook ``ceil(k / max edge size)`` (kept in ``tests/reference.py``
+and tested against it), and it is monotone in ``k``, which the
+branch-and-bound relies on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from math import ceil
 
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
-
-
-def ceiling_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
-    """``ceil(k / max size)``; 0 when ``k <= 0``; inf-like when no edges."""
-    if k <= 0:
-        return 0
-    largest = max(edge_sizes, default=0)
-    if largest == 0:
-        raise ValueError("cannot cover vertices without hyperedges")
-    return ceil(k / largest)
 
 
 def size_profile_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
@@ -62,14 +45,6 @@ def size_profile_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
 def k_set_cover_lower_bound(
     k: int, edges: Mapping[EdgeName, frozenset[Vertex]]
 ) -> int:
-    """The strongest available bound: max of the individual bounds.
-
-    ``size_profile_lower_bound`` dominates ``ceiling_lower_bound``
-    mathematically; the max is taken anyway so future bounds can slot in
-    without touching callers.
-    """
-    sizes = [len(edge) for edge in edges.values()]
-    return max(
-        ceiling_lower_bound(k, sizes),
-        size_profile_lower_bound(k, sizes),
-    )
+    """The strongest available bound for covering any ``k`` vertices
+    with ``edges``: the size-profile bound."""
+    return size_profile_lower_bound(k, [len(edge) for edge in edges.values()])

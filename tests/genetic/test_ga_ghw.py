@@ -1,11 +1,14 @@
 """Tests for GA-ghw (Chapter 7, Section 7.1)."""
 
+import pytest
+
 from repro.decompositions.elimination import ordering_ghw
 from repro.genetic.engine import GAParameters
-from repro.genetic.ga_ghw import ga_ghw, ga_ghw_upper_bound, make_ghw_evaluator
+from repro.genetic.ga_ghw import ga_ghw, make_ghw_evaluator
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.hypergraphs import adder, clique_hypergraph, grid2d
 from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.setcover.greedy import UncoverableError
 
 FAST = GAParameters(population_size=20, max_iterations=30)
 
@@ -55,16 +58,11 @@ class TestUpperBounds:
         assert achieved <= result.best_fitness
 
     def test_edgeless_hypergraph(self):
-        result = ga_ghw(Hypergraph(vertices=[1, 2]))
-        assert result.best_fitness == 0
+        # a vertex in no hyperedge cannot be covered: ghw is undefined
+        with pytest.raises(UncoverableError):
+            ga_ghw(Hypergraph(vertices=[1, 2]))
 
     def test_reproducible(self, example5):
         a = ga_ghw(example5, parameters=FAST, seed=9).best_fitness
         b = ga_ghw(example5, parameters=FAST, seed=9).best_fitness
         assert a == b
-
-    def test_multi_run_helper(self, example5):
-        assert (
-            ga_ghw_upper_bound(example5, parameters=FAST, seed=0, runs=2)
-            == 2
-        )

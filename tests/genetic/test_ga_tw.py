@@ -2,7 +2,7 @@
 
 from repro.decompositions.elimination import ordering_width
 from repro.genetic.engine import GAParameters
-from repro.genetic.ga_tw import ga_treewidth, ga_treewidth_upper_bound
+from repro.genetic.ga_tw import ga_treewidth
 from repro.hypergraphs.graph import Graph, cycle_graph, path_graph
 from repro.instances.dimacs_like import grid_graph, queen_graph
 from repro.search.astar_tw import astar_treewidth
@@ -65,10 +65,3 @@ class TestBehaviour:
         graph = path_graph(12)
         result = ga_treewidth(graph, parameters=FAST, seed=0, target=1)
         assert result.best_fitness == 1
-
-    def test_multi_run_helper_takes_best(self):
-        graph = grid_graph(3)
-        bound = ga_treewidth_upper_bound(
-            graph, parameters=FAST, seed=0, runs=3
-        )
-        assert bound == 3

@@ -2,10 +2,13 @@
 
 import random
 
+import pytest
+
 from repro.genetic.saiga import ParameterVector, saiga_ghw
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.hypergraphs import adder, clique_hypergraph
 from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.setcover.greedy import UncoverableError
 
 
 class TestParameterVector:
@@ -118,8 +121,9 @@ class TestSaiga:
         assert runs[0] == runs[1]
 
     def test_edgeless(self):
-        result = saiga_ghw(Hypergraph(vertices=[1]))
-        assert result.best_fitness == 0
+        # a vertex in no hyperedge cannot be covered: ghw is undefined
+        with pytest.raises(UncoverableError):
+            saiga_ghw(Hypergraph(vertices=[1]))
 
     def test_target_stops_early(self, example5):
         result = saiga_ghw(

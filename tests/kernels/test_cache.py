@@ -10,7 +10,6 @@ from repro.kernels.cache import (
     CoverCache,
     configure_cover_cache,
     cover_cache,
-    edges_token,
     family_token,
 )
 from repro.setcover.exact import ExactSetCoverSolver
@@ -72,7 +71,9 @@ def test_configure_cover_cache_resizes_global():
 
 def test_family_token_interned_by_content():
     edges = {"a": frozenset({1, 2}), "b": frozenset({2, 3})}
-    assert edges_token(edges) == edges_token(dict(edges))
+    assert family_token(frozenset(edges.items())) == family_token(
+        frozenset(dict(edges).items())
+    )
     assert family_token("x") != family_token("y")
 
 

@@ -20,6 +20,10 @@
 * :class:`ReferenceExactSetCoverSolver` is the frozenset branch and
   bound that :class:`repro.setcover.exact.ExactSetCoverSolver` ran before
   it became a facade over the bitmask kernel; uncached.
+* :func:`ceiling_lower_bound` is the textbook k-set-cover bound
+  ``ceil(k / max edge size)``, which
+  :func:`repro.setcover.lower_bounds.size_profile_lower_bound`
+  dominates.
 * :func:`reference_treewidth` is an exact treewidth by dynamic
   programming over vertex subsets. It builds no elimination ordering and
   uses no pruning rule or reduction, so it is an independent oracle for
@@ -307,6 +311,16 @@ class ReferenceEliminationGraph:
 
     def num_vertices(self) -> int:
         return self._graph.num_vertices()
+
+
+def ceiling_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
+    """``ceil(k / max size)``; 0 when ``k <= 0``; raises without edges."""
+    if k <= 0:
+        return 0
+    largest = max(edge_sizes, default=0)
+    if largest == 0:
+        raise ValueError("cannot cover vertices without hyperedges")
+    return ceil(k / largest)
 
 
 def reference_treewidth(graph: Graph) -> int:

@@ -9,10 +9,17 @@ isolated vertex next to a covered edge (the vertex became an edgeless
 component). Only the instance without vertices is trivial now; any
 uncovered vertex raises :class:`UncoverableError`, as it already did when
 the instance had edges.
+
+The ghw heuristics (GA, SAIGA, SA, tabu) had the same fault: they
+returned width 0 on an edgeless instance, and an inline portfolio of
+them reported upper bound 0. They now score every ordering, including
+the single ordering of a one-vertex instance, with the greedy cover, so
+an uncovered vertex raises there as well.
 """
 
 import pytest
 
+from repro.core.solvers import SOLVERS
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.portfolio import PortfolioSpec, parse_strategies, run_portfolio
 from repro.search.astar_ghw import astar_ghw
@@ -23,6 +30,12 @@ from repro.setcover.greedy import UncoverableError
 SEARCHES = [
     pytest.param(branch_and_bound_ghw, id="bb-ghw"),
     pytest.param(astar_ghw, id="astar-ghw"),
+]
+
+HEURISTICS = [
+    pytest.param(solver, id=f"{kind}-ghw")
+    for (kind, measure), solver in SOLVERS.items()
+    if measure == "ghw" and not solver.exact
 ]
 
 
@@ -63,6 +76,42 @@ def test_inline_portfolio_claims_nothing_on_an_edgeless_instance():
         PortfolioSpec(
             measure="ghw",
             strategies=parse_strategies("bb,astar", "ghw"),
+            time_limit=5.0,
+            mode="inline",
+        ),
+    )
+    assert not race.optimal
+    assert race.value is None
+    assert (race.lower_bound, race.upper_bound) == (None, None)
+    assert all(worker.status == "error" for worker in race.workers)
+
+
+@pytest.mark.parametrize("solver", HEURISTICS)
+@pytest.mark.parametrize("vertices", [[1], [1, 2, 3]], ids=["one", "three"])
+def test_heuristic_raises_on_an_edgeless_instance(solver, vertices):
+    with pytest.raises(UncoverableError):
+        solver.run(Hypergraph(vertices=vertices), seed=0, time_limit=5.0)
+
+
+@pytest.mark.parametrize("solver", HEURISTICS)
+def test_heuristic_raises_on_an_uncovered_vertex(solver):
+    with pytest.raises(UncoverableError):
+        solver.run(_isolated_vertex_beside_an_edge(), seed=0, time_limit=5.0)
+
+
+@pytest.mark.parametrize("solver", HEURISTICS)
+def test_heuristic_keeps_the_empty_instance_at_zero(solver):
+    result = solver.run(Hypergraph(), seed=0, time_limit=5.0)
+    assert result.best_fitness == 0
+    assert result.best_individual == []
+
+
+def test_inline_heuristic_portfolio_claims_nothing_on_an_edgeless_instance():
+    race = run_portfolio(
+        Hypergraph(vertices=[1, 2, 3]),
+        PortfolioSpec(
+            measure="ghw",
+            strategies=parse_strategies("ga,saiga,sa,tabu", "ghw"),
             time_limit=5.0,
             mode="inline",
         ),

