@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 
 from repro import obs
 from repro.obs.budget import Budget
-from repro.obs.control import SolverControl
+from repro.obs.control import SolverControl, records_checkpoints
 
 
 class AnytimeLoop:
@@ -55,9 +55,7 @@ class AnytimeLoop:
         self.metrics = obs.current().metrics
         # Snapshots copy the loop's whole state: build them only for a
         # control that records them.
-        self._records = (
-            type(self.control).checkpoint is not SolverControl.checkpoint
-        )
+        self._records = records_checkpoints(self.control)
         if resume_state is not None and resume_state.get("rng_state") is not None:
             rng.setstate(resume_state["rng_state"])
 

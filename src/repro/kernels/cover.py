@@ -160,9 +160,12 @@ def exact_cover_mask(
 
     Branch and bound: a greedy cover is the first incumbent, edges that
     are subsets of other edges (inside the bag) are dropped, the search
-    branches on the uncovered vertex in the fewest edges and prunes
-    with ``ceil(|uncovered| / max gain)``. ``nodes[0]``, when given,
-    is increased by the number of search nodes.
+    branches on the uncovered vertex in the fewest kept edges (lowest
+    bit on ties) and prunes with ``ceil(|uncovered| / max gain)``. The
+    kept edges never change during the search, so the bag's bits are
+    ranked by that count once and each node takes the first ranked bit
+    still uncovered. ``nodes[0]``, when given, is increased by the
+    number of search nodes.
     """
     if not bag_mask:
         return ()
@@ -179,26 +182,36 @@ def exact_cover_mask(
         coverable |= useful
     if bag_mask & ~coverable:
         raise _uncoverable(bh.vertices, bag_mask & ~coverable)
-    restricted.sort(
-        key=lambda item: (-item[1].bit_count(), bh.tie_rank[item[0]])
-    )
-    kept: list[tuple[int, int]] = []
+    tie_rank = bh.tie_rank
+    restricted.sort(key=lambda item: (-item[1].bit_count(), tie_rank[item[0]]))
+    kept: list[tuple[int, int, int]] = []  # (tie rank, edge index, mask)
     for i, mask in restricted:
-        if not any(mask & ~other == 0 for _, other in kept):
-            kept.append((i, mask))
+        if not any(mask & ~other == 0 for _r, _i, other in kept):
+            kept.append((tie_rank[i], i, mask))
+
+    # Pivot order: (kept edges holding the bit, bit), each bit with the
+    # kept edges holding it.
+    pivots: list[tuple[int, list[tuple[int, int, int]]]] = []
+    probe = bag_mask
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        pivots.append((low, [item for item in kept if item[2] & low]))
+    pivots.sort(key=lambda pivot: (len(pivot[1]), pivot[0]))
 
     best = list(greedy_cover_mask(bh, bag_mask))
     counter = [0] if nodes is None else nodes
-    found = _search_mask(bh, bag_mask, kept, [], len(best), counter)
+    masks = [mask for _r, _i, mask in kept]
+    found = _search_mask(bag_mask, masks, pivots, [], len(best), counter)
     if found is not None:
         best = found
     return tuple(best)
 
 
 def _search_mask(
-    bh: BitHypergraph,
     uncovered: int,
-    edges: list[tuple[int, int]],
+    masks: list[int],
+    pivots: list[tuple[int, list[tuple[int, int, int]]]],
     chosen: list[int],
     budget: int,
     nodes: list[int],
@@ -207,33 +220,23 @@ def _search_mask(
     nodes[0] += 1
     if not uncovered:
         return list(chosen) if len(chosen) < budget else None
-    max_gain = max((mask & uncovered).bit_count() for _, mask in edges)
+    max_gain = max((mask & uncovered).bit_count() for mask in masks)
     if max_gain == 0:
         return None
     if len(chosen) + ceil(uncovered.bit_count() / max_gain) >= budget:
         return None
-    # Branch on the uncovered vertex contained in the fewest edges.
-    pivot_bit = -1
-    pivot_count = len(edges) + 1
-    probe = uncovered
-    while probe:
-        low = probe & -probe
-        count = sum(1 for _, mask in edges if mask & low)
-        if count < pivot_count:
-            pivot_count = count
-            pivot_bit = low
-        probe ^= low
+    for pivot_bit, holders in pivots:
+        if uncovered & pivot_bit:
+            break
     candidates = sorted(
-        (item for item in edges if item[1] & pivot_bit),
-        key=lambda item: (
-            -(item[1] & uncovered).bit_count(),
-            bh.tie_rank[item[0]],
-        ),
+        holders, key=lambda item: (-(item[2] & uncovered).bit_count(), item[0])
     )
     best: list[int] | None = None
-    for index, mask in candidates:
+    for _rank, index, mask in candidates:
         chosen.append(index)
-        found = _search_mask(bh, uncovered & ~mask, edges, chosen, budget, nodes)
+        found = _search_mask(
+            uncovered & ~mask, masks, pivots, chosen, budget, nodes
+        )
         chosen.pop()
         if found is not None:
             best = found

@@ -55,6 +55,13 @@ class SolverControl:
         """Offer a resume snapshot; implementations throttle and persist."""
 
 
+def records_checkpoints(control: SolverControl) -> bool:
+    """Whether ``control`` does anything with :meth:`~SolverControl.checkpoint`
+    payloads: a solver builds them only then, so the inert control costs
+    its loop nothing."""
+    return type(control).checkpoint is not SolverControl.checkpoint
+
+
 class LocalControl(SolverControl):
     """In-process control backed by plain attributes.
 

@@ -43,7 +43,7 @@ def run_strategy(
     instance,
     measure: str,
     time_limit: float | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
     resume_state: dict | None = None,
 ) -> WorkerResult:
     """Run one strategy to completion (or cooperative stop).

@@ -3,9 +3,11 @@
 The best-first counterpart of BB-ghw, built like A*-tw (Chapter 5) on
 the ghw ingredients: ``g`` is the largest exact bag-cover size of the
 prefix, ``h`` the tw-ksc-width lower bound of the remaining instance, and
-``f = max(g, h, f(parent))`` is nondecreasing along paths, so the ``f``
-of the last visited state is an anytime ghw *lower bound* — the quantity
-Tables 9.1/9.2 report for instances the thesis could not close.
+``f = max(g, h, f(parent))``. As in A*-tw, children are evaluated
+lazily: pushed with key ``max(g, f(parent))`` after their exact bag
+cover, bounded only when popped. Popped keys never decrease, so the
+``f`` of the last expanded state is an anytime ghw *lower bound* — the
+quantity Tables 9.1/9.2 report for instances the thesis could not close.
 
 Goal test: once every hyperedge-restricted remainder can be covered
 within ``g`` (PR1's certificate, here checked as "the greedy cover of the
@@ -45,7 +47,7 @@ def astar_ghw(
     use_reductions: bool = True,
     lb_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Compute ``ghw(hypergraph)`` via best-first search.
 

@@ -7,10 +7,17 @@ remaining graph (max of minor-min-width and minor-gamma_R, Section 4.4.2).
 Among equal ``f`` the deeper state is preferred, so goals surface early
 once the frontier reaches the treewidth level (Section 5.3).
 
-Search-space shrinking follows the thesis exactly: states with
-``f >= ub`` are never enqueued; a simplicial or strongly almost
-simplicial vertex forces an only child; pruning rule 2 removes
-swap-redundant siblings (skipped when the parent's children were forced).
+Search-space shrinking follows the thesis: a state whose ``f`` reaches
+``ub`` is never expanded; a simplicial or strongly almost simplicial
+vertex forces an only child; pruning rule 2 removes swap-redundant
+siblings (skipped when the parent's children were forced).
+
+Children are evaluated lazily (Dow & Korf, "Best-First Search for
+Treewidth", 2007): an expansion pushes each child with key
+``max(g, f(parent))``, and PR2, the elimination, forcing and ``h`` run
+only when that entry is popped. It is then re-pushed if ``h`` raised its
+``f``, dropped if its ``f`` reaches ``ub``, and expanded otherwise, in
+the order eager evaluation would expand it.
 
 On top of that, duplicate detection (Dow & Korf, "Best-First Search for
 Treewidth", 2007): the graph left after a prefix depends only on *which*
@@ -20,7 +27,7 @@ Heap entries made stale by a later, cheaper path to their set are skipped
 on pop without charging the node budget. DESIGN.md gives the soundness
 argument alongside pruning rule 2 and forcing.
 
-Because ``f`` never decreases along a path, the ``f`` of the last visited
+Because popped keys never decrease, the ``f`` of the last expanded
 state is an anytime treewidth *lower bound* — interrupting A*-tw yields
 ``[last f, ub]`` (Section 5.3), which Table 5.1 reports for the instances
 the thesis could not finish.
@@ -53,7 +60,7 @@ def astar_treewidth(
     use_reductions: bool = True,
     lb_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Compute the treewidth of ``graph`` via best-first search.
 

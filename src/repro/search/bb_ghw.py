@@ -171,7 +171,7 @@ def branch_and_bound_ghw(
     use_reductions: bool = True,
     lb_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Compute ``ghw(hypergraph)`` (or bounds, if interrupted).
 

@@ -98,7 +98,7 @@ def branch_and_bound_treewidth(
     use_reductions: bool = True,
     lb_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Compute the treewidth of ``graph`` (or bounds, if interrupted).
 

@@ -25,6 +25,12 @@ supplies six hooks:
 (``working.alive``): the graph left after a prefix depends only on which
 vertices it eliminated (DESIGN.md has the soundness argument alongside
 PR2 and forcing).
+
+Branch and bound runs ``pr2`` and ``expand`` on every child it tries.
+A* runs them only on the children it pops (lazy evaluation): every
+generated child costs one ``bag_cost``, and DESIGN.md argues that the
+states are still expanded in eager order and the anytime bound stays
+sound.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import ClassVar, Protocol
 from repro import obs
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
-from repro.obs.control import SolverControl
+from repro.obs.control import SolverControl, records_checkpoints
 from repro.search.common import (
     SearchBudget,
     SearchResult,
@@ -75,37 +81,36 @@ class Measure(Protocol):
 class _Incumbent:
     """Best complete ordering found so far, and the bus bound pruned against.
 
-    When a :class:`SolverControl` is attached, improvements are published
-    to it (the portfolio's bound bus) as they happen. ``ext_floor`` is
-    the smallest bus upper bound below the own incumbent that the search
-    ever pruned against.
+    Improvements are published to ``control`` (the portfolio's bound bus)
+    as they happen. ``ext_floor`` is the smallest bus upper bound below
+    the own incumbent that the search ever pruned against.
     """
 
     def __init__(
-        self, width: int, ordering: list[Vertex], control: SolverControl | None
+        self, width: int, ordering: list[Vertex], control: SolverControl
     ) -> None:
         self.width = width
         self.ordering = ordering
         self.control = control
         self.ext_floor: int | None = None
-        if control is not None:
-            control.publish_upper(width, ordering)
+        # Payloads copy the incumbent ordering: build them only for a
+        # control that records them.
+        self.records = records_checkpoints(control)
+        control.publish_upper(width, ordering)
 
     def offer(self, width: int, ordering: list[Vertex]) -> None:
         if width < self.width:
             self.width = width
             self.ordering = ordering
-            if self.control is not None:
-                self.control.publish_upper(width, ordering)
+            self.control.publish_upper(width, ordering)
 
     def bound(self) -> int:
         """Effective pruning bound: own incumbent vs the bus incumbent."""
-        if self.control is not None:
-            shared = self.control.shared_upper_bound()
-            if shared is not None and shared < self.width:
-                if self.ext_floor is None or shared < self.ext_floor:
-                    self.ext_floor = shared
-                return shared
+        shared = self.control.shared_upper_bound()
+        if shared is not None and shared < self.width:
+            if self.ext_floor is None or shared < self.ext_floor:
+                self.ext_floor = shared
+            return shared
         return self.width
 
     def cap(self, lb: int) -> int:
@@ -132,7 +137,6 @@ class _Incumbent:
         return interrupted(lb, width, ordering, budget, name)
 
     def checkpoint(self, lower_bound: int, nodes: int) -> None:
-        assert self.control is not None
         self.control.checkpoint(
             {
                 "best_fitness": self.width,
@@ -159,7 +163,7 @@ def branch_and_bound(
     node_limit: int | None = None,
     use_pr2: bool = True,
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Depth-first branch and bound (Section 4.4, Chapter 8).
 
@@ -168,7 +172,9 @@ def branch_and_bound(
     its bag cost or ``max(g, h)`` reaches the pruning bound, or (with
     ``dedup``) when its set of remaining vertices was already exhausted
     at no higher ``g`` — sound because the pruning bound only tightens.
+    ``control=None`` means the inert :class:`SolverControl`.
     """
+    control = control or SolverControl()
     budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
     name = f"bb-{measure.kind}"
     ins = obs.current()
@@ -194,14 +200,13 @@ def branch_and_bound(
         with ins.tracer.span("root_bounds"):
             root_lb, ub, ub_ordering = measure.root_bounds(rng)
         incumbent = _Incumbent(ub, ub_ordering, control)
-        if control is not None:
-            control.publish_lower(root_lb)
+        control.publish_lower(root_lb)
         if root_lb >= ub:
             return _finish(certified(ub, ub_ordering, budget, name))
 
         working = measure.working
         index = working.index
-        bound = incumbent.bound
+        bound, records = incumbent.bound, incumbent.records
         bag_cost, expand, finish, pr2 = (
             measure.bag_cost, measure.expand, measure.finish, measure.pr2
         )
@@ -214,16 +219,12 @@ def branch_and_bound(
             """Depth-first expansion; ``children`` were computed by the parent
             (so PR2 could consult the pre-elimination graph)."""
             nonlocal aborted
-            if (
-                aborted
-                or budget.exhausted()
-                or (control is not None and control.should_stop())
-            ):
+            if aborted or budget.exhausted() or control.should_stop():
                 aborted = True
                 return
             budget.charge()
             nodes_total.inc()
-            if control is not None:
+            if records:
                 incumbent.checkpoint(root_lb, budget.nodes)
 
             prefix = working.eliminated()
@@ -289,8 +290,7 @@ def branch_and_bound(
         result = incumbent.settle(
             root_lb, incumbent.width, incumbent.ordering, budget, name
         )
-        if control is not None:
-            control.publish_lower(result.lower_bound)
+        control.publish_lower(result.lower_bound)
         return _finish(result)
 
 
@@ -300,18 +300,28 @@ def astar(
     node_limit: int | None = None,
     use_pr2: bool = True,
     rng: random.Random | None = None,
-    control: SolverControl | None = None,
+    control: SolverControl | None = SolverControl(),
 ) -> SearchResult:
     """Best-first search on ``f = max(g, h, f(parent))`` (Chapters 5, 9).
 
     Among equal ``f`` the deeper state is preferred, so goals surface
-    early once the frontier reaches the width level. States with
-    ``f >= ub`` are never enqueued. ``f`` never decreases along a path,
-    so the ``f`` of the last visited state is an anytime lower bound.
-    With ``dedup``, a child whose set was already reached at no higher
-    ``g`` is dropped, and heap entries made stale by a later, cheaper
-    path to their set are skipped on pop without charging the budget.
+    early once the frontier reaches the width level. Children are
+    evaluated lazily (Dow & Korf, "Best-First Search for Treewidth",
+    2007): an expansion pushes each child with key ``max(g, f(parent))``
+    and only its bag cost computed. When such an entry is popped, PR2
+    runs against the parent's graph, the child is eliminated and
+    bounded, and the entry is re-pushed (uncharged) if ``h`` raised its
+    ``f``, dropped if ``f`` reached the pruning bound, and expanded
+    otherwise. A re-pushed entry keeps its tiebreak, so states are
+    expanded in the order eager evaluation expands them. Popped keys
+    never decrease, so the ``f`` of the last expanded state is an
+    anytime lower bound. With ``dedup``, a child whose set was already
+    reached at no higher ``g`` is not pushed, and heap entries made
+    stale by a later, cheaper path to their set are skipped on pop
+    without charging the budget. ``control=None`` means the inert
+    :class:`SolverControl`.
     """
+    control = control or SolverControl()
     budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
     name = f"astar-{measure.kind}"
     ins = obs.current()
@@ -334,15 +344,14 @@ def astar(
     with ins.tracer.span(name, **measure.span_attrs):
         with ins.tracer.span("root_bounds"):
             root_lb, ub, ub_ordering = measure.root_bounds(rng)
-        if control is not None:
-            control.publish_lower(root_lb)
+        control.publish_lower(root_lb)
         incumbent = _Incumbent(ub, ub_ordering, control)
         if root_lb >= ub:
             return _finish(certified(ub, ub_ordering, budget, name))
 
         working = measure.working
         index = working.index
-        bound, cap = incumbent.bound, incumbent.cap
+        bound, cap, records = incumbent.bound, incumbent.cap, incumbent.records
         bag_cost, expand, finish, pr2 = (
             measure.bag_cost, measure.expand, measure.finish, measure.pr2
         )
@@ -357,11 +366,14 @@ def astar(
             else (reduction,)
         )
         # Heap entries: (f, -depth, tiebreak, g, alive, prefix, children,
-        # forced); ``alive`` is the entry's remaining-vertex mask.
+        # forced); ``alive`` is the entry's remaining-vertex mask and
+        # ``forced`` says whether ``children`` were forced. A child not
+        # evaluated yet has ``children`` None, its parent's ``forced``, and
+        # the key ``max(g, f(parent))``.
         heap: list[
             tuple[
                 int, int, int, int, int,
-                tuple[Vertex, ...], tuple[Vertex, ...], bool,
+                tuple[Vertex, ...], tuple[Vertex, ...] | None, bool,
             ]
         ] = [
             (
@@ -372,26 +384,48 @@ def astar(
 
         with ins.tracer.span("search"):
             while heap:
-                if budget.exhausted() or (
-                    control is not None and control.should_stop()
-                ):
+                if budget.exhausted() or control.should_stop():
                     return _finish(
                         interrupted(cap(lb), ub, ub_ordering, budget, name)
                     )
-                f, neg_depth, _tie, g, alive, prefix, children, forced = (
+                f, neg_depth, tie, g, alive, prefix, children, forced = (
                     heapq.heappop(heap)
                 )
                 if dedup and g > best_g[alive]:
                     continue  # stale: a cheaper path to this set was queued
+                if children is None:
+                    child = prefix[-1]
+                    working.switch_to(prefix[:-1])
+                    grandchildren = [v for v in working.vertices() if v != child]
+                    if use_pr2 and not forced:
+                        kept = pr2(child, grandchildren)
+                        prune_pr2.inc(len(grandchildren) - len(kept))
+                        grandchildren = kept
+                    working.eliminate(child)
+                    reduction, h = expand(max(g, lb))
+                    forced = reduction is not None
+                    if forced:
+                        grandchildren = [reduction]
+                        forced_total.inc()
+                    children = tuple(grandchildren)
+                    if max(f, h) >= bound():
+                        prune_ub.inc()
+                        continue
+                    if h > f:
+                        heapq.heappush(
+                            heap,
+                            (h, neg_depth, tie, g, alive, prefix, children, forced),
+                        )
+                        continue
+                else:
+                    working.switch_to(prefix)
                 budget.charge()
                 nodes_total.inc()
                 if f > lb:
                     lb = f
-                    if control is not None:
-                        control.publish_lower(cap(lb))
-                if control is not None:
+                    control.publish_lower(cap(lb))
+                if records:
                     incumbent.checkpoint(cap(lb), budget.nodes)
-                working.switch_to(prefix)
 
                 width = finish(g, g)
                 if width is not None and width <= g:
@@ -403,23 +437,13 @@ def astar(
 
                 for child in children:
                     child_g = max(g, bag_cost(child))
+                    key = alive ^ (1 << index[child])
                     if dedup:
-                        key = alive ^ (1 << index[child])
                         if best_g.get(key, child_g + 1) <= child_g:
                             prune_dup.inc()
                             continue
                         best_g[key] = child_g
-                    grandchildren = [v for v in working.vertices() if v != child]
-                    if use_pr2 and not forced:
-                        kept = pr2(child, grandchildren)
-                        prune_pr2.inc(len(grandchildren) - len(kept))
-                        grandchildren = kept
-                    working.eliminate(child)
-                    reduction, h = expand(max(child_g, lb))
-                    if reduction is not None:
-                        grandchildren = [reduction]
-                        forced_total.inc()
-                    child_f = max(child_g, h, f)
+                    child_f = max(child_g, f)
                     if child_f < bound():
                         heapq.heappush(
                             heap,
@@ -428,19 +452,17 @@ def astar(
                                 neg_depth - 1,
                                 next(sequence),
                                 child_g,
-                                working.alive,
+                                key,
                                 prefix + (child,),
-                                tuple(grandchildren),
-                                reduction is not None,
+                                None,
+                                forced,
                             ),
                         )
                     else:
                         prune_ub.inc()
-                    working.restore()
 
         # Every state with f < ub was exhausted: ub is the width — unless
         # pruning used a bus bound below ub.
         result = incumbent.settle(root_lb, ub, ub_ordering, budget, name)
-        if control is not None:
-            control.publish_lower(result.lower_bound)
+        control.publish_lower(result.lower_bound)
         return _finish(result)

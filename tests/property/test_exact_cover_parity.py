@@ -1,4 +1,5 @@
-"""The mask-native exact cover agrees with the frozenset oracle.
+"""The mask-native exact cover agrees with the frozenset oracle and
+with its own per-node pivot rule.
 
 :class:`repro.setcover.exact.ExactSetCoverSolver` answers through the
 bitmask branch and bound of :mod:`repro.kernels.cover`; the frozenset
@@ -8,6 +9,12 @@ differ only between equally small covers), on vertex-iterable and on
 bag-mask input, with duplicate, nested and empty edges, on labels whose
 ``repr`` order differs from their natural order, and with the same
 error text for targets that cannot be covered.
+
+:func:`repro.kernels.cover.exact_cover_mask` ranks the bag's bits by the
+number of kept edges holding them once per call;
+:func:`tests.reference.reference_exact_cover_mask` re-counts them at
+every search node. Both must branch identically: the same cover tuple
+and the same number of search nodes.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.bithypergraph import BitHypergraph
+from repro.kernels.cover import exact_cover_mask
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import UncoverableError
-from tests.reference import ReferenceExactSetCoverSolver
+from tests.reference import ReferenceExactSetCoverSolver, reference_exact_cover_mask
 
 LABELS = {
     # ints >= 10 whose repr order differs from their value order (109 < 21)
@@ -115,3 +123,75 @@ def test_uncoverable_raises_never_keyerror(target, text):
         with pytest.raises(UncoverableError) as caught:
             solver.cover(target)
         assert str(caught.value) == text
+
+
+def _mask_outcome(cover, bh, mask):
+    nodes = [0]
+    try:
+        return cover(bh, mask, nodes), nodes[0], None
+    except UncoverableError as exc:
+        return None, None, str(exc)
+
+
+@st.composite
+def branching_families(draw):
+    """``(vertices, name -> edge, target)`` whose exact search branches:
+    8-14 vertices in 6-14 edges of 2-4 vertices, some duplicated or
+    nested in an earlier edge; the target is most of the vertices, and
+    a vertex may lie in no edge."""
+    n = draw(st.integers(min_value=8, max_value=14))
+    vertices = list(range(n))
+    edges: dict = {}
+    for j in range(draw(st.integers(min_value=6, max_value=14))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "fresh", "duplicate", "nested")))
+        if kind == "fresh" or not edges:
+            members = frozenset(
+                draw(st.sets(st.sampled_from(vertices), min_size=2, max_size=4))
+            )
+        else:
+            other = sorted(edges[draw(st.sampled_from(sorted(edges)))])
+            if kind == "duplicate":
+                members = frozenset(other)
+            else:
+                members = frozenset(draw(st.sets(st.sampled_from(other), min_size=1)))
+        edges[f"e{draw(st.integers(0, 99))}_{j}"] = members
+    target = set(vertices) - draw(st.sets(st.sampled_from(vertices), max_size=3))
+    return vertices, edges, target
+
+
+@given(st.one_of(families(), branching_families()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ranked_pivots_branch_like_the_per_node_rule(family, data):
+    vertices, edges, *target = family
+    bh = BitHypergraph.from_edges(edges, vertices)
+    mask = bh.mask_of(
+        target[0] if target else data.draw(st.sets(st.sampled_from(vertices)))
+    )
+    outcome = _mask_outcome(exact_cover_mask, bh, mask)
+    assert outcome == _mask_outcome(reference_exact_cover_mask, bh, mask)
+
+
+def test_ranked_pivots_on_nested_duplicate_and_uncoverable_edges():
+    edges = {
+        "a": {1, 2, 3, 4},
+        "b": {1, 2},  # nested in a
+        "c": {3, 4, 5},
+        "d": {3, 4, 5},  # duplicate of c
+        "e": {5, 6},
+        "f": {6, 7, 1},
+        "g": {2, 7},
+        "h": set(),
+    }
+    bh = BitHypergraph.from_edges(edges, vertices=range(1, 9))
+    full = bh.mask_of(range(1, 8))
+    nodes = [0]
+    cover = exact_cover_mask(bh, full, nodes)
+    assert len(cover) == 3
+    assert _mask_outcome(exact_cover_mask, bh, full) == _mask_outcome(
+        reference_exact_cover_mask, bh, full
+    )
+    # Vertex 8 lies in no edge: both raise, with the same text.
+    with pytest.raises(UncoverableError, match=r"\['8'\]"):
+        exact_cover_mask(bh, bh.mask_of(range(1, 9)))
+    with pytest.raises(UncoverableError, match=r"\['8'\]"):
+        reference_exact_cover_mask(bh, bh.mask_of(range(1, 9)))

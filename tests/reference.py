@@ -20,6 +20,10 @@
 * :class:`ReferenceExactSetCoverSolver` is the frozenset branch and
   bound that :class:`repro.setcover.exact.ExactSetCoverSolver` ran before
   it became a facade over the bitmask kernel; uncached.
+* :func:`reference_exact_cover_mask` is the mask branch and bound of
+  :func:`repro.kernels.cover.exact_cover_mask` as it was before the
+  pivot order was ranked once per bag: every search node re-counts the
+  kept edges holding each uncovered vertex to pick its pivot.
 * :func:`ceiling_lower_bound` is the textbook k-set-cover bound
   ``ceil(k / max edge size)``, which
   :func:`repro.setcover.lower_bounds.size_profile_lower_bound`
@@ -27,7 +31,9 @@
 * :func:`reference_treewidth` is an exact treewidth by dynamic
   programming over vertex subsets. It builds no elimination ordering and
   uses no pruning rule or reduction, so it is an independent oracle for
-  the exact tw searches.
+  the exact tw searches. :func:`reference_ghw` is the same dynamic
+  program with the bag ``{v} | Q(S - v, v)`` priced by a brute-force
+  exact cover number, an oracle for the exact ghw searches.
 """
 
 from __future__ import annotations
@@ -36,10 +42,13 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import ceil
 
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
+from repro.kernels.bithypergraph import BitHypergraph
+from repro.kernels.cover import greedy_cover_mask
 from repro.setcover.greedy import UncoverableError
 
 
@@ -159,6 +168,83 @@ class ReferenceExactSetCoverSolver:
                 if budget <= len(chosen) + 1:
                     break
         return best
+
+
+def reference_exact_cover_mask(
+    bh: BitHypergraph, bag_mask: int, nodes: list[int] | None = None
+) -> tuple[int, ...]:
+    """An optimal cover of ``bag_mask`` by edge indices of ``bh``.
+
+    The branch and bound of :func:`repro.kernels.cover.exact_cover_mask`
+    with its pivot picked per node: restrict the edges meeting the bag
+    to it, drop dominated ones (largest first, ties by ``tie_rank``),
+    start from the greedy cover, and at every node branch on the
+    uncovered bit held by the fewest kept edges (lowest bit on ties).
+    ``nodes[0]``, when given, counts the search nodes.
+    """
+    if not bag_mask:
+        return ()
+    restricted = [
+        (i, mask & bag_mask)
+        for i, mask in enumerate(bh.edge_masks)
+        if mask & bag_mask
+    ]
+    coverable = 0
+    for _i, useful in restricted:
+        coverable |= useful
+    if bag_mask & ~coverable:
+        missing = bag_mask & ~coverable
+        names = sorted(
+            repr(vertex)
+            for i, vertex in enumerate(bh.vertices)
+            if missing >> i & 1
+        )
+        raise UncoverableError(f"vertices {names} appear in no hyperedge")
+    restricted.sort(key=lambda item: (-item[1].bit_count(), bh.tie_rank[item[0]]))
+    kept: list[tuple[int, int]] = []
+    for i, mask in restricted:
+        if not any(mask & ~other == 0 for _j, other in kept):
+            kept.append((i, mask))
+    counter = [0] if nodes is None else nodes
+
+    def search(uncovered: int, chosen: list[int], budget: int) -> list[int] | None:
+        counter[0] += 1
+        if not uncovered:
+            return list(chosen) if len(chosen) < budget else None
+        max_gain = max((mask & uncovered).bit_count() for _i, mask in kept)
+        if max_gain == 0:
+            return None
+        if len(chosen) + ceil(uncovered.bit_count() / max_gain) >= budget:
+            return None
+        pivot_bit = -1
+        pivot_count = len(kept) + 1
+        probe = uncovered
+        while probe:
+            low = probe & -probe
+            held = sum(1 for _i, mask in kept if mask & low)
+            if held < pivot_count:
+                pivot_count = held
+                pivot_bit = low
+            probe ^= low
+        candidates = sorted(
+            (item for item in kept if item[1] & pivot_bit),
+            key=lambda item: (-(item[1] & uncovered).bit_count(), bh.tie_rank[item[0]]),
+        )
+        best: list[int] | None = None
+        for index, mask in candidates:
+            chosen.append(index)
+            found = search(uncovered & ~mask, chosen, budget)
+            chosen.pop()
+            if found is not None:
+                best = found
+                budget = len(found)
+                if budget <= len(chosen) + 1:
+                    break
+        return best
+
+    greedy = list(greedy_cover_mask(bh, bag_mask))
+    found = search(bag_mask, [], len(greedy))
+    return tuple(greedy if found is None else found)
 
 
 def reference_elimination_bags(
@@ -323,20 +409,22 @@ def ceiling_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
     return ceil(k / largest)
 
 
-def reference_treewidth(graph: Graph) -> int:
-    """Exact treewidth by dynamic programming over vertex subsets.
+def _elimination_dp(graph: Graph, bag_cost) -> int:
+    """``W(V)`` of the subset dynamic program behind the width oracles.
 
-    ``TW(S)`` is the width of the best way to eliminate exactly the set
-    ``S`` first; eliminating ``v`` last within ``S`` costs ``Q(S - v, v)``,
-    the number of vertices outside ``S`` that ``v`` reaches through
-    ``S - v`` (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On exact
-    algorithms for treewidth", 2006)::
+    ``W(S)`` is the width of the best way to eliminate exactly the set
+    ``S`` first; eliminating ``v`` last within ``S`` produces the bag
+    ``{v} | Q(S - v, v)``, where ``Q(S - v, v)`` is the set of vertices
+    outside ``S`` that ``v`` reaches through ``S - v`` (Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth",
+    2006)::
 
-        TW(S) = min over v in S of max(TW(S - v), Q(S - v, v))
+        W(S) = min over v in S of max(W(S - v), bag_cost(bag))
 
-    and the treewidth is ``TW(V)``. ``Q`` is a plain reachability count on
-    the input graph, so no elimination graph is built. Exponential: meant
-    for graphs of at most about 15 vertices.
+    Bags are masks over ``labels``, the list of ``graph``'s vertices;
+    ``bag_cost(labels, bag)`` prices one. ``Q`` is a plain reachability
+    set on the input graph, so no elimination graph is built.
+    Exponential: meant for graphs of at most about 15 vertices.
     """
     labels = list(graph.vertices())
     index = {vertex: i for i, vertex in enumerate(labels)}
@@ -358,19 +446,62 @@ def reference_treewidth(graph: Graph) -> int:
             grown = border & inside & ~component
             component |= grown
             frontier |= grown
-        return (border & ~inside & ~(1 << v)).bit_count()
+        return border & ~inside & ~(1 << v)
 
     @lru_cache(maxsize=None)
-    def tw(subset: int) -> int:
+    def width(subset: int) -> int:
         if not subset:
             return 0
-        best = len(labels)
+        best: int | None = None
         rest = subset
         while rest:
             low = rest & -rest
             rest ^= low
             without = subset ^ low
-            best = min(best, max(tw(without), reach(without, low.bit_length() - 1)))
+            bag = low | reach(without, low.bit_length() - 1)
+            candidate = max(width(without), bag_cost(labels, bag))
+            if best is None or candidate < best:
+                best = candidate
+        assert best is not None
         return best
 
-    return tw((1 << len(labels)) - 1)
+    return width((1 << len(labels)) - 1)
+
+
+def reference_treewidth(graph: Graph) -> int:
+    """Exact treewidth: :func:`_elimination_dp` with a bag costing its
+    size minus one, so no pruning rule or reduction is involved."""
+    return _elimination_dp(graph, lambda _labels, bag: bag.bit_count() - 1)
+
+
+def reference_ghw(hypergraph: Hypergraph) -> int:
+    """Exact generalized hypertree width over elimination sets.
+
+    Elimination orderings are complete for ghw (Theorems 2 and 3), so
+    ghw is :func:`_elimination_dp` on the primal graph with a bag costing
+    its exact cover number over the hyperedges — found by trying edge
+    combinations of growing size, with neither a bound nor a reduction
+    nor a pruning rule. Raises ``UncoverableError`` when a vertex lies in
+    no hyperedge.
+    """
+    edges = [edge for edge in hypergraph.edge_sets() if edge]
+
+    @lru_cache(maxsize=None)
+    def cover_number(bag: frozenset) -> int:
+        restricted = list({edge & bag for edge in edges if edge & bag})
+        for size in range(len(restricted) + 1):
+            for combination in combinations(restricted, size):
+                if frozenset().union(*combination) >= bag:
+                    return size
+        raise UncoverableError(
+            f"vertices {sorted(map(repr, bag - frozenset().union(*restricted)))}"
+            " appear in no hyperedge"
+        )
+
+    def bag_cost(labels: list[Vertex], bag: int) -> int:
+        return cover_number(
+            frozenset(vertex for i, vertex in enumerate(labels) if bag >> i & 1)
+        )
+
+    return _elimination_dp(hypergraph.primal_graph(), bag_cost)
+
