@@ -29,18 +29,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 from repro import obs
-from repro.core.api import validate_hypergraph
 from repro.core.solvers import kinds, lookup
-from repro.decompositions.elimination import (
-    ordering_to_ghd,
-    ordering_to_tree_decomposition,
-)
-from repro.decompositions.ghd import make_complete
+from repro.core.widths import WIDTHS
 from repro.decompositions.hypertree import hypertree_width
-from repro.decompositions.io import write_ghd, write_tree_decomposition
+from repro.decompositions.io import write_ghd
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.hypergraphs.io import read_dimacs, read_hypergraph
@@ -69,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--measure",
-        choices=("tw", "ghw", "hw"),
+        choices=(*WIDTHS, "hw"),
         default="tw",
         help="treewidth, generalized hypertree width or hypertree width",
     )
@@ -149,7 +144,7 @@ def build_portfolio_parser() -> argparse.ArgumentParser:
         "hypergraph edge list",
     )
     parser.add_argument(
-        "--measure", choices=("tw", "ghw"), default="tw",
+        "--measure", choices=tuple(WIDTHS), default="tw",
         help="width measure the portfolio races on",
     )
     parser.add_argument(
@@ -240,30 +235,19 @@ def main_portfolio(argv: list[str]) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume needs --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.cover_cache_size is not None:
-        from repro.kernels.cache import configure_cover_cache
-
-        try:
-            configure_cover_cache(args.cover_cache_size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        loaded = _load(args)
-    except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _start(args)
+    if loaded is None:
         return 2
     label = args.instance or args.file
-    if args.measure == "ghw" and not isinstance(loaded, Hypergraph):
-        print("error: ghw needs a hypergraph instance", file=sys.stderr)
+    width = WIDTHS[args.measure]
+    try:
+        instance = width.prepare(loaded)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(loaded, Hypergraph):
-        size = f"|V|={loaded.num_vertices()} |H|={loaded.num_edges()}"
-    else:
-        size = f"|V|={loaded.num_vertices()} |E|={loaded.num_edges()}"
 
     telemetry = args.metrics or args.trace or args.telemetry_out is not None
-    context = obs.instrument() if telemetry else _plain_context()
+    context = obs.instrument() if telemetry else nullcontext(obs.DISABLED)
     try:
         with context as ins:
             if args.resume:
@@ -296,7 +280,7 @@ def main_portfolio(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(f"{label}  {size}  {result.summary()}")
+    print(f"{label}  {_size(loaded)}  {result.summary()}")
     for worker in result.workers:
         lb = "-" if worker.lower_bound is None else worker.lower_bound
         ub = "-" if worker.upper_bound is None else worker.upper_bound
@@ -313,27 +297,52 @@ def main_portfolio(argv: list[str]) -> int:
             ins,
             result,
             instance_name=label,
-            certified=_certify_claim(
-                loaded,
-                args.measure,
+            certified=width.certified(
+                instance,
                 result.ordering,
                 result.upper_bound,
-                strict=args.measure == "tw",
+                strict=width.strict(exact=False),
             ),
             meta={"seed": args.seed, "jobs": args.jobs, "mode": args.mode},
         )
-        if args.metrics:
-            print("-- metrics --", file=sys.stderr)
-            print(render_metrics(ins.metrics.snapshot()), file=sys.stderr)
-        if args.trace:
-            print("-- trace --", file=sys.stderr)
-            print(render_spans(ins.tracer.tree()), file=sys.stderr)
-        if args.telemetry_out:
-            try:
-                append_jsonl(args.telemetry_out, report)
-            except OSError as exc:
-                print(f"error: cannot write telemetry: {exc}", file=sys.stderr)
-                return 2
+        return _emit(args, ins, report)
+    return 0
+
+
+def _start(args: argparse.Namespace) -> Graph | Hypergraph | None:
+    """Resize the cover cache and load the instance; ``None`` once an
+    error is printed."""
+    try:
+        if args.cover_cache_size is not None:
+            from repro.kernels.cache import configure_cover_cache
+
+            configure_cover_cache(args.cover_cache_size)
+        return _load(args)
+    except (KeyError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _size(loaded: Graph | Hypergraph) -> str:
+    edges = "H" if isinstance(loaded, Hypergraph) else "E"
+    return f"|V|={loaded.num_vertices()} |{edges}|={loaded.num_edges()}"
+
+
+def _emit(args: argparse.Namespace, ins, report: RunReport) -> int:
+    """Print the run's metrics and spans as asked and append its report;
+    the exit code."""
+    if args.metrics:
+        print("-- metrics --", file=sys.stderr)
+        print(render_metrics(ins.metrics.snapshot()), file=sys.stderr)
+    if args.trace:
+        print("-- trace --", file=sys.stderr)
+        print(render_spans(ins.tracer.tree()), file=sys.stderr)
+    if args.telemetry_out:
+        try:
+            append_jsonl(args.telemetry_out, report)
+        except OSError as exc:
+            print(f"error: cannot write telemetry: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -348,38 +357,6 @@ def _load(args: argparse.Namespace) -> Graph | Hypergraph:
     if text.startswith(("c", "p")):
         return read_dimacs(args.file)
     return read_hypergraph(args.file)
-
-
-def _certify_claim(
-    loaded: Graph | Hypergraph,
-    measure: str,
-    ordering,
-    upper: int | None,
-    strict: bool,
-) -> bool | None:
-    """``certified`` flag for telemetry: rebuild the witness decomposition
-    behind an upper-bound claim and validate it (``None`` when the solver
-    surfaced no witness ordering to check)."""
-    if upper is None or not ordering:
-        return None
-    from repro.verify.certify import certify_ghw_witness, certify_tw_witness
-
-    if measure == "tw":
-        graph = (
-            loaded.primal_graph() if isinstance(loaded, Hypergraph) else loaded
-        )
-        return certify_tw_witness(
-            graph, list(ordering), upper, strict=strict
-        ).ok
-    return certify_ghw_witness(
-        loaded, list(ordering), upper, strict=strict
-    ).ok
-
-
-@contextmanager
-def _plain_context():
-    """Stand-in for ``obs.instrument()`` when telemetry flags are off."""
-    yield obs.DISABLED
 
 
 def _summary(result, measure: str) -> str:
@@ -398,23 +375,6 @@ def _summary(result, measure: str) -> str:
     )
 
 
-def _write_decomposition(
-    loaded: Graph | Hypergraph, measure: str, ordering: list, path: str
-) -> None:
-    """Write the decomposition of the run's own witness ordering."""
-    if measure == "tw":
-        graph = (
-            loaded.primal_graph() if isinstance(loaded, Hypergraph) else loaded
-        )
-        decomposition = ordering_to_tree_decomposition(graph, ordering)
-        decomposition.validate(graph)
-        write_tree_decomposition(decomposition, path)
-        return
-    ghd = make_complete(ordering_to_ghd(loaded, ordering, cover="exact"), loaded)
-    ghd.validate(loaded)
-    write_ghd(ghd, path)
-
-
 def _run_measure(
     args: argparse.Namespace,
     loaded: Graph | Hypergraph,
@@ -422,13 +382,10 @@ def _run_measure(
     size: str,
 ) -> tuple[int, dict]:
     """Run the requested width computation; return (exit code, fields)."""
-    if args.measure != "tw" and not isinstance(loaded, Hypergraph):
-        print(
-            f"error: {args.measure} needs a hypergraph instance",
-            file=sys.stderr,
-        )
-        return 2, {}
     if args.measure == "hw":
+        if not isinstance(loaded, Hypergraph):
+            print("error: hw needs a hypergraph instance", file=sys.stderr)
+            return 2, {}
         k, decomposition = hypertree_width(loaded)
         print(f"{label}  {size}  hw = {k}")
         if args.output:
@@ -440,10 +397,11 @@ def _run_measure(
             "lower_bound": k,
             "upper_bound": k,
         }
+    width = WIDTHS[args.measure]
     try:
+        instance = width.prepare(loaded)
         solver = lookup(args.algorithm, args.measure)
-        if args.measure == "ghw":
-            validate_hypergraph(loaded)
+        width.check(instance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, {}
@@ -455,7 +413,7 @@ def _run_measure(
         options=solver.options(node_limit=args.node_limit),
     )
     result = run_strategy(
-        spec, loaded, args.measure, time_limit=args.time_limit
+        spec, instance, args.measure, time_limit=args.time_limit
     )
     print(f"{label}  {size}  {_summary(result, args.measure)}")
     fields = {
@@ -463,21 +421,18 @@ def _run_measure(
         "value": result.upper_bound if result.status == "optimal" else None,
         "lower_bound": result.lower_bound,
         "upper_bound": result.upper_bound,
-        # tw widths and exact-cover ghw claims are exact for their
-        # ordering; greedy-cover ghw claims may exceed their witness.
-        "certified": _certify_claim(
-            loaded,
-            args.measure,
+        "certified": width.certified(
+            instance,
             result.ordering,
             result.upper_bound,
-            strict=solver.exact or args.measure == "tw",
+            strict=width.strict(solver.exact),
         ),
     }
     if args.output:
         if not result.ordering:
             print("error: the instance has no vertices", file=sys.stderr)
             return 2, fields
-        _write_decomposition(loaded, args.measure, result.ordering, args.output)
+        width.write(width.decompose(instance, result.ordering), args.output)
         print(f"wrote {args.output}")
     return 0, fields
 
@@ -495,31 +450,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.cover_cache_size is not None:
-        from repro.kernels.cache import configure_cover_cache
-
-        try:
-            configure_cover_cache(args.cover_cache_size)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        loaded = _load(args)
-    except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _start(args)
+    if loaded is None:
         return 2
 
     label = args.instance or args.file
-    if isinstance(loaded, Hypergraph):
-        size = f"|V|={loaded.num_vertices()} |H|={loaded.num_edges()}"
-    else:
-        size = f"|V|={loaded.num_vertices()} |E|={loaded.num_edges()}"
 
     telemetry = args.metrics or args.trace or args.telemetry_out is not None
-    context = obs.instrument() if telemetry else _plain_context()
+    context = obs.instrument() if telemetry else nullcontext(obs.DISABLED)
     started = time.monotonic()
     with context as ins:
-        code, fields = _run_measure(args, loaded, label, size)
+        code, fields = _run_measure(args, loaded, label, _size(loaded))
     if code != 0:
         return code
 
@@ -541,18 +482,7 @@ def main(argv: list[str] | None = None) -> int:
             },
             **fields,
         )
-        if args.metrics:
-            print("-- metrics --", file=sys.stderr)
-            print(render_metrics(ins.metrics.snapshot()), file=sys.stderr)
-        if args.trace:
-            print("-- trace --", file=sys.stderr)
-            print(render_spans(ins.tracer.tree()), file=sys.stderr)
-        if args.telemetry_out:
-            try:
-                append_jsonl(args.telemetry_out, report)
-            except OSError as exc:
-                print(f"error: cannot write telemetry: {exc}", file=sys.stderr)
-                return 2
+        return _emit(args, ins, report)
     return 0
 
 

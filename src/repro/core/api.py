@@ -19,44 +19,24 @@ solver table :data:`repro.core.solvers.SOLVERS`.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
+from functools import partial
 
 from repro.bounds.ghw_lower import tw_ksc_width
 from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
 from repro.core.solvers import SOLVERS, Solver, lookup
-from repro.decompositions.elimination import (
-    ordering_ghw,
-    ordering_to_ghd,
-    ordering_to_tree_decomposition,
-)
+from repro.core.widths import WIDTHS, validate_hypergraph
+from repro.decompositions.elimination import ordering_ghw, ordering_to_ghd
 from repro.decompositions.ghd import (
     GeneralizedHypertreeDecomposition,
     make_complete,
 )
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.genetic.engine import GAParameters
-from repro.hypergraphs.graph import Graph, Vertex
+from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.search.common import SearchResult
-
-
-def _as_graph(instance: Graph | Hypergraph) -> Graph:
-    if isinstance(instance, Hypergraph):
-        return instance.primal_graph()
-    return instance
-
-
-def validate_hypergraph(hypergraph: Hypergraph) -> None:
-    """Reject instances whose ghw is undefined (uncovered vertices)."""
-    covered: set[Vertex] = set()
-    for edge in hypergraph.edge_sets():
-        covered |= edge
-    isolated = hypergraph.vertices() - covered
-    if isolated:
-        raise ValueError(
-            "ghw is undefined: vertices appear in no hyperedge: "
-            f"{sorted(map(repr, isolated))}"
-        )
 
 
 def _row(name: str, measure: str, exact: bool, label: str) -> Solver:
@@ -90,6 +70,49 @@ def _run(
     return run_strategy(spec, instance, solver.measure, time_limit=time_limit)
 
 
+def _exact(
+    measure: str,
+    label: str,
+    instance: Graph | Hypergraph,
+    algorithm: str,
+    seed: int,
+    by_components: bool,
+) -> tuple[Callable[..., SearchResult], Graph | Hypergraph, random.Random]:
+    """The exact search ``algorithm`` of ``measure`` (run per component
+    if asked), the instance it takes and the run's ``rng``.
+
+    The callers run the search themselves: the exact searches recurse
+    deeply, and on CPython 3.11 their speed depends on the caller's
+    stack depth (BB-ghw on b06 varies up to 2.5x across a few frames),
+    so the search stays one frame below the public entry point.
+    """
+    solver = _row(algorithm, measure, True, label).function
+    width = WIDTHS[measure]
+    instance = width.prepare(instance)
+    width.check(instance)
+    if by_components:
+        from repro.search.components import by_components as split
+
+        solver = partial(split, width, solver=solver)
+    return solver, instance, random.Random(seed)
+
+
+def _at_most(
+    exact, instance, k: int, time_limit: float | None, node_limit: int | None, seed: int
+) -> bool | None:
+    """Decide ``width <= k`` with the ``exact`` width function, per
+    component; ``None`` if the bracket it reaches straddles ``k``."""
+    result = exact(
+        instance, time_limit=time_limit, node_limit=node_limit, seed=seed,
+        by_components=True,
+    )
+    if result.upper_bound <= k:
+        return True
+    if result.lower_bound > k:
+        return False
+    return None if not result.optimal else result.value <= k
+
+
 def treewidth(
     instance: Graph | Hypergraph,
     algorithm: str = "astar",
@@ -104,22 +127,10 @@ def treewidth(
     (the treewidth of a graph is the maximum over its components), which
     is strictly cheaper on disconnected instances.
     """
-    solver = _row(algorithm, "tw", True, "treewidth algorithm").function
-    graph = _as_graph(instance)
-    rng = random.Random(seed)
-    if by_components:
-        from repro.search.components import treewidth_by_components
-
-        return treewidth_by_components(
-            graph,
-            solver,
-            time_limit=time_limit,
-            node_limit=node_limit,
-            rng=rng,
-        )
-    return solver(
-        graph, time_limit=time_limit, node_limit=node_limit, rng=rng
+    search, graph, rng = _exact(
+        "tw", "treewidth algorithm", instance, algorithm, seed, by_components
     )
+    return search(graph, time_limit=time_limit, node_limit=node_limit, rng=rng)
 
 
 def is_treewidth_at_most(
@@ -130,25 +141,14 @@ def is_treewidth_at_most(
     seed: int = 0,
 ) -> bool | None:
     """Decide ``tw(instance) <= k``; ``None`` if the budget runs out."""
-    result = treewidth(
-        instance,
-        time_limit=time_limit,
-        node_limit=node_limit,
-        seed=seed,
-        by_components=True,
-    )
-    if result.upper_bound <= k:
-        return True
-    if result.lower_bound > k:
-        return False
-    return None if not result.optimal else result.value <= k
+    return _at_most(treewidth, instance, k, time_limit, node_limit, seed)
 
 
 def treewidth_bounds(
     instance: Graph | Hypergraph, seed: int = 0
 ) -> tuple[int, int]:
     """Fast heuristic ``(lower, upper)`` treewidth bounds (no search)."""
-    graph = _as_graph(instance)
+    graph = WIDTHS["tw"].prepare(instance)
     rng = random.Random(seed)
     lower = treewidth_lower_bound(graph, rng=rng)
     upper, _ordering = upper_bound_ordering(graph, "min-fill", rng)
@@ -190,20 +190,10 @@ def generalized_hypertree_width(
     ``by_components=True`` splits the hypergraph at its primal-graph
     components before searching.
     """
-    solver = _row(algorithm, "ghw", True, "ghw algorithm").function
-    validate_hypergraph(hypergraph)
-    rng = random.Random(seed)
-    if by_components:
-        from repro.search.components import ghw_by_components
-
-        return ghw_by_components(
-            hypergraph,
-            solver,
-            time_limit=time_limit,
-            node_limit=node_limit,
-            rng=rng,
-        )
-    return solver(
+    search, hypergraph, rng = _exact(
+        "ghw", "ghw algorithm", hypergraph, algorithm, seed, by_components
+    )
+    return search(
         hypergraph, time_limit=time_limit, node_limit=node_limit, rng=rng
     )
 
@@ -216,18 +206,9 @@ def is_ghw_at_most(
     seed: int = 0,
 ) -> bool | None:
     """Decide ``ghw(hypergraph) <= k``; ``None`` if the budget runs out."""
-    result = generalized_hypertree_width(
-        hypergraph,
-        time_limit=time_limit,
-        node_limit=node_limit,
-        seed=seed,
-        by_components=True,
+    return _at_most(
+        generalized_hypertree_width, hypergraph, k, time_limit, node_limit, seed
     )
-    if result.upper_bound <= k:
-        return True
-    if result.lower_bound > k:
-        return False
-    return None if not result.optimal else result.value <= k
 
 
 def ghw_bounds(hypergraph: Hypergraph, seed: int = 0) -> tuple[int, int]:
@@ -285,9 +266,7 @@ def decompose_graph(
     ordering = _run(
         solver, graph, seed, time_limit, node_limit, jobs
     ).ordering
-    decomposition = ordering_to_tree_decomposition(graph, ordering)
-    decomposition.validate(graph)
-    return decomposition
+    return WIDTHS["tw"].decompose(graph, ordering)
 
 
 def decompose(

@@ -26,11 +26,12 @@ into any further analysis.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.solvers import SOLVERS, kinds
+from repro.core.widths import WIDTHS, lookup_width
 from repro.genetic.engine import GAParameters
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
@@ -60,8 +61,7 @@ class ExperimentSpec:
     """Process-pool width for GA/SAIGA population evaluation (1 = serial)."""
 
     def validated(self) -> "ExperimentSpec":
-        if self.measure not in ("tw", "ghw"):
-            raise ValueError("measure must be 'tw' or 'ghw'")
+        lookup_width(self.measure)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         known = {*kinds(self.measure), PORTFOLIO}
@@ -121,7 +121,7 @@ def _fields(result: WorkerResult) -> tuple[str | int, dict]:
     }
 
 
-def _run_portfolio(instance, spec) -> tuple[str | int, dict]:
+def _run_portfolio(instance, spec) -> tuple[str | int, dict, list, bool]:
     """One inline-mode race as a table cell; worker reports ride along."""
     from repro.core.api import run_portfolio
     from repro.portfolio.results import portfolio_status
@@ -146,10 +146,12 @@ def _run_portfolio(instance, spec) -> tuple[str | int, dict]:
         "lower_bound": result.lower_bound,
         "upper_bound": result.upper_bound,
         "workers": result.worker_reports,
-    }
+    }, result.ordering, False
 
 
-def _run_algorithm(name, instance, spec) -> tuple[str | int, dict]:
+def _run_algorithm(name, instance, spec) -> tuple[str | int, dict, list, bool]:
+    """Cell text, report fields, witness ordering, and whether the claim
+    came from an exact search."""
     if name == PORTFOLIO:
         return _run_portfolio(instance, spec)
     solver = SOLVERS[(name, spec.measure)]
@@ -162,9 +164,10 @@ def _run_algorithm(name, instance, spec) -> tuple[str | int, dict]:
             node_limit=spec.node_limit, parameters=spec.ga_parameters
         ),
     )
-    return _fields(
-        run_strategy(strategy, instance, spec.measure, time_limit=spec.time_limit)
+    result = run_strategy(
+        strategy, instance, spec.measure, time_limit=spec.time_limit
     )
+    return (*_fields(result), result.ordering, solver.exact)
 
 
 def run_experiment(
@@ -178,24 +181,31 @@ def run_experiment(
     every (instance, algorithm) cell runs under ``repro.obs``
     instrumentation and yields one :class:`RunReport`; reports land in
     ``table.reports`` and, if a path was given, are appended to the file
-    as JSON lines.
+    as JSON lines. Each report's claim is certified against its
+    witness ordering, outside the cell's timing.
     """
     spec = spec.validated()
     telemetry = telemetry_out is not None or collect_reports
     table = ExperimentTable(measure=spec.measure, columns=list(spec.algorithms))
+    width = WIDTHS[spec.measure]
     for name in spec.instances:
         loaded = registry_instance(name)
-        if spec.measure == "ghw" and isinstance(loaded, Graph):
-            raise ValueError(f"instance {name!r} is a graph; ghw needs a hypergraph")
-        row: dict = {"instance": name, "V": _num_vertices(loaded), "size": _size(loaded)}
+        try:
+            instance = width.prepare(loaded)
+        except ValueError as error:
+            raise ValueError(f"instance {name!r}: {error}") from None
+        row: dict = {"instance": name, "V": loaded.num_vertices(), "size": _size(loaded)}
         for algorithm in spec.algorithms:
             started = time.monotonic()
-            with obs.instrument() if telemetry else _noop_context() as ins:
-                cell, fields = _run_algorithm(algorithm, loaded, spec)
+            with obs.instrument() if telemetry else nullcontext(obs.DISABLED) as ins:
+                cell, fields, ordering, exact = _run_algorithm(algorithm, instance, spec)
             elapsed = time.monotonic() - started
             row[algorithm] = cell
             row[f"{algorithm}_s"] = round(elapsed, 2)
             if telemetry:
+                fields["certified"] = width.certified(
+                    instance, ordering, fields["upper_bound"], width.strict(exact)
+                )
                 table.reports.append(
                     RunReport.capture(
                         ins,
@@ -212,16 +222,6 @@ def run_experiment(
         for report in table.reports:
             append_jsonl(telemetry_out, report)
     return table
-
-
-@contextmanager
-def _noop_context():
-    """Stand-in for ``obs.instrument()`` when telemetry is off."""
-    yield obs.DISABLED
-
-
-def _num_vertices(instance: Graph | Hypergraph) -> int:
-    return instance.num_vertices()
 
 
 def _size(instance: Graph | Hypergraph) -> str:

@@ -6,13 +6,14 @@ They differ in how they search, not in what they search over, so the
 set-up lives here once per run:
 
 * the elements, sorted by ``repr``;
-* the primal graph (a treewidth instance that is a hypergraph is
-  replaced by it, Lemma 1);
-* the fitness: an ordering's width for tw, its greedy cover width for
-  ghw (Figure 7.1). At ``jobs=1`` ghw covers break ties from the run's
-  ``rng`` (Figure 7.2); beyond, a
+* the instance the measure's :data:`~repro.core.widths.WIDTHS` row
+  prepares (a treewidth instance that is a hypergraph is replaced by
+  its primal graph, Lemma 1);
+* the fitness the row names: an ordering's width for tw, its greedy
+  cover width for ghw (Figure 7.1). At ``jobs=1`` ghw covers break ties
+  from the run's ``rng`` (Figure 7.2); beyond, a
   :class:`~repro.kernels.parallel.ParallelEvaluator` pool scores whole
-  populations with deterministic ties;
+  populations with the row's deterministic-tie fitness;
 * the min-fill and min-degree orderings of the primal graph, drawn from
   the run's ``rng``;
 * one trivial rule: an instance with fewer than two vertices has a
@@ -30,6 +31,7 @@ from functools import cached_property
 from typing import TypeVar
 
 from repro.bounds.upper import min_degree_ordering, min_fill_ordering
+from repro.core.widths import WIDTHS
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 
@@ -52,8 +54,8 @@ class OrderingProblem:
         jobs: int = 1,
         evaluate: Evaluator | None = None,
     ) -> None:
-        if measure == "tw" and isinstance(instance, Hypergraph):
-            instance = instance.primal_graph()
+        width = WIDTHS[measure]
+        instance = width.prepare(instance)
         self.instance = instance
         self.rng = rng
         self.elements: list[Vertex] = sorted(instance.vertices(), key=repr)
@@ -66,22 +68,13 @@ class OrderingProblem:
 
             self._pool = ParallelEvaluator(instance, measure=measure, jobs=jobs)
             self.evaluate = self._pool
-        elif measure == "tw":
-            from repro.kernels.evaluators import make_tw_evaluator
-
-            self.evaluate = make_tw_evaluator(instance)
         else:
-            # Imported here: ga_ghw imports this module through the engine.
-            from repro.genetic.ga_ghw import make_ghw_evaluator
-
-            self.evaluate = make_ghw_evaluator(instance, rng=rng)
+            self.evaluate = width.fitness(instance, rng)
 
     @cached_property
     def graph(self) -> Graph:
         """The primal graph the seed orderings are drawn on."""
-        if isinstance(self.instance, Hypergraph):
-            return self.instance.primal_graph()
-        return self.instance
+        return WIDTHS["tw"].prepare(self.instance)
 
     def evaluate_population(
         self, population: Sequence[Sequence[Vertex]]

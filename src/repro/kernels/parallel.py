@@ -30,18 +30,16 @@ from concurrent.futures import ProcessPoolExecutor
 from repro import obs
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
 
 #: Per-process evaluator state, populated by the pool initializer.
 _WORKER_STATE: dict = {}
 
 
 def _build_evaluator(measure: str, instance: Graph | Hypergraph):
-    if measure == "tw":
-        return make_tw_evaluator(instance)
-    if measure == "ghw":
-        return make_bit_ghw_evaluator(instance)
-    raise ValueError(f"unknown measure {measure!r}")
+    # Imported here: the width table sits above the kernels it names.
+    from repro.core.widths import lookup_width
+
+    return lookup_width(measure).pool_fitness(instance)
 
 
 def _init_worker(measure: str, instance: Graph | Hypergraph) -> None:

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.core.widths import lookup_width
 from repro.obs.report import RunReport
 from repro.portfolio.bus import (
     LB_SENTINEL,
@@ -78,8 +79,7 @@ class PortfolioSpec:
     before escalating to SIGTERM (and, one grace later, SIGKILL)."""
 
     def validated(self) -> "PortfolioSpec":
-        if self.measure not in ("tw", "ghw"):
-            raise ValueError("measure must be 'tw' or 'ghw'")
+        lookup_width(self.measure)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {list(MODES)}")
         if not self.strategies:

@@ -23,19 +23,13 @@ import time
 
 from repro import obs
 from repro.core.solvers import lookup
-from repro.hypergraphs.hypergraph import Hypergraph
+from repro.core.widths import WIDTHS
 from repro.obs.control import SolverControl
 from repro.obs.report import RunReport
 from repro.portfolio.bus import BoundMessage, BusClient
 from repro.portfolio.checkpoint import Checkpointer
 from repro.portfolio.results import WorkerResult
 from repro.portfolio.strategies import StrategySpec
-
-
-def _primal(instance, measure: str):
-    if measure == "tw" and isinstance(instance, Hypergraph):
-        return instance.primal_graph()
-    return instance
 
 
 def run_strategy(
@@ -49,14 +43,16 @@ def run_strategy(
     """Run one strategy to completion (or cooperative stop).
 
     The solver is the ``(spec.kind, measure)`` row of
-    :data:`~repro.core.solvers.SOLVERS`. The exact searches cannot
-    resume mid-tree, so for them ``resume_state`` is ignored here — the
-    scheduler instead seeds the shared incumbent from the checkpoint,
-    which the restarted search prunes against from its first node.
+    :data:`~repro.core.solvers.SOLVERS`; it runs on the instance the
+    measure's :data:`~repro.core.widths.WIDTHS` row prepares. The exact
+    searches cannot resume mid-tree, so for them ``resume_state`` is
+    ignored here — the scheduler instead seeds the shared incumbent from
+    the checkpoint, which the restarted search prunes against from its
+    first node.
     """
     solver = lookup(spec.kind, measure)
     result = solver.run(
-        _primal(instance, measure),
+        WIDTHS[measure].prepare(instance),
         seed=spec.seed,
         time_limit=time_limit,
         jobs=spec.jobs,

@@ -7,18 +7,20 @@ per-component orderings. Decomposing per component before searching is
 therefore free pruning — each exact search runs on a strictly smaller
 instance, and budgets stretch much further.
 
-These wrappers split an instance, run the chosen exact algorithm per
-component (sharing one overall budget), and recombine the results into
-a single :class:`SearchResult` whose ordering is valid for the whole
-instance.
+:func:`by_components` splits an instance into the pieces its measure's
+row names, runs the chosen exact algorithm per piece (sharing one
+overall budget), and recombines the results into a single
+:class:`SearchResult` whose ordering is valid for the whole instance.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import partial
 
 from repro import obs
+from repro.core.widths import WIDTHS, Width
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.search.common import SearchResult, attach_metrics
@@ -45,7 +47,9 @@ def _combine(
         ordering.extend(piece.ordering)
     lower = max(piece.lower_bound for piece in pieces)
     upper = max(piece.upper_bound for piece in pieces)
-    optimal = all(piece.optimal for piece in pieces)
+    # The rule of a single search (``common.interrupted``): bounds that
+    # meet certify the width, even where a narrower piece stopped short.
+    optimal = lower >= upper
     nodes = sum(piece.nodes_expanded for piece in pieces)
     elapsed = sum(piece.elapsed for piece in pieces)
     combined = SearchResult(
@@ -85,85 +89,40 @@ def _spend(
     return remaining_nodes, exhausted
 
 
-def _by_components(
-    components: list[set[Vertex]],
-    piece: Callable[[set[Vertex]], object],
-    solver: Callable[..., SearchResult],
-    time_limit: float | None,
-    node_limit: int | None,
-    rng: random.Random | None,
-    fallback_name: str,
-) -> SearchResult:
-    """Run ``solver`` on ``piece(component)`` for every component.
-
-    The node budget is shared across components, largest component first
-    so the hard part gets the freshest budget.
-    """
-    components.sort(key=len, reverse=True)
-    pieces: list[SearchResult] = []
-    remaining_nodes = node_limit
-    exhausted = False
-    for index, component in enumerate(components):
-        result = solver(
-            piece(component),
-            time_limit=time_limit,
-            node_limit=remaining_nodes,
-            rng=rng,
-        )
-        pieces.append(result)
-        remaining_nodes, ran_dry = _spend(
-            remaining_nodes, result, len(components) - index - 1
-        )
-        exhausted = exhausted or ran_dry
-    name = pieces[0].algorithm if pieces else fallback_name
-    return _combine(pieces, name, budget_exhausted=exhausted)
-
-
-def treewidth_by_components(
-    graph: Graph,
+def by_components(
+    width: Width,
+    instance: Graph | Hypergraph,
     solver: GraphSolver,
     time_limit: float | None = None,
     node_limit: int | None = None,
     rng: random.Random | None = None,
 ) -> SearchResult:
-    """Run a treewidth ``solver`` per connected component.
+    """Run the exact ``solver`` of measure ``width`` on every piece of
+    ``instance`` (:attr:`~repro.core.widths.Width.pieces`).
 
-    ``solver`` is one of the exact algorithms
-    (:func:`repro.search.astar_tw.astar_treewidth` or
-    :func:`repro.search.bb_tw.branch_and_bound_treewidth`).
+    The node budget is shared across pieces, largest piece first so the
+    hard part gets the freshest budget.
     """
-    return _by_components(
-        graph.connected_components(), graph.subgraph,
-        solver, time_limit, node_limit, rng, "tw",
+    pieces = sorted(
+        width.pieces(instance), key=lambda piece: piece.num_vertices(), reverse=True
     )
+    results: list[SearchResult] = []
+    remaining_nodes = node_limit
+    exhausted = False
+    for index, piece in enumerate(pieces):
+        result = solver(
+            piece, time_limit=time_limit, node_limit=remaining_nodes, rng=rng
+        )
+        results.append(result)
+        remaining_nodes, ran_dry = _spend(
+            remaining_nodes, result, len(pieces) - index - 1
+        )
+        exhausted = exhausted or ran_dry
+    name = results[0].algorithm if results else width.name
+    return _combine(results, name, budget_exhausted=exhausted)
 
 
-def ghw_by_components(
-    hypergraph: Hypergraph,
-    solver: Callable[..., SearchResult],
-    time_limit: float | None = None,
-    node_limit: int | None = None,
-    rng: random.Random | None = None,
-) -> SearchResult:
-    """Run a ghw ``solver`` per connected component of the hypergraph.
-
-    Components are taken in the primal graph; each sub-hypergraph keeps
-    exactly the hyperedges inside its component (hyperedges never span
-    components, by definition of the primal graph).
-    """
-
-    def piece(component: set[Vertex]) -> Hypergraph:
-        names = {
-            name
-            for name, edge in hypergraph.edges().items()
-            if edge & component
-        }
-        sub = Hypergraph(vertices=component)
-        for name in sorted(names, key=repr):
-            sub.add_edge(name, hypergraph.edge(name))
-        return sub
-
-    return _by_components(
-        hypergraph.primal_graph().connected_components(), piece,
-        solver, time_limit, node_limit, rng, "ghw",
-    )
+#: :func:`by_components` for an exact treewidth solver, and for an exact
+#: ghw solver (one sub-hypergraph per primal-graph component).
+treewidth_by_components = partial(by_components, WIDTHS["tw"])
+ghw_by_components = partial(by_components, WIDTHS["ghw"])

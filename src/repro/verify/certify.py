@@ -7,24 +7,20 @@ solver in this library reports the elimination ordering behind its best
 width, which is a complete witness — this module rebuilds the
 decomposition the ordering induces and checks the claim against it.
 
-For treewidth the rebuilt tree decomposition's width must *equal* the
-claim: every tw evaluator in the library (python and bitset) is
-deterministic, so a mismatch means a solver reported a width its own
-witness does not achieve. For ghw the certified width must be *at most*
-the claim: the python GA evaluates with randomised greedy covers, so a
-deterministic re-cover may pick different hyperedges — but exact covers
-minimise per bag, hence certify any sound claim (and expose unsound
-ones: a claim below the witness's exact-cover width is uncertifiable).
+A *strict* claim must equal its witness's width, any other may exceed
+it; :meth:`repro.core.widths.Width.strict` decides which. Every tw
+evaluator is deterministic, so a tw claim its witness does not achieve
+is a reporting bug. The ghw heuristics cover greedily with random ties,
+so their claims may exceed the exact-cover width of their own ordering;
+exact covers minimise per bag, so they still certify every sound claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.decompositions.elimination import (
-    ordering_to_ghd,
-    ordering_to_tree_decomposition,
-)
+from repro.core.widths import WIDTHS
+from repro.decompositions.elimination import ordering_to_ghd
 from repro.decompositions.ghd import exact_cover_width, make_complete
 from repro.decompositions.tree_decomposition import DecompositionError
 from repro.hypergraphs.graph import Graph, Vertex
@@ -50,6 +46,32 @@ def _fail(reason: str) -> Certification:
     return Certification(ok=False, reason=reason)
 
 
+def _against_claim(
+    width: int, claimed_upper: int, strict: bool, evaluators: str
+) -> Certification:
+    """The claim checked against the width its witness achieves."""
+    if width > claimed_upper:
+        return Certification(
+            ok=False,
+            witness_width=width,
+            reason=(
+                f"witness achieves width {width}, worse than the "
+                f"claimed {claimed_upper}"
+            ),
+        )
+    if strict and width != claimed_upper:
+        return Certification(
+            ok=False,
+            witness_width=width,
+            reason=(
+                f"witness achieves width {width} but the solver "
+                f"claimed {claimed_upper} ({evaluators} evaluators "
+                "must agree exactly)"
+            ),
+        )
+    return Certification(ok=True, witness_width=width)
+
+
 def certify_tw_witness(
     graph: Graph,
     ordering: list[Vertex],
@@ -66,31 +88,10 @@ def certify_tw_witness(
     if not ordering:
         return _fail("claim carries no witness ordering")
     try:
-        decomposition = ordering_to_tree_decomposition(graph, ordering)
-        decomposition.validate(graph)
+        width = WIDTHS["tw"].decompose(graph, ordering).width()
     except (DecompositionError, ValueError, KeyError) as error:
         return _fail(f"witness does not validate: {error}")
-    width = decomposition.width()
-    if width > claimed_upper:
-        return Certification(
-            ok=False,
-            witness_width=width,
-            reason=(
-                f"witness achieves width {width}, worse than the "
-                f"claimed {claimed_upper}"
-            ),
-        )
-    if strict and width != claimed_upper:
-        return Certification(
-            ok=False,
-            witness_width=width,
-            reason=(
-                f"witness achieves width {width} but the solver "
-                f"claimed {claimed_upper} (deterministic evaluators "
-                "must agree exactly)"
-            ),
-        )
-    return Certification(ok=True, witness_width=width)
+    return _against_claim(width, claimed_upper, strict, "deterministic")
 
 
 def certify_ghw_witness(
@@ -142,23 +143,4 @@ def certify_ghw_witness(
                 f"width {width}; exact covers must agree"
             ),
         )
-    if width > claimed_upper:
-        return Certification(
-            ok=False,
-            witness_width=width,
-            reason=(
-                f"witness achieves width {width}, worse than the "
-                f"claimed {claimed_upper}"
-            ),
-        )
-    if strict and width != claimed_upper:
-        return Certification(
-            ok=False,
-            witness_width=width,
-            reason=(
-                f"witness achieves width {width} but the solver "
-                f"claimed {claimed_upper} (exact-cover evaluators "
-                "must agree exactly)"
-            ),
-        )
-    return Certification(ok=True, witness_width=width)
+    return _against_claim(width, claimed_upper, strict, "exact-cover")

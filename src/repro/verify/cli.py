@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 
+from repro.core.widths import WIDTHS
 from repro.verify.conformance import (
-    MEASURES,
     CellSpec,
     ConformanceReport,
     Divergence,
@@ -56,7 +56,7 @@ def build_verify_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--measures",
-        default=",".join(MEASURES),
+        default=",".join(WIDTHS),
         metavar="LIST",
         help="width measures to cross-check (tw, ghw or both)",
     )
@@ -155,11 +155,11 @@ def main_verify(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    bad_measures = [m for m in measures if m not in MEASURES]
+    bad_measures = [m for m in measures if m not in WIDTHS]
     if bad_measures or not measures:
         print(
             f"error: unknown measures {bad_measures or measures}; choose "
-            f"from {list(MEASURES)}",
+            f"from {list(WIDTHS)}",
             file=sys.stderr,
         )
         return 2

@@ -13,8 +13,8 @@ oracle:
   agree on the optimum;
 * no certified witness may beat a proven optimum, and no claimed lower
   bound may exceed a certified upper bound;
-* deterministic cells that differ only in job count (treewidth fitness
-  has no ties to break) must report identical widths;
+* cells of a deterministic measure (treewidth fitness has no ties to
+  break) that differ only in job count must report identical widths;
 * a resumed portfolio race may only match or improve the incumbent it
   was killed with, and two closed races must agree on the optimum;
 * ``ghw(H) <= tw(H) + 1`` whenever both optima are proven.
@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.solvers import SOLVERS
+from repro.core.widths import WIDTHS
 from repro.portfolio.scheduler import (
     PortfolioSpec,
     resume_portfolio,
@@ -37,18 +38,12 @@ from repro.portfolio.scheduler import (
 )
 from repro.portfolio.strategies import StrategySpec
 from repro.portfolio.workers import run_strategy
-from repro.verify.certify import (
-    Certification,
-    certify_ghw_witness,
-    certify_tw_witness,
-)
+from repro.verify.certify import Certification
 from repro.verify.generators import (
     FAMILIES,
     VerifyInstance,
     generate_instance,
 )
-
-MEASURES = ("tw", "ghw")
 
 #: Deliberately small heuristic budgets: the matrix needs breadth (many
 #: seeds x many cells), not per-cell solution quality. Kinds not listed
@@ -224,21 +219,21 @@ class ConformanceReport:
 
 
 def default_matrix(
-    measures: tuple[str, ...] = MEASURES, seed: int = 0
+    measures: tuple[str, ...] = tuple(WIDTHS), seed: int = 0
 ) -> list[CellSpec]:
     """The standard matrix for one instance: one cell per
     ``(kind, measure)`` row of :data:`~repro.core.solvers.SOLVERS`, plus
     a ``jobs=2`` GA cell per measure.
 
-    Treewidth cells carry ``strict=True`` throughout: every tw evaluator
-    in the library is deterministic, so claim and witness must agree
-    exactly. For ghw only the exact searches are strict — they score
-    incumbents with exact covers — while the heuristics cover greedily
-    (with random ties at ``jobs=1``), so their claims are upper bounds
-    on their own witness's exact-cover width.
+    A cell is strict by its measure's row (:meth:`Width.strict
+    <repro.core.widths.Width.strict>`): exact searches always, and every
+    solver of a deterministic measure (tw). The ghw heuristics cover
+    greedily (with random ties at ``jobs=1``), so their claims are upper
+    bounds on their own witness's exact-cover width.
     """
     cells: list[CellSpec] = []
     for measure in measures:
+        width = WIDTHS[measure]
         for (kind, row_measure), solver in SOLVERS.items():
             if row_measure != measure:
                 continue
@@ -251,28 +246,43 @@ def default_matrix(
                         kind=kind,
                         jobs=jobs,
                         options=dict(CELL_OPTIONS.get(kind, {})),
-                        strict=solver.exact or measure == "tw",
+                        strict=width.strict(solver.exact),
                     )
                 )
     return cells
 
 
-def _certify(
+def _certified_result(
     cell: CellSpec,
     instance: VerifyInstance,
-    upper: int | None,
-    ordering: list,
-) -> Certification:
-    if upper is None:
-        if cell.allow_no_claim:
-            return Certification(ok=True, reason="no claim (interrupted)")
-        return Certification(ok=False, reason="no upper bound reported")
-    if cell.measure == "tw":
-        return certify_tw_witness(
-            instance.graph, list(ordering), upper, strict=cell.strict
+    result,
+    status: str,
+    elapsed: float,
+) -> CellResult:
+    """A cell's result with its claim certified by the measure's row."""
+    if result.upper_bound is None:
+        certification = (
+            Certification(ok=True, reason="no claim (interrupted)")
+            if cell.allow_no_claim
+            else Certification(ok=False, reason="no upper bound reported")
         )
-    return certify_ghw_witness(
-        instance.hypergraph, list(ordering), upper, strict=cell.strict
+    else:
+        width = WIDTHS[cell.measure]
+        certification = width.certify(
+            width.prepare(instance.hypergraph),
+            list(result.ordering),
+            result.upper_bound,
+            strict=cell.strict,
+        )
+    return CellResult(
+        cell=cell,
+        status=status,
+        lower_bound=result.lower_bound,
+        upper_bound=result.upper_bound,
+        witness_width=certification.witness_width,
+        certified=certification.ok,
+        reason=certification.reason,
+        elapsed=elapsed,
     )
 
 
@@ -303,19 +313,8 @@ def run_cell(
             reason=f"{type(error).__name__}: {error}",
             elapsed=time.monotonic() - started,
         )
-    certification = _certify(
-        cell, instance, result.upper_bound, result.ordering
-    )
-    return CellResult(
-        cell=cell,
-        status=result.status,
-        lower_bound=result.lower_bound,
-        upper_bound=result.upper_bound,
-        witness_width=certification.witness_width,
-        certified=certification.ok,
-        reason=certification.reason,
-        elapsed=result.elapsed or (time.monotonic() - started),
-    )
+    elapsed = result.elapsed or (time.monotonic() - started)
+    return _certified_result(cell, instance, result, result.status, elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -341,26 +340,12 @@ def _portfolio_cell_result(
     result,
     allow_no_claim: bool = False,
 ) -> CellResult:
+    strict = WIDTHS[measure].strict(exact=False)
     cell = CellSpec(
-        name=name,
-        measure=measure,
-        kind="portfolio",
-        strict=measure == "tw",
-        allow_no_claim=allow_no_claim,
+        name, measure, "portfolio", strict=strict, allow_no_claim=allow_no_claim
     )
-    certification = _certify(
-        cell, instance, result.upper_bound, result.ordering
-    )
-    return CellResult(
-        cell=cell,
-        status="optimal" if result.optimal else "heuristic",
-        lower_bound=result.lower_bound,
-        upper_bound=result.upper_bound,
-        witness_width=certification.witness_width,
-        certified=certification.ok,
-        reason=certification.reason,
-        elapsed=result.elapsed,
-    )
+    status = "optimal" if result.optimal else "heuristic"
+    return _certified_result(cell, instance, result, status, result.elapsed)
 
 
 def run_portfolio_cells(
@@ -381,17 +366,20 @@ def run_portfolio_cells(
     cells: list[CellResult] = []
     divergences: list[Divergence] = []
 
-    fresh = run_portfolio(
-        instance.hypergraph,
-        PortfolioSpec(
-            measure=measure,
-            strategies=_portfolio_strategies(measure, seed),
-            mode="inline",
-            time_limit=time_limit,
-            seed=seed,
-            instance_name=instance.name,
-        ),
-    )
+    def race(**options):
+        return run_portfolio(
+            instance.hypergraph,
+            PortfolioSpec(
+                measure=measure,
+                strategies=_portfolio_strategies(measure, seed),
+                mode="inline",
+                seed=seed,
+                instance_name=instance.name,
+                **options,
+            ),
+        )
+
+    fresh = race(time_limit=time_limit)
     cells.append(
         _portfolio_cell_result(
             f"portfolio-{measure}", measure, instance, fresh
@@ -399,18 +387,10 @@ def run_portfolio_cells(
     )
 
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as checkpoints:
-        killed = run_portfolio(
-            instance.hypergraph,
-            PortfolioSpec(
-                measure=measure,
-                strategies=_portfolio_strategies(measure, seed),
-                mode="inline",
-                time_limit=interrupt_after,
-                seed=seed,
-                instance_name=instance.name,
-                checkpoint_dir=checkpoints,
-                checkpoint_interval=0.01,
-            ),
+        killed = race(
+            time_limit=interrupt_after,
+            checkpoint_dir=checkpoints,
+            checkpoint_interval=0.01,
         )
         cells.append(
             _portfolio_cell_result(
@@ -434,17 +414,7 @@ def run_portfolio_cells(
     )
 
     def diverge(kind: str, names: list[str], detail: str) -> None:
-        divergences.append(
-            Divergence(
-                instance=instance.name,
-                family=instance.family,
-                seed=instance.seed,
-                measure=measure,
-                kind=kind,
-                cells=names,
-                detail=detail,
-            )
-        )
+        divergences.append(_divergence(instance, measure, kind, names, detail))
 
     if (
         killed.upper_bound is not None
@@ -473,10 +443,24 @@ def run_portfolio_cells(
 # ----------------------------------------------------------------------
 
 
+def _divergence(
+    instance: VerifyInstance, measure: str, kind: str, cells: list[str], detail: str
+) -> Divergence:
+    return Divergence(
+        instance=instance.name,
+        family=instance.family,
+        seed=instance.seed,
+        measure=measure,
+        kind=kind,
+        cells=cells,
+        detail=detail,
+    )
+
+
 def _parity_key(cell: CellSpec, seed: int) -> tuple:
-    """Cells equal under this key must report equal widths (tw only:
-    tw fitness is deterministic, and parallel evaluation must not change
-    results)."""
+    """Cells equal under this key must report equal widths (deterministic
+    measures only: their fitness has no ties, and parallel evaluation
+    must not change results)."""
     return (
         cell.measure,
         cell.kind,
@@ -494,17 +478,7 @@ def _cross_check(
     in_measure = [r for r in results if r.cell.measure == measure]
 
     def diverge(kind: str, names: list[str], detail: str) -> None:
-        divergences.append(
-            Divergence(
-                instance=instance.name,
-                family=instance.family,
-                seed=instance.seed,
-                measure=measure,
-                kind=kind,
-                cells=names,
-                detail=detail,
-            )
-        )
+        divergences.append(_divergence(instance, measure, kind, names, detail))
 
     for result in in_measure:
         if not result.certified:
@@ -554,7 +528,10 @@ def _parity_check(
 ) -> list[Divergence]:
     groups: dict[tuple, list[CellResult]] = {}
     for result in results:
-        if result.cell.measure != "tw" or result.cell.kind == "portfolio":
+        if (
+            not WIDTHS[result.cell.measure].deterministic
+            or result.cell.kind == "portfolio"
+        ):
             continue
         if not result.certified or result.upper_bound is None:
             continue
@@ -564,17 +541,12 @@ def _parity_check(
         widths = sorted({r.upper_bound for r in group})
         if len(widths) > 1:
             divergences.append(
-                Divergence(
-                    instance=instance.name,
-                    family=instance.family,
-                    seed=instance.seed,
-                    measure="tw",
-                    kind="parity",
-                    cells=[r.cell.name for r in group],
-                    detail=(
-                        f"deterministic cells disagree across "
-                        f"jobs: widths {widths}"
-                    ),
+                _divergence(
+                    instance,
+                    group[0].cell.measure,
+                    "parity",
+                    [r.cell.name for r in group],
+                    f"deterministic cells disagree across jobs: widths {widths}",
                 )
             )
     return divergences
@@ -596,14 +568,12 @@ def _measure_order_check(
     tw, ghw = proven("tw"), proven("ghw")
     if tw is not None and ghw is not None and ghw > tw + 1:
         return [
-            Divergence(
-                instance=instance.name,
-                family=instance.family,
-                seed=instance.seed,
-                measure="ghw",
-                kind="measure-order",
-                cells=["bb-tw", "bb-ghw"],
-                detail=f"ghw {ghw} > tw {tw} + 1 violates ghw <= tw + 1",
+            _divergence(
+                instance,
+                "ghw",
+                "measure-order",
+                ["bb-tw", "bb-ghw"],
+                f"ghw {ghw} > tw {tw} + 1 violates ghw <= tw + 1",
             )
         ]
     return []

@@ -34,21 +34,27 @@
   the exact tw searches. :func:`reference_ghw` is the same dynamic
   program with the bag ``{v} | Q(S - v, v)`` priced by a brute-force
   exact cover number, an oracle for the exact ghw searches.
+* :func:`reference_eager_astar` is A* over the search driver's
+  ``Measure`` hooks as it ran before children were evaluated lazily:
+  every generated child is PR2-filtered, eliminated and bounded before
+  it is pushed.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import ceil
 
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
 from repro.kernels.cover import greedy_cover_mask
+from repro.search.common import SearchBudget, SearchResult, certified, interrupted
 from repro.setcover.greedy import UncoverableError
 
 
@@ -505,3 +511,85 @@ def reference_ghw(hypergraph: Hypergraph) -> int:
 
     return _elimination_dp(hypergraph.primal_graph(), bag_cost)
 
+
+
+def reference_eager_astar(
+    measure,
+    node_limit: int | None = None,
+    use_pr2: bool = True,
+    rng: random.Random | None = None,
+) -> SearchResult:
+    """A* over a :class:`~repro.search.driver.Measure` as
+    :func:`repro.search.driver.astar` ran it before children were
+    evaluated lazily: an expansion runs PR2, the elimination, forcing and
+    the bound of every generated child and pushes it with its full
+    ``f = max(g, h, f(parent))``.
+
+    Without a portfolio bus and a time limit; the counters, spans and
+    checkpoints are left out. Expanded states and the result are what
+    the driver produced, so the lazy driver can be held to the same
+    expansions in the same order.
+    """
+    budget = SearchBudget(node_limit=node_limit)
+    name = f"astar-{measure.kind}"
+    working = measure.working
+    if measure.finish(0, 1) == 0:
+        return certified(0, sorted(working.vertices(), key=repr), budget, name)
+    root_lb, ub, ub_ordering = measure.root_bounds(rng)
+    if root_lb >= ub:
+        return certified(ub, ub_ordering, budget, name)
+    index = working.index
+    lb = root_lb
+    sequence = count()
+    best_g: dict[int, int] = {working.alive: 0}
+    reduction = measure.reduce(lb)
+    root_children = (
+        tuple(sorted(working.vertices(), key=repr))
+        if reduction is None
+        else (reduction,)
+    )
+    heap = [
+        (lb, 0, next(sequence), 0, working.alive, (), root_children,
+         reduction is not None)
+    ]
+    while heap:
+        if budget.exhausted():
+            return interrupted(lb, ub, ub_ordering, budget, name)
+        f, neg_depth, _tie, g, alive, prefix, children, forced = heapq.heappop(
+            heap
+        )
+        if measure.dedup and g > best_g[alive]:
+            continue
+        budget.charge()
+        lb = max(lb, f)
+        working.switch_to(prefix)
+        width = measure.finish(g, g)
+        if width is not None and width <= g:
+            ordering = list(prefix) + sorted(working.vertices(), key=repr)
+            return certified(g, ordering, budget, name)
+        for child in children:
+            child_g = max(g, measure.bag_cost(child))
+            if measure.dedup:
+                key = alive ^ (1 << index[child])
+                if best_g.get(key, child_g + 1) <= child_g:
+                    continue
+                best_g[key] = child_g
+            grandchildren = [v for v in working.vertices() if v != child]
+            if use_pr2 and not forced:
+                grandchildren = measure.pr2(child, grandchildren)
+            working.eliminate(child)
+            reduction, h = measure.expand(max(child_g, lb))
+            if reduction is not None:
+                grandchildren = [reduction]
+            child_f = max(child_g, h, f)
+            if child_f < ub:
+                heapq.heappush(
+                    heap,
+                    (
+                        child_f, neg_depth - 1, next(sequence), child_g,
+                        working.alive, prefix + (child,), tuple(grandchildren),
+                        reduction is not None,
+                    ),
+                )
+            working.restore()
+    return certified(ub, ub_ordering, budget, name)
