@@ -19,7 +19,6 @@ solver table :data:`repro.core.solvers.SOLVERS`.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from functools import partial
 
 from repro.bounds.ghw_lower import tw_ksc_width
@@ -75,17 +74,13 @@ def _exact(
     label: str,
     instance: Graph | Hypergraph,
     algorithm: str,
+    time_limit: float | None,
+    node_limit: int | None,
     seed: int,
     by_components: bool,
-) -> tuple[Callable[..., SearchResult], Graph | Hypergraph, random.Random]:
-    """The exact search ``algorithm`` of ``measure`` (run per component
-    if asked), the instance it takes and the run's ``rng``.
-
-    The callers run the search themselves: the exact searches recurse
-    deeply, and on CPython 3.11 their speed depends on the caller's
-    stack depth (BB-ghw on b06 varies up to 2.5x across a few frames),
-    so the search stays one frame below the public entry point.
-    """
+) -> SearchResult:
+    """Run the exact search ``algorithm`` of ``measure`` on ``instance``,
+    per component if asked."""
     solver = _row(algorithm, measure, True, label).function
     width = WIDTHS[measure]
     instance = width.prepare(instance)
@@ -94,7 +89,10 @@ def _exact(
         from repro.search.components import by_components as split
 
         solver = partial(split, width, solver=solver)
-    return solver, instance, random.Random(seed)
+    return solver(
+        instance, time_limit=time_limit, node_limit=node_limit,
+        rng=random.Random(seed),
+    )
 
 
 def _at_most(
@@ -127,10 +125,10 @@ def treewidth(
     (the treewidth of a graph is the maximum over its components), which
     is strictly cheaper on disconnected instances.
     """
-    search, graph, rng = _exact(
-        "tw", "treewidth algorithm", instance, algorithm, seed, by_components
+    return _exact(
+        "tw", "treewidth algorithm", instance, algorithm, time_limit,
+        node_limit, seed, by_components,
     )
-    return search(graph, time_limit=time_limit, node_limit=node_limit, rng=rng)
 
 
 def is_treewidth_at_most(
@@ -190,11 +188,9 @@ def generalized_hypertree_width(
     ``by_components=True`` splits the hypergraph at its primal-graph
     components before searching.
     """
-    search, hypergraph, rng = _exact(
-        "ghw", "ghw algorithm", hypergraph, algorithm, seed, by_components
-    )
-    return search(
-        hypergraph, time_limit=time_limit, node_limit=node_limit, rng=rng
+    return _exact(
+        "ghw", "ghw algorithm", hypergraph, algorithm, time_limit,
+        node_limit, seed, by_components,
     )
 
 

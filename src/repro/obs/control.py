@@ -2,10 +2,11 @@
 
 A :class:`SolverControl` is the solver-facing half of the portfolio's
 bound bus (:mod:`repro.portfolio.bus`). Every solver loop in the library
-accepts an optional ``control`` and, when one is given,
+holds a ``control`` (the inert base class unless one is passed) and
 
-* polls :meth:`SolverControl.should_stop` at its loop head and winds
-  down gracefully (flushing its best-so-far result) when it fires,
+* polls :meth:`SolverControl.should_stop` before each unit of work (a
+  generation, a move, a search node) and winds down gracefully
+  (flushing its best-so-far result) when it fires,
 * reads :meth:`shared_upper_bound` / :meth:`shared_lower_bound` — the
   portfolio-wide incumbent — and prunes or early-stops against them,
 * reports its own improvements through :meth:`publish_upper` /
@@ -15,9 +16,11 @@ accepts an optional ``control`` and, when one is given,
 
 The base class is deliberately inert: every method is a no-op that
 reports "keep going", so solvers can hold a control unconditionally.
-:class:`LocalControl` is the in-process implementation used by the
-inline scheduler and by tests; the process-mode client lives with the
-bus because it owns the multiprocessing primitives.
+:class:`LocalControl` is a plain in-process implementation for tests and
+callers that drive a solver by hand. The portfolio's own clients, the
+inline scheduler's :class:`~repro.portfolio.bus.InlineClient` and the
+process-mode :class:`~repro.portfolio.bus.BusClient`, live with the bus,
+which owns the shared state.
 
 This lives in :mod:`repro.obs` next to :class:`~repro.obs.budget.Budget`
 for the same reason the budget does: it is cross-cutting runtime plumbing
@@ -65,11 +68,11 @@ def records_checkpoints(control: SolverControl) -> bool:
 class LocalControl(SolverControl):
     """In-process control backed by plain attributes.
 
-    Used directly in tests and as the building block of the inline
-    scheduler: ``stop`` is a flag the owner flips, ``upper_bound`` /
-    ``lower_bound`` are injected shared bounds, and published bounds and
-    checkpoints are recorded on the instance. Publishing keeps only
-    improvements, so ``best_upper``/``best_lower`` are monotone.
+    For tests and hand-driven runs: ``stop`` is a flag the owner flips,
+    ``upper_bound`` / ``lower_bound`` are injected shared bounds, and
+    published bounds and checkpoints are recorded on the instance.
+    Publishing keeps only improvements, so ``best_upper``/``best_lower``
+    are monotone.
     """
 
     def __init__(

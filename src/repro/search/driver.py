@@ -26,17 +26,22 @@ supplies six hooks:
 vertices it eliminated (DESIGN.md has the soundness argument alongside
 PR2 and forcing).
 
-Branch and bound runs ``pr2`` and ``expand`` on every child it tries.
-A* runs them only on the children it pops (lazy evaluation): every
-generated child costs one ``bag_cost``, and DESIGN.md argues that the
-states are still expanded in eager order and the anytime bound stays
-sound.
+Both drivers run in one shell (:func:`_search`): the root bounds, the
+incumbent, the counters and the exit brackets, and the one child step
+that applies PR2, eliminates the child and expands it. Branch and bound
+steps into every child it tries and keeps its path on a list of frames,
+not on the Python stack. A* steps only into the children it pops (lazy
+evaluation): every generated child costs one ``bag_cost``, and DESIGN.md
+argues that the states are still expanded in eager order and the anytime
+bound stays sound.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable
+from dataclasses import dataclass
 from itertools import count
 from typing import ClassVar, Protocol
 
@@ -44,6 +49,7 @@ from repro import obs
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
 from repro.obs.control import SolverControl, records_checkpoints
+from repro.obs.metrics import Counter
 from repro.search.common import (
     SearchBudget,
     SearchResult,
@@ -118,24 +124,6 @@ class _Incumbent:
         frontier ``f`` no longer proves a lower bound."""
         return lb if self.ext_floor is None else min(lb, self.ext_floor)
 
-    def settle(
-        self,
-        proven: int,
-        width: int,
-        ordering: list[Vertex],
-        budget: SearchBudget,
-        name: str,
-    ) -> SearchResult:
-        """The result of a finished search holding a witness of ``width``.
-
-        Certified, unless the search pruned against a bus bound below
-        ``width``: then only that bound (or ``proven``) is proven here,
-        and the matching witness lives elsewhere on the bus.
-        """
-        floor = self.ext_floor
-        lb = width if floor is None or floor >= width else max(proven, floor)
-        return interrupted(lb, width, ordering, budget, name)
-
     def checkpoint(self, lower_bound: int, nodes: int) -> None:
         self.control.checkpoint(
             {
@@ -147,14 +135,277 @@ class _Incumbent:
         )
 
 
-def _trivial(
-    measure: Measure, budget: SearchBudget, name: str
-) -> SearchResult | None:
-    """Certified 0 when finishing at the root already costs 0 (PR1)."""
-    if measure.finish(0, 1) != 0:
-        return None
-    ordering = sorted(measure.working.vertices(), key=repr)
-    return certified(0, ordering, budget, name)
+@dataclass
+class _Run:
+    """A search past its root, as :func:`_search` hands it to a walk.
+
+    ``children``/``forced`` are the root's children and whether they were
+    forced. ``step(child, forced, low)`` lists the vertices other than
+    ``child``, keeps those PR2 keeps unless the parent's children were
+    ``forced``, eliminates ``child`` and expands it at ``low``; it
+    returns the new state's ``(children, forced, h)``.
+    """
+
+    name: str
+    measure: Measure
+    budget: SearchBudget
+    control: SolverControl
+    incumbent: _Incumbent
+    root_lb: int
+    children: list[Vertex]
+    forced: bool
+    nodes: Counter
+    prunes: dict[str, Counter]
+    step: Callable[[Vertex, bool, int], tuple[list[Vertex], bool, int]]
+
+    def interrupted(self, lb: int) -> SearchResult:
+        """The bracket of a search stopped with ``lb`` proven."""
+        incumbent = self.incumbent
+        return interrupted(
+            lb, incumbent.width, incumbent.ordering, self.budget, self.name
+        )
+
+    def settle(self, width: int, ordering: list[Vertex]) -> SearchResult:
+        """The result of a finished search holding a witness of ``width``.
+
+        Certified, unless the search pruned against a bus bound below
+        ``width``: then only that bound (or the root's) is proven here,
+        and the matching witness lives elsewhere on the bus.
+        """
+        floor = self.incumbent.ext_floor
+        lb = width if floor is None or floor >= width else max(self.root_lb, floor)
+        return interrupted(lb, width, ordering, self.budget, self.name)
+
+
+def _search(
+    walk: Callable[[_Run], SearchResult | None],
+    prefix: str,
+    rules: tuple[str, ...],
+    measure: Measure,
+    time_limit: float | None,
+    node_limit: int | None,
+    use_pr2: bool,
+    rng: random.Random | None,
+    control: SolverControl | None,
+) -> SearchResult:
+    """Run ``walk`` as the search ``{prefix}-{measure.kind}``.
+
+    The shell counts nodes, forcing and the prunes of PR2, ``dup`` (with
+    ``dedup``) and the walk's own ``rules``. It certifies 0 when
+    finishing at the root already costs 0 (PR1), and the root upper
+    bound when the root lower bound meets it. ``walk`` returns the result
+    of a search it ended itself (budget, stop or an A* goal), or ``None``
+    once no state below the pruning bound is left: the incumbent is then
+    settled and its lower bound published. ``control=None`` means the
+    inert :class:`SolverControl`.
+    """
+    control = control or SolverControl()
+    budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
+    name = f"{prefix}-{measure.kind}"
+    ins = obs.current()
+    metrics = ins.metrics
+    nodes = metrics.counter("nodes", solver=name)
+    rules = ("pr2", "dup", *rules) if measure.dedup else ("pr2", *rules)
+    prunes = {rule: metrics.counter("prunes", rule=rule, solver=name) for rule in rules}
+    prune_pr2 = prunes["pr2"]
+    forced_total = metrics.counter("reductions", kind="forced", solver=name)
+    working = measure.working
+
+    if measure.finish(0, 1) == 0:
+        ordering = sorted(working.vertices(), key=repr)
+        return attach_metrics(certified(0, ordering, budget, name), metrics)
+
+    with ins.tracer.span(name, **measure.span_attrs):
+        with ins.tracer.span("root_bounds"):
+            root_lb, ub, ub_ordering = measure.root_bounds(rng)
+        incumbent = _Incumbent(ub, ub_ordering, control)
+        control.publish_lower(root_lb)
+        if root_lb >= ub:
+            return attach_metrics(certified(ub, ub_ordering, budget, name), metrics)
+
+        vertices, eliminate = working.vertices, working.eliminate
+        expand, pr2 = measure.expand, measure.pr2
+
+        def step(child: Vertex, forced: bool, low: int) -> tuple[list, bool, int]:
+            children = [v for v in vertices() if v != child]
+            if use_pr2 and not forced:
+                kept = pr2(child, children)
+                prune_pr2.inc(len(children) - len(kept))
+                children = kept
+            eliminate(child)
+            reduction, h = expand(low)
+            if reduction is None:
+                return children, False, h
+            forced_total.inc()
+            return [reduction], True, h
+
+        reduction = measure.reduce(root_lb)
+        run = _Run(
+            name, measure, budget, control, incumbent, root_lb,
+            sorted(vertices(), key=repr) if reduction is None else [reduction],
+            reduction is not None, nodes, prunes, step,
+        )
+        with ins.tracer.span("search"):
+            result = walk(run)
+        if result is None:
+            result = run.settle(incumbent.width, incumbent.ordering)
+            control.publish_lower(result.lower_bound)
+        return attach_metrics(result, metrics)
+
+
+def _depth_first(run: _Run) -> SearchResult | None:
+    """Branch and bound's walk, on a list of frames.
+
+    A frame is ``[g, children, next position, forced, key]``: a state on
+    the current path, its children (ranked once it is entered; the next
+    position is ``-1`` until then), whether they were forced, and the
+    eliminated-set key of its last vertex. A state is entered (tested
+    against the budget, charged and checked by PR1) on top of the stack;
+    a frame is popped when its children are done, which writes its
+    ``exhausted`` entry and restores its vertex.
+    """
+    measure, budget, incumbent = run.measure, run.budget, run.incumbent
+    working, step, root_lb = measure.working, run.step, run.root_lb
+    should_stop, index, degree = run.control.should_stop, working.index, working.degree
+    bag_cost, finish, dedup = measure.bag_cost, measure.finish, measure.dedup
+    bound, offer, records = incumbent.bound, incumbent.offer, incumbent.records
+    nodes_total, prune_pr1, prune_lb = run.nodes, run.prunes["pr1"], run.prunes["lb"]
+    prune_incumbent, prune_dup = run.prunes["incumbent"], run.prunes.get("dup")
+    # Remaining-vertex set -> lowest ``g`` at which its subtree was
+    # exhausted (finished without abort, or cut by the lower bound).
+    exhausted: dict[int, int] = {}
+    child_key = None  # stays None without dedup
+    stack = [[0, run.children, -1, run.forced, None]]
+    while stack:
+        frame = stack[-1]
+        g, ranked, position, forced, key = frame
+        if position < 0:
+            if budget.exhausted() or should_stop():
+                return run.interrupted(root_lb)
+            budget.charge()
+            nodes_total.inc()
+            if records:
+                incumbent.checkpoint(root_lb, budget.nodes)
+            position = 0
+            if working.num_vertices() == 0:
+                offer(g, working.eliminated())
+                ranked = ()
+            else:
+                width = finish(g, incumbent.width)
+                if width is not None and width < incumbent.width:
+                    offer(
+                        width,
+                        working.eliminated() + sorted(working.vertices(), key=repr),
+                    )
+                if width is not None and width <= g:
+                    prune_pr1.inc()
+                    ranked = ()
+                else:
+                    ranked = sorted(ranked, key=lambda v: (degree(v), repr(v)))
+                    frame[1] = ranked
+        for position in range(position, len(ranked)):
+            child = ranked[position]
+            limit = bound()
+            child_g = max(g, bag_cost(child))
+            if child_g >= limit:
+                prune_incumbent.inc()
+                continue
+            if dedup:
+                child_key = working.alive ^ (1 << index[child])
+                if exhausted.get(child_key, child_g + 1) <= child_g:
+                    prune_dup.inc()
+                    continue
+            children, child_forced, h = step(child, forced, max(child_g, root_lb))
+            if max(child_g, h) < limit:
+                frame[2] = position + 1
+                stack.append([child_g, children, -1, child_forced, child_key])
+                break
+            prune_lb.inc()
+            if dedup:
+                exhausted[child_key] = child_g
+            working.restore()
+        else:
+            stack.pop()
+            if stack:  # every frame but the root's eliminated a vertex
+                if dedup:
+                    exhausted[key] = g
+                working.restore()
+    return None
+
+
+def _best_first(run: _Run) -> SearchResult | None:
+    """A*'s walk over a heap of states and pending children."""
+    measure, budget, incumbent = run.measure, run.budget, run.incumbent
+    working, step, control = measure.working, run.step, run.control
+    should_stop, index, nodes_total = control.should_stop, working.index, run.nodes
+    bag_cost, finish, dedup = measure.bag_cost, measure.finish, measure.dedup
+    bound, cap, records = incumbent.bound, incumbent.cap, incumbent.records
+    prune_ub, prune_dup = run.prunes["ub"], run.prunes.get("dup")
+    lb, sequence = run.root_lb, count()
+    # Lowest ``g`` at which each remaining-vertex set was reached.
+    best_g: dict[int, int] = {working.alive: 0}
+    # Heap entries: (f, -depth, tiebreak, g, alive, prefix, children,
+    # forced); ``alive`` is the entry's remaining-vertex mask and
+    # ``forced`` says whether ``children`` were forced. A child not
+    # evaluated yet has ``children`` None, its parent's ``forced``, and
+    # the key ``max(g, f(parent))``.
+    heap: list[tuple] = [
+        (lb, 0, next(sequence), 0, working.alive, (), run.children, run.forced)
+    ]
+    while heap:
+        f, neg_depth, tie, g, alive, prefix, children, forced = heapq.heappop(heap)
+        if dedup and g > best_g[alive]:
+            continue  # stale: a cheaper path to this set was queued
+        if children is None:
+            working.switch_to(prefix[:-1])
+            children, forced, h = step(prefix[-1], forced, max(g, lb))
+            if max(f, h) >= bound():
+                prune_ub.inc()
+                continue
+            if h > f:
+                heapq.heappush(
+                    heap, (h, neg_depth, tie, g, alive, prefix, children, forced)
+                )
+                continue
+        else:
+            working.switch_to(prefix)
+        if budget.exhausted() or should_stop():
+            return run.interrupted(cap(lb))
+        budget.charge()
+        nodes_total.inc()
+        if f > lb:
+            lb = f
+            control.publish_lower(cap(lb))
+        if records:
+            incumbent.checkpoint(cap(lb), budget.nodes)
+
+        width = finish(g, g)
+        if width is not None and width <= g:
+            # Goal: finishing in any order yields width exactly g.
+            return run.settle(g, list(prefix) + sorted(working.vertices(), key=repr))
+
+        for child in children:
+            child_g = max(g, bag_cost(child))
+            key = alive ^ (1 << index[child])
+            if dedup:
+                if best_g.get(key, child_g + 1) <= child_g:
+                    prune_dup.inc()
+                    continue
+                best_g[key] = child_g
+            child_f = max(child_g, f)
+            if child_f < bound():
+                heapq.heappush(
+                    heap,
+                    (
+                        child_f, neg_depth - 1, next(sequence), child_g, key,
+                        prefix + (child,), None, forced,
+                    ),
+                )
+            else:
+                prune_ub.inc()
+    # Every state with f < ub was exhausted: ub is the width, unless
+    # pruning used a bus bound below ub.
+    return None
 
 
 def branch_and_bound(
@@ -174,124 +425,10 @@ def branch_and_bound(
     at no higher ``g`` — sound because the pruning bound only tightens.
     ``control=None`` means the inert :class:`SolverControl`.
     """
-    control = control or SolverControl()
-    budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
-    name = f"bb-{measure.kind}"
-    ins = obs.current()
-    metrics = ins.metrics
-    nodes_total = metrics.counter("nodes", solver=name)
-    prune_pr1 = metrics.counter("prunes", rule="pr1", solver=name)
-    prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
-    prune_incumbent = metrics.counter("prunes", rule="incumbent", solver=name)
-    prune_lb = metrics.counter("prunes", rule="lb", solver=name)
-    dedup = measure.dedup
-    if dedup:
-        prune_dup = metrics.counter("prunes", rule="dup", solver=name)
-    forced_total = metrics.counter("reductions", kind="forced", solver=name)
-
-    def _finish(result: SearchResult) -> SearchResult:
-        return attach_metrics(result, metrics)
-
-    trivial = _trivial(measure, budget, name)
-    if trivial is not None:
-        return _finish(trivial)
-
-    with ins.tracer.span(name, **measure.span_attrs):
-        with ins.tracer.span("root_bounds"):
-            root_lb, ub, ub_ordering = measure.root_bounds(rng)
-        incumbent = _Incumbent(ub, ub_ordering, control)
-        control.publish_lower(root_lb)
-        if root_lb >= ub:
-            return _finish(certified(ub, ub_ordering, budget, name))
-
-        working = measure.working
-        index = working.index
-        bound, records = incumbent.bound, incumbent.records
-        bag_cost, expand, finish, pr2 = (
-            measure.bag_cost, measure.expand, measure.finish, measure.pr2
-        )
-        # Remaining-vertex set -> lowest ``g`` at which its subtree was
-        # exhausted (finished without abort, or cut by the lower bound).
-        exhausted: dict[int, int] = {}
-        aborted = False
-
-        def visit(g: int, children: list[Vertex], forced: bool) -> None:
-            """Depth-first expansion; ``children`` were computed by the parent
-            (so PR2 could consult the pre-elimination graph)."""
-            nonlocal aborted
-            if aborted or budget.exhausted() or control.should_stop():
-                aborted = True
-                return
-            budget.charge()
-            nodes_total.inc()
-            if records:
-                incumbent.checkpoint(root_lb, budget.nodes)
-
-            prefix = working.eliminated()
-            if working.num_vertices() == 0:
-                incumbent.offer(g, list(prefix))
-                return
-            width = finish(g, incumbent.width)
-            if width is not None:
-                if width < incumbent.width:
-                    incumbent.offer(
-                        width, list(prefix) + sorted(working.vertices(), key=repr)
-                    )
-                if width <= g:
-                    prune_pr1.inc()
-                    return
-
-            ranked = sorted(children, key=lambda v: (working.degree(v), repr(v)))
-            for child in ranked:
-                if aborted:
-                    return
-                limit = bound()
-                child_g = max(g, bag_cost(child))
-                if child_g >= limit:
-                    prune_incumbent.inc()
-                    continue
-                if dedup:
-                    key = working.alive ^ (1 << index[child])
-                    if exhausted.get(key, child_g + 1) <= child_g:
-                        prune_dup.inc()
-                        continue
-                grandchildren = [v for v in working.vertices() if v != child]
-                if use_pr2 and not forced:
-                    kept = pr2(child, grandchildren)
-                    prune_pr2.inc(len(grandchildren) - len(kept))
-                    grandchildren = kept
-                working.eliminate(child)
-                reduction, h = expand(max(child_g, root_lb))
-                if reduction is not None:
-                    grandchildren = [reduction]
-                    forced_total.inc()
-                if max(child_g, h) < limit:
-                    visit(child_g, grandchildren, reduction is not None)
-                else:
-                    prune_lb.inc()
-                if dedup:
-                    # An aborted search unwinds without reading the table.
-                    exhausted[key] = child_g
-                working.restore()
-
-        reduction = measure.reduce(root_lb)
-        root_children = (
-            sorted(working.vertices(), key=repr) if reduction is None else [reduction]
-        )
-        with ins.tracer.span("search"):
-            visit(0, root_children, reduction is not None)
-
-        if aborted:
-            return _finish(
-                interrupted(
-                    root_lb, incumbent.width, incumbent.ordering, budget, name
-                )
-            )
-        result = incumbent.settle(
-            root_lb, incumbent.width, incumbent.ordering, budget, name
-        )
-        control.publish_lower(result.lower_bound)
-        return _finish(result)
+    return _search(
+        _depth_first, "bb", ("pr1", "incumbent", "lb"), measure,
+        time_limit, node_limit, use_pr2, rng, control,
+    )
 
 
 def astar(
@@ -313,156 +450,17 @@ def astar(
     bounded, and the entry is re-pushed (uncharged) if ``h`` raised its
     ``f``, dropped if ``f`` reached the pruning bound, and expanded
     otherwise. A re-pushed entry keeps its tiebreak, so states are
-    expanded in the order eager evaluation expands them. Popped keys
-    never decrease, so the ``f`` of the last expanded state is an
-    anytime lower bound. With ``dedup``, a child whose set was already
-    reached at no higher ``g`` is not pushed, and heap entries made
-    stale by a later, cheaper path to their set are skipped on pop
-    without charging the budget. ``control=None`` means the inert
-    :class:`SolverControl`.
+    expanded in the order eager evaluation expands them. The budget and
+    stop test runs just before a state is charged, so a search whose
+    budget runs out still drops the pending children that eager
+    evaluation would have cut. Popped keys never decrease, so the ``f``
+    of the last expanded state is an anytime lower bound. With
+    ``dedup``, a child whose set was already reached at no higher ``g``
+    is not pushed, and heap entries made stale by a later, cheaper path
+    to their set are skipped on pop without charging the budget.
+    ``control=None`` means the inert :class:`SolverControl`.
     """
-    control = control or SolverControl()
-    budget = SearchBudget(time_limit=time_limit, node_limit=node_limit)
-    name = f"astar-{measure.kind}"
-    ins = obs.current()
-    metrics = ins.metrics
-    nodes_total = metrics.counter("nodes", solver=name)
-    prune_pr2 = metrics.counter("prunes", rule="pr2", solver=name)
-    prune_ub = metrics.counter("prunes", rule="ub", solver=name)
-    dedup = measure.dedup
-    if dedup:
-        prune_dup = metrics.counter("prunes", rule="dup", solver=name)
-    forced_total = metrics.counter("reductions", kind="forced", solver=name)
-
-    def _finish(result: SearchResult) -> SearchResult:
-        return attach_metrics(result, metrics)
-
-    trivial = _trivial(measure, budget, name)
-    if trivial is not None:
-        return _finish(trivial)
-
-    with ins.tracer.span(name, **measure.span_attrs):
-        with ins.tracer.span("root_bounds"):
-            root_lb, ub, ub_ordering = measure.root_bounds(rng)
-        control.publish_lower(root_lb)
-        incumbent = _Incumbent(ub, ub_ordering, control)
-        if root_lb >= ub:
-            return _finish(certified(ub, ub_ordering, budget, name))
-
-        working = measure.working
-        index = working.index
-        bound, cap, records = incumbent.bound, incumbent.cap, incumbent.records
-        bag_cost, expand, finish, pr2 = (
-            measure.bag_cost, measure.expand, measure.finish, measure.pr2
-        )
-        lb = root_lb
-        sequence = count()
-        # Lowest ``g`` at which each remaining-vertex set was reached.
-        best_g: dict[int, int] = {working.alive: 0}
-        reduction = measure.reduce(lb)
-        root_children = (
-            tuple(sorted(working.vertices(), key=repr))
-            if reduction is None
-            else (reduction,)
-        )
-        # Heap entries: (f, -depth, tiebreak, g, alive, prefix, children,
-        # forced); ``alive`` is the entry's remaining-vertex mask and
-        # ``forced`` says whether ``children`` were forced. A child not
-        # evaluated yet has ``children`` None, its parent's ``forced``, and
-        # the key ``max(g, f(parent))``.
-        heap: list[
-            tuple[
-                int, int, int, int, int,
-                tuple[Vertex, ...], tuple[Vertex, ...] | None, bool,
-            ]
-        ] = [
-            (
-                lb, 0, next(sequence), 0, working.alive,
-                (), root_children, reduction is not None,
-            )
-        ]
-
-        with ins.tracer.span("search"):
-            while heap:
-                if budget.exhausted() or control.should_stop():
-                    return _finish(
-                        interrupted(cap(lb), ub, ub_ordering, budget, name)
-                    )
-                f, neg_depth, tie, g, alive, prefix, children, forced = (
-                    heapq.heappop(heap)
-                )
-                if dedup and g > best_g[alive]:
-                    continue  # stale: a cheaper path to this set was queued
-                if children is None:
-                    child = prefix[-1]
-                    working.switch_to(prefix[:-1])
-                    grandchildren = [v for v in working.vertices() if v != child]
-                    if use_pr2 and not forced:
-                        kept = pr2(child, grandchildren)
-                        prune_pr2.inc(len(grandchildren) - len(kept))
-                        grandchildren = kept
-                    working.eliminate(child)
-                    reduction, h = expand(max(g, lb))
-                    forced = reduction is not None
-                    if forced:
-                        grandchildren = [reduction]
-                        forced_total.inc()
-                    children = tuple(grandchildren)
-                    if max(f, h) >= bound():
-                        prune_ub.inc()
-                        continue
-                    if h > f:
-                        heapq.heappush(
-                            heap,
-                            (h, neg_depth, tie, g, alive, prefix, children, forced),
-                        )
-                        continue
-                else:
-                    working.switch_to(prefix)
-                budget.charge()
-                nodes_total.inc()
-                if f > lb:
-                    lb = f
-                    control.publish_lower(cap(lb))
-                if records:
-                    incumbent.checkpoint(cap(lb), budget.nodes)
-
-                width = finish(g, g)
-                if width is not None and width <= g:
-                    # Goal: finishing in any order yields width exactly g.
-                    ordering = list(prefix) + sorted(working.vertices(), key=repr)
-                    return _finish(
-                        incumbent.settle(root_lb, g, ordering, budget, name)
-                    )
-
-                for child in children:
-                    child_g = max(g, bag_cost(child))
-                    key = alive ^ (1 << index[child])
-                    if dedup:
-                        if best_g.get(key, child_g + 1) <= child_g:
-                            prune_dup.inc()
-                            continue
-                        best_g[key] = child_g
-                    child_f = max(child_g, f)
-                    if child_f < bound():
-                        heapq.heappush(
-                            heap,
-                            (
-                                child_f,
-                                neg_depth - 1,
-                                next(sequence),
-                                child_g,
-                                key,
-                                prefix + (child,),
-                                None,
-                                forced,
-                            ),
-                        )
-                    else:
-                        prune_ub.inc()
-
-        # Every state with f < ub was exhausted: ub is the width — unless
-        # pruning used a bus bound below ub.
-        result = incumbent.settle(root_lb, ub, ub_ordering, budget, name)
-        control.publish_lower(result.lower_bound)
-        return _finish(result)
+    return _search(
+        _best_first, "astar", ("ub",), measure,
+        time_limit, node_limit, use_pr2, rng, control,
+    )

@@ -38,9 +38,11 @@ import pytest
 
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.search.astar_tw import astar_treewidth
 from repro.search.bb_ghw import GhwMeasure
 from repro.search.bb_tw import TreewidthMeasure
 from repro.search.driver import astar
+from tests.property import test_tw_duplicate_detection as duplicate_detection
 from tests.reference import reference_eager_astar
 
 COMBINATIONS = [(True, True), (True, False), (False, True), (False, False)]
@@ -148,14 +150,7 @@ def _outcome(result) -> tuple:
 
 def _compare(build, use_pr2: bool, node_limit: int | None = None) -> None:
     """Run both searches at ``node_limit``, then at one node and at half
-    the nodes the first run expanded.
-
-    A budgeted lazy run may end on ``[lb, ub]`` where the eager run
-    certifies ``ub``: the budget runs out while the heap still holds
-    pending children that evaluation would drop, which eager evaluation
-    cut when it generated them. Its expansions and ``lb`` are still
-    eager's.
-    """
+    the nodes the first run expanded."""
     limits = [node_limit, 1]
     for limit in limits:
         lazy, eager = LoggedMeasure(build()), LoggedMeasure(build())
@@ -164,15 +159,22 @@ def _compare(build, use_pr2: bool, node_limit: int | None = None) -> None:
             eager, node_limit=limit, use_pr2=use_pr2
         )
         assert lazy.log == eager.log, limit
-        lazy_outcome, eager_outcome = _outcome(lazy_result), _outcome(eager_result)
-        if limit is None or lazy_outcome == eager_outcome:
-            assert lazy_outcome == eager_outcome, limit
-        else:
-            assert eager_result.optimal and not lazy_result.optimal
-            assert lazy_outcome[1:] == (eager_outcome[1], False, *eager_outcome[3:])
-            assert lazy_result.lower_bound <= eager_result.lower_bound
+        assert _outcome(lazy_result) == _outcome(eager_result), limit
         if len(limits) == 2:
             limits.append(max(1, lazy_result.nodes_expanded // 2))
+
+
+def test_budget_runs_out_on_pending_children_only():
+    """At one node, A*-tw's heap holds only pending children that
+    evaluation drops: the search must empty it and certify, as eager
+    evaluation does, rather than stop on the spent budget."""
+    graph = duplicate_detection.random_graph(17)
+    result = astar_treewidth(graph, node_limit=1)
+    eager = reference_eager_astar(
+        TreewidthMeasure(graph, LB_METHODS, True), node_limit=1
+    )
+    assert eager.optimal and eager.value == 5
+    assert _outcome(result) == _outcome(eager)
 
 
 @pytest.mark.parametrize("seed", range(30))
