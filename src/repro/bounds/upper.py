@@ -18,7 +18,7 @@ import random
 from collections.abc import Callable
 
 from repro.decompositions.elimination import ordering_width
-from repro.hypergraphs.elimination_graph import EliminationGraph
+from repro.hypergraphs.elimination_graph import EliminationGraph, bits_of
 from repro.hypergraphs.graph import Graph, Vertex
 
 
@@ -36,22 +36,41 @@ def _greedy_ordering(
     score: Callable[[EliminationGraph, Vertex], int],
     rng: random.Random | None,
 ) -> list[Vertex]:
-    """Repeatedly eliminate a vertex minimising ``score``."""
+    """Repeatedly eliminate a vertex minimising ``score``.
+
+    ``score(working, v)`` may read only ``v``'s neighbours and the edges
+    among them (its degree, its fill-in), so scores are kept per vertex:
+    eliminating ``x`` changes only those of ``x``'s neighbours and, when
+    fill edges were added, those of the vertices next to a fill edge,
+    which are neighbours of ``x``'s neighbours (a fill edge joins two of
+    them). Candidates are scanned in ``working.vertices()`` order, so
+    ties and ``rng`` draws are those of rescoring every vertex at every
+    step.
+    """
     working = EliminationGraph(graph)
+    masks, labels = working.masks, working.labels
+    scores = {vertex: score(working, vertex) for vertex in working.vertices()}
     ordering: list[Vertex] = []
-    while working.num_vertices() > 0:
+    while scores:
         best_score: int | None = None
         best: list[Vertex] = []
         for vertex in working.vertices():
-            value = score(working, vertex)
+            value = scores[vertex]
             if best_score is None or value < best_score:
                 best_score = value
                 best = [vertex]
             elif value == best_score:
                 best.append(vertex)
         choice = _pick(best, rng)
+        del scores[choice]
+        stale = masks[working.index[choice]]
+        if working.fill_in(choice):
+            for u in bits_of(stale):
+                stale |= masks[u]
         working.eliminate(choice)
         ordering.append(choice)
+        for u in bits_of(stale & working.alive):
+            scores[labels[u]] = score(working, labels[u])
     return ordering
 
 

@@ -15,8 +15,10 @@ population evaluation:
   indices, with the thesis's random tie-breaks replayed exactly
   (:func:`repro.setcover.greedy.greedy_set_cover` and
   :func:`greedy_cover_mask` run on it),
-* :func:`exact_cover_mask` — the library's one exact set-cover search
-  (:class:`repro.setcover.exact.ExactSetCoverSolver` answers through it),
+* :func:`exact_cover_mask` — the library's one exact set-cover search,
+  and :func:`windowed_cover_mask`, the same search priced only inside a
+  window ``(g, limit)`` (:class:`repro.setcover.exact.ExactSetCoverSolver`
+  answers through them),
 * :class:`CoverCache` — the shared, instrumented bag -> cover LRU
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness
@@ -41,7 +43,12 @@ from repro.kernels.cache import (
     cover_cache,
     family_token,
 )
-from repro.kernels.cover import cover_mask, exact_cover_mask, greedy_cover_mask
+from repro.kernels.cover import (
+    cover_mask,
+    exact_cover_mask,
+    greedy_cover_mask,
+    windowed_cover_mask,
+)
 from repro.kernels.elimination import (
     bit_elimination_bags,
     bit_ordering_ghw,
@@ -69,4 +76,5 @@ __all__ = [
     "make_bit_ghw_evaluator",
     "make_tw_evaluator",
     "minor_lower_bound",
+    "windowed_cover_mask",
 ]

@@ -10,12 +10,15 @@ used by the bitset elimination kernel:
   — built once from the per-vertex incidence masks and lowered with a
   borrow chain as vertices get covered, so no step rescans the edges.
   The maximum-gain edges come out in edge insertion order; with an
-  ``rng`` the loop makes the draw ``rng.choice`` makes on that list
-  (the thesis's random tie-breaking, one draw per step), without one it
-  takes the edge whose *name* is smallest under ``repr``;
+  ``rng`` the loop takes the ``rng.randrange(count)``-th of them, the
+  draw ``rng.choice`` makes on that list (the thesis's random
+  tie-breaking, one draw per step), without one it takes the edge whose
+  *name* is smallest under ``repr``;
 * :func:`exact_cover_mask` is the library's one exact set-cover
-  search; :class:`~repro.setcover.exact.ExactSetCoverSolver` answers
-  through it.
+  search, and :func:`windowed_cover_mask` the same search asked only
+  whether the cover number lies inside a window ``(g, limit)``;
+  :class:`~repro.setcover.exact.ExactSetCoverSolver` answers through
+  them.
 
 Neither routine ever scans the full edge family: edges meeting no bag
 vertex never enter the counters or the exact search's edge list.
@@ -77,10 +80,11 @@ def greedy_cover_indices(
     narrows the top non-empty plane down through the lower ones to the
     maximum-gain edges, in index (that is, insertion) order — the list
     the thesis's loop over all edges builds. With an ``rng`` the loop
-    takes the ``k``-th of them for ``k = rng.choice(range(count))``,
-    which is the draw ``rng.choice`` makes on that list, at every step,
-    even on a single tie, so the random stream advances exactly as in
-    that loop. Without one it takes ``min(ties, key=tie_key)``.
+    takes the ``k``-th of them for ``k = rng.randrange(count)``, which
+    is the draw ``rng.choice`` makes on that list (both draw one
+    ``rng._randbelow(count)``), at every step, even on a single tie, so
+    the random stream advances exactly as in that loop. Without one it
+    takes ``min(ties, key=tie_key)``.
     """
     # A gain never exceeds |uncovered|, so this many planes never overflow.
     planes = [0] * uncovered.bit_count().bit_length()
@@ -108,7 +112,7 @@ def greedy_cover_indices(
             if narrowed:
                 ties = narrowed
         if rng is not None:
-            for _ in range(rng.choice(range(ties.bit_count()))):
+            for _ in range(rng.randrange(ties.bit_count())):
                 ties &= ties - 1
             pick = (ties & -ties).bit_length() - 1
         else:
@@ -138,8 +142,9 @@ def greedy_cover_mask(
 ) -> tuple[int, ...]:
     """Greedy cover of ``bag_mask``; returns chosen edge indices.
 
-    Ties break on ``rng.choice`` when an ``rng`` is given, else toward
-    the smallest edge name by ``repr`` (``bh.tie_rank``).
+    Ties break on the draw ``rng.choice`` makes on them when an ``rng``
+    is given, else toward the smallest edge name by ``repr``
+    (``bh.tie_rank``).
     """
     return tuple(
         greedy_cover_indices(
@@ -167,8 +172,47 @@ def exact_cover_mask(
     still uncovered. ``nodes[0]``, when given, is increased by the
     number of search nodes.
     """
+    return _exact_cover(bh, bag_mask, nodes, None)[0]
+
+
+def windowed_cover_mask(
+    bh: BitHypergraph,
+    bag_mask: int,
+    g: int,
+    limit: int | None,
+    nodes: list[int] | None = None,
+) -> tuple[tuple[int, ...], int]:
+    """A cover of ``bag_mask`` priced only inside the window ``(g, limit)``.
+
+    Returns ``(cover, lower)``: ``lower`` is a proven lower bound on the
+    cover number ``c`` and ``len(cover) >= c``, so the cover is optimal
+    when the two meet. The answer satisfies the window contract:
+    ``max(g, len(cover)) == max(g, c)`` whenever ``max(g, c) < limit``
+    (``limit=None`` is no limit), and ``max(g, len(cover)) >= limit``
+    otherwise.
+
+    The greedy cover comes back at once when it is ``<= g``, when the
+    size-profile floor over the kept restricted edge sizes reaches
+    ``limit``, or when the floor equals it. Otherwise the search of
+    :func:`exact_cover_mask` runs with budget ``min(|greedy|, limit)``
+    and stops at the first cover no larger than ``max(g, floor)``.
+    A cover it returns whose size is the cover number is the very tuple
+    :func:`exact_cover_mask` returns: the smaller budget and the early
+    stop prune only subtrees the first optimal leaf in search order does
+    not lie in.
+    """
+    return _exact_cover(bh, bag_mask, nodes, (g, limit))
+
+
+def _exact_cover(
+    bh: BitHypergraph,
+    bag_mask: int,
+    nodes: list[int] | None,
+    window: tuple[int, int | None] | None,
+) -> tuple[tuple[int, ...], int]:
+    """The body of both exact covers: ``(cover, proven lower bound)``."""
     if not bag_mask:
-        return ()
+        return (), 0
     # Restrict to the bag and drop dominated (subset) edges.
     restricted: list[tuple[int, int]] = []  # (edge index, restricted mask)
     coverable = 0
@@ -189,6 +233,25 @@ def exact_cover_mask(
         if not any(mask & ~other == 0 for _r, _i, other in kept):
             kept.append((tie_rank[i], i, mask))
 
+    best = list(greedy_cover_mask(bh, bag_mask))
+    budget = len(best)
+    floor = done = 0
+    if window is not None:
+        g, limit = window
+        # Size-profile floor: the fewest kept edges (largest first) whose
+        # sizes add up to the bag's.
+        need = bag_mask.bit_count()
+        for _r, _i, mask in kept:
+            floor += 1
+            need -= mask.bit_count()
+            if need <= 0:
+                break
+        if budget <= g or floor == budget or (limit is not None and floor >= limit):
+            return tuple(best), floor
+        if limit is not None and limit < budget:
+            budget = limit
+        done = max(g, floor)
+
     # Pivot order: (kept edges holding the bit, bit), each bit with the
     # kept edges holding it.
     pivots: list[tuple[int, list[tuple[int, int, int]]]] = []
@@ -199,13 +262,16 @@ def exact_cover_mask(
         pivots.append((low, [item for item in kept if item[2] & low]))
     pivots.sort(key=lambda pivot: (len(pivot[1]), pivot[0]))
 
-    best = list(greedy_cover_mask(bh, bag_mask))
     counter = [0] if nodes is None else nodes
     masks = [mask for _r, _i, mask in kept]
-    found = _search_mask(bag_mask, masks, pivots, [], len(best), counter)
-    if found is not None:
-        best = found
-    return tuple(best)
+    found = _search_mask(bag_mask, masks, pivots, [], budget, done, counter)
+    if found is None:
+        # No cover below the budget: the greedy cover is optimal, or
+        # (budget = limit) the cover number reaches the limit.
+        return tuple(best), budget
+    # A search that stopped early, at a cover <= done, proves only the
+    # floor; one that ran out proves its last cover optimal.
+    return tuple(found), floor if len(found) <= done else len(found)
 
 
 def _search_mask(
@@ -214,9 +280,11 @@ def _search_mask(
     pivots: list[tuple[int, list[tuple[int, int, int]]]],
     chosen: list[int],
     budget: int,
+    done: int,
     nodes: list[int],
 ) -> list[int] | None:
-    """Find a cover strictly smaller than ``budget`` if one exists."""
+    """Find a cover strictly smaller than ``budget`` if one exists; a
+    cover no larger than ``done`` ends the search."""
     nodes[0] += 1
     if not uncovered:
         return list(chosen) if len(chosen) < budget else None
@@ -235,13 +303,13 @@ def _search_mask(
     for _rank, index, mask in candidates:
         chosen.append(index)
         found = _search_mask(
-            uncovered & ~mask, masks, pivots, chosen, budget, nodes
+            uncovered & ~mask, masks, pivots, chosen, budget, done, nodes
         )
         chosen.pop()
         if found is not None:
             best = found
             budget = len(found)
-            if budget <= len(chosen) + 1:
+            if budget <= len(chosen) + 1 or budget <= done:
                 break
     return best
 
@@ -251,13 +319,8 @@ def cover_mask(
     bag_mask: int,
     mode: str,
     cache: CoverCache | None = None,
-    nodes: list[int] | None = None,
 ) -> tuple[int, ...]:
-    """Cover ``bag_mask`` in ``mode`` (``"greedy"``/``"exact"``), cached.
-
-    ``nodes[0]``, when given, counts the exact search's nodes; a cache
-    hit leaves it unchanged.
-    """
+    """Cover ``bag_mask`` in ``mode`` (``"greedy"``/``"exact"``), cached."""
     if cache is not None:
         cached = cache.get(bh.token, mode, bag_mask)
         if cached is not None:
@@ -265,7 +328,7 @@ def cover_mask(
     if mode == "greedy":
         cover = greedy_cover_mask(bh, bag_mask)
     elif mode == "exact":
-        cover = exact_cover_mask(bh, bag_mask, nodes)
+        cover = exact_cover_mask(bh, bag_mask)
     else:
         raise ValueError(f"unknown cover mode {mode!r}")
     if cache is not None:

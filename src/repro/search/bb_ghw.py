@@ -20,10 +20,12 @@ exactly as in Definition 17. Ingredients, following Chapter 8:
 
 The search interns the hypergraph once, in its elimination graph's
 vertex order, so a bag is ``(1 << i) | masks[i]`` and the remainder is
-``alive``. Exact covers come from the cover cache keyed on bag masks —
-elimination bags repeat massively. The remaining filled graph depends
-only on the eliminated *set*, so the forced simplicial vertex and ``h``
-are computed once per ``alive`` mask. PR1's greedy remainder cover runs
+``alive``. Bag costs come from one exact-cover solver per search. Its
+memo, keyed on bag masks, keeps what each bag has proven (elimination
+bags repeat massively), and it prices a bag only as exactly as the
+window ``(g, limit)`` the driver passes needs. The remaining filled
+graph depends only on the eliminated *set*, so the forced simplicial
+vertex and ``h`` are computed once per ``alive`` mask. PR1's greedy remainder cover runs
 only when a size-profile floor says it could close the node or improve
 the incumbent (see DESIGN.md).
 
@@ -60,8 +62,12 @@ def initial_ghw_incumbent(
 
     Greedy covers would also be sound (they only overestimate), but the
     heuristic orderings are few and scoring them exactly gives the search
-    a genuinely attainable incumbent. Bags are masks of ``solver.bh``,
-    so the covers found here are the cache entries the search reuses.
+    a genuinely attainable incumbent. Each bag is priced in the window
+    ``(running max, best width so far)``, which leaves the running max
+    exact while it stays below the best width; an ordering whose running
+    max reaches the best width can no longer win and is dropped. Bags
+    are masks of ``solver.bh``, so what the covers prove here is in the
+    memo the search reads.
     """
     from repro.decompositions.elimination import elimination_bags
 
@@ -70,13 +76,13 @@ def initial_ghw_incumbent(
     best_ordering: list[Vertex] = []
     for build in (min_fill_ordering, min_degree_ordering):
         ordering = build(primal, rng)
-        bags = elimination_bags(solver.bh, ordering)
-        width = max(
-            (solver.cover_size(bag) for bag in bags.values()), default=0
-        )
+        width = 0
+        for bag in elimination_bags(solver.bh, ordering).values():
+            width = max(width, solver.cover_size(bag, width, best_width))
+            if best_width is not None and width >= best_width:
+                break  # it can no longer win: ties keep the first
         if best_width is None or width < best_width:
-            best_width = width
-            best_ordering = ordering
+            best_width, best_ordering = width, ordering
     assert best_width is not None
     return best_width, best_ordering
 
@@ -130,10 +136,13 @@ class GhwMeasure:
     def reduce(self, low: int) -> Vertex | None:
         return find_simplicial(self.working) if self.use_reductions else None
 
-    def bag_cost(self, child: Vertex) -> int:
+    def bag_cost(
+        self, child: Vertex, g: int | None = None, limit: int | None = None
+    ) -> int:
+        # Exact only inside the window (g, limit); without one, exact.
         working = self.working
         i = working.index[child]
-        return self.solver.cover_size((1 << i) | working.masks[i])
+        return self.solver.cover_size((1 << i) | working.masks[i], g, limit)
 
     def expand(self, low: int) -> tuple[Vertex | None, int]:
         alive = self.working.alive

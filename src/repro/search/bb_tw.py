@@ -70,7 +70,10 @@ class TreewidthMeasure:
             return None
         return find_reduction_vertex(self.working, low)
 
-    def bag_cost(self, child: Vertex) -> int:
+    def bag_cost(
+        self, child: Vertex, g: int | None = None, limit: int | None = None
+    ) -> int:
+        # Degrees are exact at no extra cost: the window is ignored.
         return self.working.degree(child)
 
     def expand(self, low: int) -> tuple[Vertex | None, int]:

@@ -13,7 +13,13 @@ supplies six hooks:
 * ``root_bounds(rng)`` -> ``(lb, ub, ordering)``, the only calls that
   consume ``rng``;
 * ``reduce(low)``: the vertex forced at the root (``None`` if none);
-* ``bag_cost(child)``: the cost of eliminating ``child`` next;
+* ``bag_cost(child, g, limit)``: the cost of eliminating ``child``
+  next, priced only inside the window ``(g, limit)``: a value ``v``
+  with ``max(g, v) == max(g, c)`` whenever ``max(g, c) < limit``, and
+  ``max(g, v) >= limit`` otherwise, for the true cost ``c``. ``g`` is the
+  parent's cost and ``limit`` the bound the child is then pruned
+  against, so the walks prune and push the same children with the same
+  cost as with exact prices (DESIGN.md, "Windowed bag costs");
 * ``expand(low)`` -> ``(forced, h)`` after a child was eliminated: the
   vertex forced next and a lower bound on the remaining width;
 * ``finish(g, below)``: PR1, the width of finishing now in any order,
@@ -75,7 +81,7 @@ class Measure(Protocol):
 
     def reduce(self, low: int) -> Vertex | None: ...
 
-    def bag_cost(self, child: Vertex) -> int: ...
+    def bag_cost(self, child: Vertex, g: int, limit: int) -> int: ...
 
     def expand(self, low: int) -> tuple[Vertex | None, int]: ...
 
@@ -306,7 +312,7 @@ def _depth_first(run: _Run) -> SearchResult | None:
         for position in range(position, len(ranked)):
             child = ranked[position]
             limit = bound()
-            child_g = max(g, bag_cost(child))
+            child_g = max(g, bag_cost(child, g, limit))
             if child_g >= limit:
                 prune_incumbent.inc()
                 continue
@@ -384,8 +390,9 @@ def _best_first(run: _Run) -> SearchResult | None:
             # Goal: finishing in any order yields width exactly g.
             return run.settle(g, list(prefix) + sorted(working.vertices(), key=repr))
 
+        limit = bound()
         for child in children:
-            child_g = max(g, bag_cost(child))
+            child_g = max(g, bag_cost(child, g, limit))
             key = alive ^ (1 << index[child])
             if dedup:
                 if best_g.get(key, child_g + 1) <= child_g:
@@ -393,7 +400,7 @@ def _best_first(run: _Run) -> SearchResult | None:
                     continue
                 best_g[key] = child_g
             child_f = max(child_g, f)
-            if child_f < bound():
+            if child_f < limit:
                 heapq.heappush(
                     heap,
                     (

@@ -9,11 +9,17 @@ branch and bound over bitmasks in :func:`repro.kernels.cover.exact_cover_mask`
 
 :class:`ExactSetCoverSolver` is its facade. It interns the edge family
 once into a :class:`~repro.kernels.bithypergraph.BitHypergraph` (or takes
-one), and answers every lookup through the process-wide cover cache
-(:mod:`repro.kernels.cache`) keyed on the bag mask, which pays off across
-the thousands of highly-similar bags a BB-ghw run evaluates — and across
-*solvers*: every solver built over the same interned family shares one
-memo table.
+one) and keeps a memo of what each bag mask has proven: a lower bound on
+its cover number and the best cover found. A lookup may carry a window
+``(g, limit)``: the exact searches only read ``max(g, cover)`` and only
+ask whether it is below their pruning limit, so the memo answers when
+its cover is exact, is ``<= g``, or its bound is ``>= limit``, and
+otherwise refines the entry with
+:func:`~repro.kernels.cover.windowed_cover_mask`. A bag seen for the
+first time is looked up in the process-wide cover cache
+(:mod:`repro.kernels.cache`), which receives only exact covers, so the
+covers later solvers and witness decompositions read are the tuples an
+unwindowed search returns.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
 from repro.kernels.bithypergraph import BitHypergraph, bits_of
 from repro.kernels.cache import cover_cache
-from repro.kernels.cover import cover_mask
+from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 
 # ``greedy_set_cover`` stays importable from here, as it always was.
 from repro.setcover.greedy import UncoverableError, greedy_set_cover
@@ -57,6 +63,9 @@ class ExactSetCoverSolver:
             else BitHypergraph.from_edges(edges)
         )
         self._cache = cover_cache()
+        # bag mask -> (proven lower bound, best cover found); the cover
+        # is optimal when its size meets the bound.
+        self._memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def _mask_of(self, target: Iterable[Vertex]) -> int:
         """Intern ``target``; unknown vertices are uncoverable."""
@@ -79,28 +88,70 @@ class ExactSetCoverSolver:
             )
         return mask
 
-    def cover(self, target: int | Iterable[Vertex]) -> list[EdgeName]:
-        """An optimal cover of ``target``; raises if uncoverable.
+    def cover(
+        self,
+        target: int | Iterable[Vertex],
+        g: int | None = None,
+        limit: int | None = None,
+    ) -> list[EdgeName]:
+        """A cover of ``target``; raises if uncoverable.
 
         ``target`` is a bag mask in ``self.bh``'s indexing or an iterable
-        of vertices. Returns edge names.
+        of vertices. Returns edge names. Without a window the cover is
+        optimal. With one (``g``, ``limit``; ``None`` leaves that end
+        open) its size ``v`` only meets the window contract against the
+        cover number ``c``: ``max(g, v) == max(g, c)`` whenever
+        ``max(g, c) < limit``, and ``max(g, v) >= limit`` otherwise.
         """
         mask = target if isinstance(target, int) else self._mask_of(target)
         if not mask:
             return []
-        nodes = [0]
-        cover = cover_mask(self.bh, mask, "exact", self._cache, nodes)
+        memo = self._memo
+        entry = memo.get(mask)
+        if entry is None:
+            cached = self._cache.get(self.bh.token, "exact", mask)
+            if cached is not None:
+                entry = memo[mask] = (len(cached), cached)
         metrics = obs.current().metrics
+        if entry is not None:
+            lower, cover = entry
+            size = len(cover)
+            if (
+                size == lower
+                or (g is not None and size <= g)
+                or (limit is not None and lower >= limit)
+            ):
+                if metrics.enabled:
+                    metrics.counter("setcover_cache", event="hit").inc()
+                return self.bh.names_of(cover)
+        nodes = [0]
+        if g is None and limit is None:
+            cover = exact_cover_mask(self.bh, mask, nodes)
+            lower = len(cover)
+        else:
+            cover, lower = windowed_cover_mask(self.bh, mask, g or 0, limit, nodes)
+        if entry is not None:
+            # Both answers hold: keep the higher bound and the smaller cover.
+            lower = max(lower, entry[0])
+            if len(entry[1]) <= len(cover):
+                cover = entry[1]
+        memo[mask] = (lower, cover)
+        if lower == len(cover):
+            self._cache.put(self.bh.token, "exact", mask, cover)
         if metrics.enabled:
-            # Only a lookup that missed the cache runs the search.
-            event = "miss" if nodes[0] else "hit"
-            metrics.counter("setcover_cache", event=event).inc()
+            metrics.counter("setcover_cache", event="miss").inc()
             if nodes[0]:
                 metrics.counter("setcover_nodes").inc(nodes[0])
         return self.bh.names_of(cover)
 
-    def cover_size(self, target: int | Iterable[Vertex]) -> int:
-        return len(self.cover(target))
+    def cover_size(
+        self,
+        target: int | Iterable[Vertex],
+        g: int | None = None,
+        limit: int | None = None,
+    ) -> int:
+        """``len(self.cover(target, g, limit))``."""
+        return len(self.cover(target, g, limit))
 
 
 def exact_set_cover(

@@ -43,8 +43,9 @@ def greedy_set_cover(
         :class:`BitHypergraph`.
     rng:
         Optional random source for tie-breaking: among the edges of
-        maximum gain, listed in edge insertion order, ``rng.choice``
-        picks one at every step. Without it ties break toward the
+        maximum gain, listed in edge insertion order, the loop takes
+        the ``rng.randrange(count)``-th at every step, the pick
+        ``rng.choice`` makes on that list. Without it ties break toward the
         smallest edge name by ``repr``, which keeps evaluation
         deterministic for exact algorithms and tests.
 

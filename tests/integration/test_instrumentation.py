@@ -39,6 +39,42 @@ class TestSolverCounters:
         assert snapshot['setcover_cache{event="miss"}'] > 0
         assert snapshot['setcover{algo="greedy",event="call"}'] > 0
 
+    def test_exact_cover_counts_kernel_runs_as_misses(self):
+        """``setcover_cache{event}`` counts a miss whenever the cover
+        kernel runs, also when a windowed call returns at once without
+        searching, and a hit whenever the solver's memo or the cover
+        cache answers."""
+        from repro.kernels.cache import cover_cache
+        from repro.setcover.exact import ExactSetCoverSolver
+
+        cover_cache().clear()
+        # Greedy takes a (4 vertices) and then two more edges; b and c
+        # cover the bag with two, the size-profile floor.
+        edges = {"a": {1, 2, 3, 4}, "b": {1, 2, 5}, "c": {3, 4, 6}}
+        hard = {1, 2, 3, 4, 5, 6}
+        solver = ExactSetCoverSolver(edges)
+        with obs.instrument() as ins:
+            # Greedy (3) <= g: the kernel returns it without a search node.
+            assert len(solver.cover(hard, 3, None)) == 3
+            snapshot = ins.metrics.snapshot()
+            assert snapshot['setcover_cache{event="miss"}'] == 1
+            assert 'setcover_cache{event="hit"}' not in snapshot
+            assert "setcover_nodes" not in snapshot
+            # The memo holds a cover <= g: a hit.
+            assert len(solver.cover(hard, 3, 5)) == 3
+            # Below its proven floor (2) nothing is settled: the search runs.
+            assert len(solver.cover(hard, 1, None)) == 2
+            snapshot = ins.metrics.snapshot()
+            assert snapshot['setcover_cache{event="hit"}'] == 1
+            assert snapshot['setcover_cache{event="miss"}'] == 2
+            assert snapshot["setcover_nodes"] > 0
+            # The exact cover went to the cover cache: a fresh solver's
+            # first lookup is a hit there.
+            assert len(ExactSetCoverSolver(edges).cover(hard)) == 2
+            snapshot = ins.metrics.snapshot()
+            assert snapshot['setcover_cache{event="hit"}'] == 2
+            assert snapshot['setcover_cache{event="miss"}'] == 2
+
     def test_result_carries_metrics_snapshot(self):
         with obs.instrument():
             result = branch_and_bound_ghw(grid2d(3, 3))

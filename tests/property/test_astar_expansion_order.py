@@ -124,8 +124,8 @@ class LoggedMeasure:
     def reduce(self, low):
         return self.inner.reduce(self.low)
 
-    def bag_cost(self, child):
-        return self.inner.bag_cost(child)
+    def bag_cost(self, child, g=None, limit=None):
+        return self.inner.bag_cost(child, g, limit)
 
     def expand(self, low):
         return self.inner.expand(self.low)

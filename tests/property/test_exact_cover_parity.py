@@ -15,16 +15,24 @@ number of kept edges holding them once per call;
 :func:`tests.reference.reference_exact_cover_mask` re-counts them at
 every search node. Both must branch identically: the same cover tuple
 and the same number of search nodes.
+
+:func:`repro.kernels.cover.windowed_cover_mask` and the solver's bound
+memo price a bag only inside a window ``(g, limit)``. Every answer must
+still be a cover of the bag whose size ``v`` meets the window contract
+against the cover number ``c`` of the oracle (``max(g, v) == max(g, c)``
+when ``max(g, c) < limit``, else ``max(g, v) >= limit``), every proven lower
+bound must be at most ``c``, and every cover marked exact (its size
+meets the proven bound) must be the tuple the unwindowed search returns.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels.bithypergraph import BitHypergraph
-from repro.kernels.cover import exact_cover_mask
+from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import UncoverableError
 from tests.reference import ReferenceExactSetCoverSolver, reference_exact_cover_mask
@@ -195,3 +203,69 @@ def test_ranked_pivots_on_nested_duplicate_and_uncoverable_edges():
         exact_cover_mask(bh, bh.mask_of(range(1, 9)))
     with pytest.raises(UncoverableError, match=r"\['8'\]"):
         reference_exact_cover_mask(bh, bh.mask_of(range(1, 9)))
+
+
+def _meets_window(size: int, true: int, g: int, limit: int | None) -> bool:
+    if limit is None or max(g, true) < limit:
+        return max(g, size) == max(g, true)
+    return max(g, size) >= limit
+
+
+windows = st.tuples(
+    st.integers(min_value=0, max_value=6),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+)
+
+
+@given(st.one_of(families(), branching_families()), windows, st.data())
+@settings(max_examples=300, deadline=None)
+def test_windowed_kernel_meets_the_window_contract(family, window, data):
+    vertices, edges, *target = family
+    target = target[0] if target else data.draw(st.sets(st.sampled_from(vertices)))
+    bh = BitHypergraph.from_edges(edges, vertices)
+    mask = bh.mask_of(target)
+    g, limit = window
+    try:
+        true = len(reference_exact_cover_mask(bh, mask))
+    except UncoverableError as exc:
+        with pytest.raises(UncoverableError) as caught:
+            windowed_cover_mask(bh, mask, g, limit)
+        assert str(caught.value) == str(exc)
+        return
+    cover, lower = windowed_cover_mask(bh, mask, g, limit)
+    _assert_valid_cover(bh.names_of(cover), target, edges)
+    assert lower <= true <= len(cover)
+    assert _meets_window(len(cover), true, g, limit)
+    if lower == len(cover):
+        assert cover == exact_cover_mask(bh, mask)
+
+
+@given(branching_families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bound_memo_keeps_the_window_contract(family, data):
+    """Random windows on a few bags of one solver: every answer meets its
+    window, and every memo entry holds a sound bound and a cover, the
+    unwindowed tuple wherever the two meet."""
+    vertices, edges, target = family
+    bh = BitHypergraph.from_edges(edges, vertices)
+    coverable = [v for v in sorted(target) if bh.incidence_masks[bh.index[v]]]
+    assume(coverable)
+    bags = [bh.mask_of(coverable)] + [
+        bh.mask_of(data.draw(st.sets(st.sampled_from(coverable), min_size=1)))
+        for _ in range(2)
+    ]
+    solver = ExactSetCoverSolver(bh)
+    truth = {bag: len(reference_exact_cover_mask(bh, bag)) for bag in bags}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        bag = data.draw(st.sampled_from(bags))
+        g, limit = data.draw(windows)
+        names = solver.cover(bag, g, limit)
+        _assert_valid_cover(names, bh.vertices_of(bag), edges)
+        assert _meets_window(len(names), truth[bag], g, limit)
+        for entry_bag, (lower, cover) in solver._memo.items():
+            assert lower <= truth[entry_bag] <= len(cover)
+            if lower == len(cover):
+                assert cover == exact_cover_mask(bh, entry_bag)
+    for bag in bags:
+        # Unwindowed lookups stay exact whatever the memo holds.
+        assert solver.cover(bag) == bh.names_of(exact_cover_mask(bh, bag))

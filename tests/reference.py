@@ -34,6 +34,10 @@
   the exact tw searches. :func:`reference_ghw` is the same dynamic
   program with the bag ``{v} | Q(S - v, v)`` priced by a brute-force
   exact cover number, an oracle for the exact ghw searches.
+* :func:`reference_greedy_ordering` is the loop behind the min-fill
+  and min-degree heuristics of :mod:`repro.bounds.upper` as it ran
+  before scores were kept per vertex: every step rescores every
+  remaining vertex.
 * :func:`reference_eager_astar` is A* over the search driver's
   ``Measure`` hooks as it ran before children were evaluated lazily:
   every generated child is PR2-filtered, eliminated and bounded before
@@ -44,12 +48,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, count
 from math import ceil
 
+from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
@@ -511,6 +516,32 @@ def reference_ghw(hypergraph: Hypergraph) -> int:
 
     return _elimination_dp(hypergraph.primal_graph(), bag_cost)
 
+
+
+def reference_greedy_ordering(
+    graph: Graph,
+    score: Callable[[EliminationGraph, Vertex], int],
+    rng: random.Random | None = None,
+) -> list[Vertex]:
+    """At every step rescore every remaining vertex (in ``vertices()``
+    order) and eliminate a minimum, the tie picked by ``rng.choice`` or,
+    without ``rng``, the smallest ``repr``."""
+    working = EliminationGraph(graph)
+    ordering: list[Vertex] = []
+    while working.num_vertices() > 0:
+        best_score: int | None = None
+        best: list[Vertex] = []
+        for vertex in working.vertices():
+            value = score(working, vertex)
+            if best_score is None or value < best_score:
+                best_score = value
+                best = [vertex]
+            elif value == best_score:
+                best.append(vertex)
+        choice = min(best, key=repr) if rng is None else rng.choice(best)
+        working.eliminate(choice)
+        ordering.append(choice)
+    return ordering
 
 
 def reference_eager_astar(
