@@ -7,8 +7,9 @@ has one), the ``parent`` commit it was measured against, the perfbench
 ``workload``, the ``seeds`` and number of alternating parent/change
 ``pairs`` behind the medians, and ``before``/``after`` blocks holding the
 median ``pass_s`` (reference-host seconds) and ``work_per_s``, plus
-``ub_width_sum`` per seed. A median or seed list the original
-measurement did not record is ``null`` or empty. ``before`` is ``null``
+``ub_width_sum`` per seed, and optionally the median ``setup_s``
+(reference-host seconds) and ``peak_rss_mb``. A median or seed list the
+original measurement did not record is ``null`` or empty. ``before`` is ``null``
 for the entry that introduced the benchmark. ``source`` says where the
 numbers come from. A top-level ``units`` string states the units.
 
@@ -32,14 +33,20 @@ ENTRY_KEYS = {
     "before", "after", "source",
 }
 MEDIAN_KEYS = {"pass_s", "work_per_s", "ub_width_sum"}
+OPTIONAL_MEDIAN_KEYS = {"setup_s", "peak_rss_mb"}
 _COMMIT = re.compile(r"[0-9a-f]{7,40}")
 
 
 def _check_medians(where: str, block, seeds: list[int]) -> list[str]:
-    if not isinstance(block, dict) or set(block) != MEDIAN_KEYS:
-        return [f"{where}: keys must be {sorted(MEDIAN_KEYS)}"]
+    if not isinstance(block, dict) or not (
+        MEDIAN_KEYS <= set(block) <= MEDIAN_KEYS | OPTIONAL_MEDIAN_KEYS
+    ):
+        return [
+            f"{where}: keys must be {sorted(MEDIAN_KEYS)}, "
+            f"optionally with {sorted(OPTIONAL_MEDIAN_KEYS)}"
+        ]
     problems = []
-    for key in ("pass_s", "work_per_s"):
+    for key in ("pass_s", "work_per_s", *sorted(OPTIONAL_MEDIAN_KEYS & set(block))):
         value = block[key]
         if value is not None and (
             isinstance(value, bool)

@@ -34,13 +34,9 @@ from contextlib import nullcontext
 from repro import obs
 from repro.core.solvers import kinds, lookup
 from repro.core.widths import WIDTHS
-from repro.decompositions.hypertree import hypertree_width
-from repro.decompositions.io import write_ghd
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.hypergraphs.io import read_dimacs, read_hypergraph
 from repro.instances.registry import instance as registry_instance
-from repro.obs.render import render_metrics, render_spans
 from repro.obs.report import RunReport, append_jsonl
 from repro.portfolio.strategies import StrategySpec
 from repro.portfolio.workers import run_strategy
@@ -331,6 +327,8 @@ def _size(loaded: Graph | Hypergraph) -> str:
 def _emit(args: argparse.Namespace, ins, report: RunReport) -> int:
     """Print the run's metrics and spans as asked and append its report;
     the exit code."""
+    from repro.obs.render import render_metrics, render_spans
+
     if args.metrics:
         print("-- metrics --", file=sys.stderr)
         print(render_metrics(ins.metrics.snapshot()), file=sys.stderr)
@@ -353,6 +351,8 @@ def _load(args: argparse.Namespace) -> Graph | Hypergraph:
         from repro.instances.hyperbench import read_hg
 
         return read_hg(args.file)
+    from repro.hypergraphs.io import read_dimacs, read_hypergraph
+
     text = open(args.file).readline()
     if text.startswith(("c", "p")):
         return read_dimacs(args.file)
@@ -386,6 +386,9 @@ def _run_measure(
         if not isinstance(loaded, Hypergraph):
             print("error: hw needs a hypergraph instance", file=sys.stderr)
             return 2, {}
+        from repro.decompositions.hypertree import hypertree_width
+        from repro.decompositions.io import write_ghd
+
         k, decomposition = hypertree_width(loaded)
         print(f"{label}  {size}  hw = {k}")
         if args.output:

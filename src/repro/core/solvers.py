@@ -20,6 +20,10 @@ The kinds are the exact searches ``bb`` and ``astar``; the heuristics
 ordering heuristics ``min-fill``, ``min-degree``, ``min-width`` and
 ``mcs``, which build one ordering and return its width. A new width
 measure adds its rows here.
+
+A row names its entry point and parameter class as ``"module:attribute"``
+and imports them the first time it is used, so loading the table loads
+no solver module.
 """
 
 from __future__ import annotations
@@ -28,22 +32,10 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
-from repro.bounds.upper import heuristic_names, upper_bound_ordering
-from repro.genetic.engine import GAParameters
-from repro.genetic.ga_ghw import ga_ghw
-from repro.genetic.ga_tw import ga_treewidth
-from repro.genetic.saiga import saiga_ghw
-from repro.localsearch.simulated_annealing import (
-    AnnealingParameters,
-    sa_ghw,
-    sa_treewidth,
-)
-from repro.localsearch.tabu import TabuParameters, tabu_ghw, tabu_treewidth
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro._lazy import resolve
+from repro.bounds.upper import heuristic_names
 
 
 @dataclass(frozen=True)
@@ -62,24 +54,35 @@ class Solver:
 
     kind: str
     measure: str
-    function: Callable
-    """The library entry point the name stands for."""
+    entry: str
+    """``"module:attribute"`` of the library entry point the name stands
+    for; :attr:`function` imports it."""
 
     call: Callable
-    """``call(instance, seed, time_limit, jobs, kwargs, control,
+    """``call(function, instance, seed, time_limit, jobs, kwargs, control,
     resume_state)``: ``function`` with the family's calling convention."""
 
     exact: bool = False
     """An exact search: returns a ``SearchResult`` with bounds and nodes;
     every other entry returns a best ordering and its width."""
 
-    parameters: type | None = None
-    """The parameter dataclass built from a spec's ``options`` and
-    passed as ``parameters=``; without one, options are keyword
-    arguments of ``function``."""
+    parameter_class: str | None = None
+    """``"module:attribute"`` of the parameter dataclass built from a
+    spec's ``options`` and passed as ``parameters=``; without one,
+    options are keyword arguments of ``function``."""
 
     detail: tuple[tuple[str, str], ...] = ()
     """``(key, result attribute)`` pairs reported next to the bounds."""
+
+    @cached_property
+    def function(self) -> Callable:
+        """The entry point, imported on first use."""
+        return resolve(self.entry)
+
+    @cached_property
+    def parameters(self) -> type | None:
+        """The parameter dataclass, imported on first use, or ``None``."""
+        return resolve(self.parameter_class) if self.parameter_class else None
 
     def options(self, node_limit: int | None = None, parameters=None) -> dict:
         """Spec options for a node budget and a parameter object; each is
@@ -107,14 +110,23 @@ class Solver:
         if self.parameters is not None:
             kwargs = {"parameters": self.parameters(**kwargs) if kwargs else None}
         return self.call(
-            instance, seed, time_limit, jobs, kwargs, control, resume_state
+            self.function,
+            instance,
+            seed,
+            time_limit,
+            jobs,
+            kwargs,
+            control,
+            resume_state,
         )
 
 
-def _search(kind: str, measure: str, function: Callable) -> Solver:
+def _search(kind: str, measure: str, entry: str) -> Solver:
     # The exact searches cannot resume mid-tree: ``resume_state`` is
     # dropped and the scheduler seeds the shared incumbent instead.
-    def call(instance, seed, time_limit, jobs, kwargs, control, resume_state):
+    def call(
+        function, instance, seed, time_limit, jobs, kwargs, control, resume_state
+    ):
         return function(
             instance,
             time_limit=time_limit,
@@ -126,7 +138,7 @@ def _search(kind: str, measure: str, function: Callable) -> Solver:
     return Solver(
         kind,
         measure,
-        function,
+        entry,
         call,
         exact=True,
         detail=(("nodes", "nodes_expanded"), ("algorithm", "algorithm")),
@@ -136,14 +148,16 @@ def _search(kind: str, measure: str, function: Callable) -> Solver:
 def _heuristic(
     kind: str,
     measure: str,
-    function: Callable,
-    parameters: type | None,
+    entry: str,
+    parameter_class: str | None,
     detail: tuple[tuple[str, str], ...],
     pooled: bool,
 ) -> Solver:
     """GA, SAIGA (``pooled``: they take ``jobs``), SA and tabu."""
 
-    def call(instance, seed, time_limit, jobs, kwargs, control, resume_state):
+    def call(
+        function, instance, seed, time_limit, jobs, kwargs, control, resume_state
+    ):
         if pooled:
             kwargs = {**kwargs, "jobs": jobs}
         return function(
@@ -156,39 +170,45 @@ def _heuristic(
         )
 
     return Solver(
-        kind, measure, function, call, parameters=parameters, detail=detail
+        kind, measure, entry, call, parameter_class=parameter_class, detail=detail
     )
 
 
 def _ordering(heuristic: str) -> Solver:
     """A treewidth ordering heuristic: one ordering and its width."""
 
-    def call(instance, seed, time_limit, jobs, kwargs, control, resume_state):
+    def call(
+        function, instance, seed, time_limit, jobs, kwargs, control, resume_state
+    ):
         started = time.monotonic()
-        width, ordering = upper_bound_ordering(
-            instance, heuristic, random.Random(seed)
-        )
+        width, ordering = function(instance, heuristic, random.Random(seed))
         return OrderingResult(width, ordering, time.monotonic() - started)
 
-    return Solver(heuristic, "tw", upper_bound_ordering, call)
+    return Solver(heuristic, "tw", "repro.bounds.upper:upper_bound_ordering", call)
 
 
-_GENERATIONS = (("generations", "generations"),)
-_ACCEPTED = (("accepted", "accepted_moves"),)
-_ITERATIONS = (("iterations", "iterations"),)
+#: ``(parameter class, detail, pooled)`` of each heuristic family.
+_GA = ("repro.genetic.engine:GAParameters", (("generations", "generations"),), True)
+_SAIGA = (None, (("generations", "generations"),), True)
+_SA = (
+    "repro.localsearch.simulated_annealing:AnnealingParameters",
+    (("accepted", "accepted_moves"),),
+    False,
+)
+_TABU = ("repro.localsearch.tabu:TabuParameters", (("iterations", "iterations"),), False)
 
 _ROWS = [
-    _search("bb", "tw", branch_and_bound_treewidth),
-    _search("bb", "ghw", branch_and_bound_ghw),
-    _search("astar", "tw", astar_treewidth),
-    _search("astar", "ghw", astar_ghw),
-    _heuristic("ga", "tw", ga_treewidth, GAParameters, _GENERATIONS, True),
-    _heuristic("ga", "ghw", ga_ghw, GAParameters, _GENERATIONS, True),
-    _heuristic("saiga", "ghw", saiga_ghw, None, _GENERATIONS, True),
-    _heuristic("sa", "tw", sa_treewidth, AnnealingParameters, _ACCEPTED, False),
-    _heuristic("sa", "ghw", sa_ghw, AnnealingParameters, _ACCEPTED, False),
-    _heuristic("tabu", "tw", tabu_treewidth, TabuParameters, _ITERATIONS, False),
-    _heuristic("tabu", "ghw", tabu_ghw, TabuParameters, _ITERATIONS, False),
+    _search("bb", "tw", "repro.search.bb_tw:branch_and_bound_treewidth"),
+    _search("bb", "ghw", "repro.search.bb_ghw:branch_and_bound_ghw"),
+    _search("astar", "tw", "repro.search.astar_tw:astar_treewidth"),
+    _search("astar", "ghw", "repro.search.astar_ghw:astar_ghw"),
+    _heuristic("ga", "tw", "repro.genetic.ga_tw:ga_treewidth", *_GA),
+    _heuristic("ga", "ghw", "repro.genetic.ga_ghw:ga_ghw", *_GA),
+    _heuristic("saiga", "ghw", "repro.genetic.saiga:saiga_ghw", *_SAIGA),
+    _heuristic("sa", "tw", "repro.localsearch.simulated_annealing:sa_treewidth", *_SA),
+    _heuristic("sa", "ghw", "repro.localsearch.simulated_annealing:sa_ghw", *_SA),
+    _heuristic("tabu", "tw", "repro.localsearch.tabu:tabu_treewidth", *_TABU),
+    _heuristic("tabu", "ghw", "repro.localsearch.tabu:tabu_ghw", *_TABU),
     *(_ordering(heuristic) for heuristic in heuristic_names()),
 ]
 

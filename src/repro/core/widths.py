@@ -15,12 +15,12 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from repro._lazy import resolve
 from repro.decompositions.elimination import (
     ordering_to_ghd,
     ordering_to_tree_decomposition,
 )
 from repro.decompositions.ghd import make_complete
-from repro.decompositions.io import write_ghd, write_tree_decomposition
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
@@ -131,15 +131,15 @@ def _complete_ghd(hypergraph: Hypergraph, ordering: list):
     return ghd
 
 
-def _certifier(name: str) -> Callable[..., object]:
-    """``repro.verify.certify.<name>``, imported when first called."""
+def _on_call(path: str) -> Callable[..., object]:
+    """The function a ``"module:attribute"`` path names, imported when
+    first called: the writers and the certifiers serve only some runs,
+    and ``repro.verify.certify`` imports this table."""
 
-    def certify(instance, ordering, claimed_upper, strict):
-        from repro.verify import certify as module
+    def call(*args, **kwargs):
+        return resolve(path)(*args, **kwargs)
 
-        return getattr(module, name)(instance, ordering, claimed_upper, strict=strict)
-
-    return certify
+    return call
 
 
 #: Every width measure with orderings and solver rows, by name.
@@ -155,8 +155,8 @@ WIDTHS: dict[str, Width] = {
         fitness=lambda graph, rng: make_tw_evaluator(graph),
         pool_fitness=make_tw_evaluator,
         decompose=_tree_decomposition,
-        write=write_tree_decomposition,
-        certify=_certifier("certify_tw_witness"),
+        write=_on_call("repro.decompositions.io:write_tree_decomposition"),
+        certify=_on_call("repro.verify.certify:certify_tw_witness"),
     ),
     "ghw": Width(
         name="ghw",
@@ -167,8 +167,8 @@ WIDTHS: dict[str, Width] = {
         fitness=_ghw_fitness,
         pool_fitness=make_bit_ghw_evaluator,
         decompose=_complete_ghd,
-        write=write_ghd,
-        certify=_certifier("certify_ghw_witness"),
+        write=_on_call("repro.decompositions.io:write_ghd"),
+        certify=_on_call("repro.verify.certify:certify_ghw_witness"),
     ),
 }
 

@@ -1,5 +1,6 @@
 """Tree decompositions, GHDs and elimination-ordering machinery."""
 
+from repro._lazy import lazy_exports
 from repro.decompositions.elimination import (
     cliques_of_ordering,
     elimination_bags,
@@ -13,27 +14,26 @@ from repro.decompositions.ghd import (
     exact_cover_width,
     make_complete,
 )
-from repro.decompositions.hypertree import (
-    HypertreeDecomposition,
-    det_k_decomp,
-    hypertree_width,
-)
-from repro.decompositions.io import (
-    read_ghd,
-    read_tree_decomposition,
-    write_ghd,
-    write_tree_decomposition,
-)
-from repro.decompositions.leaf_normal_form import (
-    extract_ordering,
-    ordering_from_leaf_normal_form,
-    transform_leaf_normal_form,
-)
 from repro.decompositions.tree_decomposition import (
     DecompositionError,
     TreeDecomposition,
     trivial_decomposition,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "hypertree": ("HypertreeDecomposition", "det_k_decomp", "hypertree_width"),
+    "io": (
+        "read_ghd",
+        "read_tree_decomposition",
+        "write_ghd",
+        "write_tree_decomposition",
+    ),
+    "leaf_normal_form": (
+        "extract_ordering",
+        "ordering_from_leaf_normal_form",
+        "transform_leaf_normal_form",
+    ),
+})
 
 __all__ = [
     "DecompositionError",

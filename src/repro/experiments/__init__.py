@@ -1,9 +1,9 @@
 """Programmable thesis-style experiments (instances x algorithms)."""
 
-from repro.experiments.runner import (
-    ExperimentSpec,
-    ExperimentTable,
-    run_experiment,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "runner": ("ExperimentSpec", "ExperimentTable", "run_experiment"),
+})
 
 __all__ = ["ExperimentSpec", "ExperimentTable", "run_experiment"]

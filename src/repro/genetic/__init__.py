@@ -1,16 +1,17 @@
 """Genetic algorithms: GA-tw, GA-ghw, SAIGA-ghw and their operators."""
 
+from repro._lazy import lazy_exports
 from repro.genetic.crossover import CROSSOVER_OPERATORS, get_crossover
 from repro.genetic.engine import GAParameters, GAResult, run_ga
-from repro.genetic.ga_ghw import ga_ghw
+from repro.genetic.ga_ghw import ga_ghw  # also a submodule's name
 from repro.genetic.ga_tw import ga_treewidth
 from repro.genetic.mutation import MUTATION_OPERATORS, get_mutation
-from repro.genetic.saiga import ParameterVector, SAIGAResult, saiga_ghw
 from repro.genetic.selection import best_individual, tournament_selection
-from repro.genetic.weighted import (
-    ga_weighted_triangulation,
-    triangulation_weight,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "saiga": ("ParameterVector", "SAIGAResult", "saiga_ghw"),
+    "weighted": ("ga_weighted_triangulation", "triangulation_weight"),
+})
 
 __all__ = [
     "CROSSOVER_OPERATORS",

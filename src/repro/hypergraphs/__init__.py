@@ -1,12 +1,6 @@
 """Graph and hypergraph substrates."""
 
-from repro.hypergraphs.chordal import (
-    fill_in_graph,
-    is_chordal,
-    is_perfect_elimination_ordering,
-    maximum_clique_of_chordal,
-    treewidth_of_chordal,
-)
+from repro._lazy import lazy_exports
 from repro.hypergraphs.elimination_graph import (
     EliminationGraph,
     eliminate_sequence,
@@ -18,6 +12,16 @@ from repro.hypergraphs.graph import (
     path_graph,
 )
 from repro.hypergraphs.hypergraph import Hypergraph, from_graph
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "chordal": (
+        "fill_in_graph",
+        "is_chordal",
+        "is_perfect_elimination_ordering",
+        "maximum_clique_of_chordal",
+        "treewidth_of_chordal",
+    ),
+})
 
 __all__ = [
     "EliminationGraph",

@@ -1,5 +1,6 @@
 """Benchmark instance generators and the named registry."""
 
+from repro._lazy import lazy_exports
 from repro.instances.dimacs_like import (
     grid_graph,
     mycielski_graph,
@@ -16,17 +17,15 @@ from repro.instances.hypergraphs import (
     random_circuit,
     random_csp_hypergraph,
 )
-from repro.instances.hyperbench import (
-    format_hg,
-    parse_hg,
-    read_hg,
-    write_hg,
-)
 from repro.instances.registry import (
     graph_instance,
     hypergraph_instance,
     instance,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "hyperbench": ("format_hg", "parse_hg", "read_hg", "write_hg"),
+})
 
 __all__ = [
     "adder",

@@ -36,6 +36,7 @@ kept as test oracles (``tests/reference.py``), and the property suite
 holds the kernel to them.
 """
 
+from repro._lazy import lazy_exports
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
 from repro.kernels.cache import (
     CoverCache,
@@ -56,7 +57,10 @@ from repro.kernels.elimination import (
 )
 from repro.kernels.evaluators import make_bit_ghw_evaluator, make_tw_evaluator
 from repro.kernels.minor_bound import minor_lower_bound
-from repro.kernels.parallel import ParallelEvaluator
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "parallel": ("ParallelEvaluator",),
+})
 
 __all__ = [
     "BitGraph",

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro import obs
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph
 from repro.kernels.cache import cover_cache
 from repro.kernels.elimination import bit_ordering_ghw, bit_ordering_width
+from repro.obs.runtime import current
 
 
 def make_tw_evaluator(graph: Graph):
@@ -36,7 +36,7 @@ def make_tw_evaluator(graph: Graph):
 
     def evaluate(ordering: Sequence[Vertex]) -> int:
         width = bit_ordering_width(bg, bg.order_of(ordering))
-        metrics = obs.current().metrics
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter("kernel_evaluations", measure="tw").inc()
         return width
@@ -61,7 +61,7 @@ def make_bit_ghw_evaluator(hypergraph: Hypergraph):
 
     def evaluate(ordering: Sequence[Vertex]) -> int:
         width = bit_ordering_ghw(bh, [bh.index[v] for v in ordering], cache=cache)
-        metrics = obs.current().metrics
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter("kernel_evaluations", measure="ghw").inc()
             counts = cache.counts()

@@ -7,20 +7,24 @@ ordering representation and fitness functions, so their results compare
 one-to-one.
 """
 
-from repro.localsearch.simulated_annealing import (
+from repro._lazy import lazy_exports
+from repro.localsearch.simulated_annealing import (  # also a submodule's name
     AnnealingParameters,
     AnnealingResult,
     sa_ghw,
     sa_treewidth,
     simulated_annealing,
 )
-from repro.localsearch.tabu import (
-    TabuParameters,
-    TabuResult,
-    tabu_ghw,
-    tabu_search,
-    tabu_treewidth,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "tabu": (
+        "TabuParameters",
+        "TabuResult",
+        "tabu_ghw",
+        "tabu_search",
+        "tabu_treewidth",
+    ),
+})
 
 __all__ = [
     "AnnealingParameters",

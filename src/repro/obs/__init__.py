@@ -25,6 +25,7 @@ pair whose instruments are shared no-ops, so uninstrumented callers pay
 ``docs/observability.md``.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.budget import Budget
 from repro.obs.control import LocalControl, SolverControl
 from repro.obs.metrics import (
@@ -36,15 +37,6 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     series_key,
 )
-from repro.obs.render import render_metrics, render_report, render_spans
-from repro.obs.report import (
-    SCHEMA_VERSION,
-    RunReport,
-    append_jsonl,
-    peak_rss_kb,
-    read_jsonl,
-    validate_report,
-)
 from repro.obs.runtime import (
     DISABLED,
     Instruments,
@@ -52,6 +44,19 @@ from repro.obs.runtime import (
     instrument,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+
+# Read once a run is over: writing and rendering reports.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "render": ("render_metrics", "render_report", "render_spans"),
+    "report": (
+        "SCHEMA_VERSION",
+        "RunReport",
+        "append_jsonl",
+        "peak_rss_kb",
+        "read_jsonl",
+        "validate_report",
+    ),
+})
 
 __all__ = [
     "Budget",

@@ -12,27 +12,27 @@ Entry points: :func:`run_portfolio` / :func:`resume_portfolio`, or the
 ``repro portfolio`` CLI subcommand.
 """
 
-from repro.portfolio.bus import BoundMessage, BusClient, Incumbent, InlineClient
-from repro.portfolio.checkpoint import (
-    Checkpointer,
-    list_worker_states,
-    load_worker_state,
-    read_manifest,
-    write_manifest,
-)
-from repro.portfolio.results import PortfolioResult, WorkerResult
-from repro.portfolio.scheduler import (
-    PortfolioSpec,
-    portfolio_report,
-    resume_portfolio,
-    run_portfolio,
-)
-from repro.portfolio.strategies import (
-    StrategySpec,
-    default_portfolio,
-    parse_strategies,
-)
-from repro.portfolio.workers import run_strategy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "bus": ("BoundMessage", "BusClient", "Incumbent", "InlineClient"),
+    "checkpoint": (
+        "Checkpointer",
+        "list_worker_states",
+        "load_worker_state",
+        "read_manifest",
+        "write_manifest",
+    ),
+    "results": ("PortfolioResult", "WorkerResult"),
+    "scheduler": (
+        "PortfolioSpec",
+        "portfolio_report",
+        "resume_portfolio",
+        "run_portfolio",
+    ),
+    "strategies": ("StrategySpec", "default_portfolio", "parse_strategies"),
+    "workers": ("run_strategy",),
+})
 
 __all__ = [
     "BoundMessage",

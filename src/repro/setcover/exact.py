@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro import obs
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
 from repro.kernels.bithypergraph import BitHypergraph, bits_of
 from repro.kernels.cache import cover_cache
 from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
+from repro.obs.runtime import current
 
 # ``greedy_set_cover`` stays importable from here, as it always was.
 from repro.setcover.greedy import UncoverableError, greedy_set_cover
@@ -112,7 +112,7 @@ class ExactSetCoverSolver:
             cached = self._cache.get(self.bh.token, "exact", mask)
             if cached is not None:
                 entry = memo[mask] = (len(cached), cached)
-        metrics = obs.current().metrics
+        metrics = current().metrics
         if entry is not None:
             lower, cover = entry
             size = len(cover)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping
 
-from repro import obs
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
 from repro.kernels.bithypergraph import BitHypergraph
@@ -23,6 +22,7 @@ from repro.kernels.cover import (  # UncoverableError is re-exported here
     greedy_cover_indices,
     greedy_cover_mask,
 )
+from repro.obs.runtime import current
 
 
 def greedy_set_cover(
@@ -58,7 +58,7 @@ def greedy_set_cover(
     UncoverableError
         If some target vertex appears in no edge at all.
     """
-    metrics = obs.current().metrics
+    metrics = current().metrics
     if metrics.enabled:
         metrics.counter("setcover", algo="greedy", event="call").inc()
     if isinstance(edges, BitHypergraph):

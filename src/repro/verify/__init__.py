@@ -23,27 +23,27 @@ path. This package is that cross-check:
 Entry point: ``repro-decompose verify`` (see :mod:`repro.verify.cli`).
 """
 
+from repro._lazy import lazy_exports
 from repro.verify.certify import (
     Certification,
     certify_ghw_witness,
     certify_tw_witness,
 )
-from repro.verify.conformance import (
-    CellResult,
-    CellSpec,
-    ConformanceReport,
-    Divergence,
-    InstanceVerdict,
-    check_hypergraph,
-    default_matrix,
-    run_conformance,
-)
-from repro.verify.generators import (
-    FAMILIES,
-    VerifyInstance,
-    generate_instance,
-)
-from repro.verify.shrink import shrink_hypergraph, write_regression
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "conformance": (
+        "CellResult",
+        "CellSpec",
+        "ConformanceReport",
+        "Divergence",
+        "InstanceVerdict",
+        "check_hypergraph",
+        "default_matrix",
+        "run_conformance",
+    ),
+    "generators": ("FAMILIES", "VerifyInstance", "generate_instance"),
+    "shrink": ("shrink_hypergraph", "write_regression"),
+})
 
 __all__ = [
     "Certification",

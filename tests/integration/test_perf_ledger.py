@@ -51,10 +51,31 @@ def test_ledger_covers_every_workload():
         lambda e: e["after"].update(pass_s=-1.0),
         lambda e: e["after"].update(ub_width_sum={"99999": 6}),
         lambda e: e.update(pr="11"),
+        lambda e: e["after"].update(setup_s=0.0),
+        lambda e: e["before"].update(peak_rss_mb="19 MB"),
+        lambda e: e["after"].update(import_s=0.1),
     ],
-    ids=["missing-key", "workload", "commit", "pass_s", "ub-seed", "pr"],
+    ids=[
+        "missing-key", "workload", "commit", "pass_s", "ub-seed", "pr",
+        "setup_s", "peak_rss_mb", "unknown-median",
+    ],
 )
 def test_validator_rejects_corrupt_entries(corrupt):
     data = copy.deepcopy(_data())
     corrupt(data["entries"][-1])
     assert LEDGER.validate_ledger(data)
+
+
+@pytest.mark.parametrize(
+    "medians",
+    [{}, {"setup_s": 0.105}, {"setup_s": None, "peak_rss_mb": 18.6}],
+    ids=["without", "setup_s", "both"],
+)
+def test_validator_accepts_optional_start_up_medians(medians):
+    data = copy.deepcopy(_data())
+    for block in ("before", "after"):
+        for key in LEDGER.OPTIONAL_MEDIAN_KEYS:
+            data["entries"][-1][block].pop(key, None)
+        data["entries"][-1][block].update(medians)
+    assert LEDGER.validate_ledger(data) == []
+
