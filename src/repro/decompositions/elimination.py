@@ -57,6 +57,8 @@ def _check_ordering(
 
     One pass over the ordering; the error names the offending vertex so
     callers can see *which* duplicate/unknown/missing vertex broke it.
+    The kernel checks every ordering it runs on, so this runs only once
+    the kernel has rejected one.
     """
     seen: set[Vertex] = set()
     for vertex in ordering:
@@ -99,10 +101,13 @@ def elimination_bags(
             for vertex, mask in elimination_bags(bg, ordering).items()
         }
     index = graph.index
-    _check_ordering(index.keys(), ordering)
-    return dict(
-        zip(ordering, bit_elimination_bags(graph, [index[v] for v in ordering]))
-    )
+    try:
+        bags = bit_elimination_bags(graph, [index[v] for v in ordering])
+    except (KeyError, ValueError):
+        # The kernel only says that the ordering is bad; name the vertex.
+        _check_ordering(index.keys(), ordering)
+        raise
+    return dict(zip(ordering, bags))
 
 
 def ordering_width(graph: Graph, ordering: Sequence[Vertex]) -> int:
@@ -114,8 +119,11 @@ def ordering_width(graph: Graph, ordering: Sequence[Vertex]) -> int:
     of remaining vertices minus one, no later bag can exceed it.
     """
     bg = BitGraph.from_graph(graph)
-    _check_ordering(bg.index.keys(), ordering)
-    return bit_ordering_width(bg, bg.order_of(ordering))
+    try:
+        return bit_ordering_width(bg, bg.order_of(ordering))
+    except ValueError:
+        _check_ordering(bg.index.keys(), ordering)
+        raise
 
 
 def _bag_cover(
@@ -171,7 +179,6 @@ def ordering_to_tree_decomposition(
     they are linked to the immediately following bucket so the result is a
     single tree (their bags share no vertices, so connectedness is safe).
     """
-    _check_ordering(graph.vertices(), ordering)
     bags = elimination_bags(graph, ordering)
     position = {vertex: i for i, vertex in enumerate(ordering)}
     decomposition = TreeDecomposition()

@@ -9,9 +9,12 @@ used by the bitset elimination kernel:
   bit-sliced counters — one mask over edge indices per bit of the gain
   — built once from the per-vertex incidence masks and lowered with a
   borrow chain as vertices get covered, so no step rescans the edges.
-  The maximum-gain edges come out in edge insertion order; with an
-  ``rng`` the loop takes the ``rng.randrange(count)``-th of them, the
-  draw ``rng.choice`` makes on that list (the thesis's random
+  Once the maximum gain is 1 the counters are dropped: every edge then
+  holds at most one uncovered vertex, the tied edges are the disjoint
+  union of those vertices' incidence masks, and each pick removes one
+  of them. The maximum-gain edges come out in edge insertion order;
+  with an ``rng`` the loop takes the ``rng.randrange(count)``-th of
+  them, the draw ``rng.choice`` makes on that list (the thesis's random
   tie-breaking, one draw per step), without one it takes the edge whose
   *name* is smallest under ``repr``;
 * :func:`exact_cover_mask` is the library's one exact set-cover
@@ -76,15 +79,23 @@ def greedy_cover_indices(
     bit-sliced counters: bit ``i`` of ``planes[j]`` is bit ``j`` of edge
     ``i``'s gain. They are summed once from the incidence masks of the
     uncovered vertices and lowered, with a borrow chain, by the
-    incidence masks of the vertices each pick covers. Every step
-    narrows the top non-empty plane down through the lower ones to the
-    maximum-gain edges, in index (that is, insertion) order — the list
-    the thesis's loop over all edges builds. With an ``rng`` the loop
-    takes the ``k``-th of them for ``k = rng.randrange(count)``, which
+    incidence masks of the vertices each pick covers. While some gain
+    exceeds 1, every step narrows the top non-empty plane down through
+    the lower ones to the maximum-gain edges, in index (that is,
+    insertion) order — the list the thesis's loop over all edges
+    builds. Gains never grow, so once no plane above ``planes[0]`` is
+    set every edge meets the uncovered set in at most one vertex: the
+    uncovered vertices' incidence masks are pairwise disjoint and
+    ``planes[0]`` is their union. The gain-one tail then keeps only
+    that union, ``ties``; a pick covers a single vertex ``v`` and
+    ``ties ^= incidence[v]`` drops exactly the edges that lost their
+    gain, with no narrowing and no borrow chain. With an ``rng`` both
+    phases take the ``k``-th tie for ``k = rng.randrange(count)``, which
     is the draw ``rng.choice`` makes on that list (both draw one
     ``rng._randbelow(count)``), at every step, even on a single tie, so
-    the random stream advances exactly as in that loop. Without one it
-    takes ``min(ties, key=tie_key)``.
+    the random stream advances exactly as in that loop. Without one
+    they take ``min(ties, key=tie_key)``. A vertex in no edge is left
+    when the tail's ties run out, after the same draws as in that loop.
     """
     # A gain never exceeds |uncovered|, so this many planes never overflow.
     planes = [0] * uncovered.bit_count().bit_length()
@@ -99,21 +110,26 @@ def greedy_cover_indices(
             planes[j] = plane ^ carry
             carry &= plane
             j += 1
+    randrange = None if rng is None else rng.randrange
     top = len(planes) - 1
     chosen: list[int] = []
     while uncovered:
         while top >= 0 and not planes[top]:
             top -= 1  # gains never grow
-        if top < 0:
-            raise _uncoverable(vertices, uncovered)
+        if top <= 0:
+            break  # every gain is 0 or 1: the tail below
         ties = planes[top]
-        for j in range(top - 1, -1, -1):
+        j = top - 1
+        while j >= 0:
             narrowed = ties & planes[j]
             if narrowed:
                 ties = narrowed
-        if rng is not None:
-            for _ in range(rng.randrange(ties.bit_count())):
+            j -= 1
+        if randrange is not None:
+            k = randrange(ties.bit_count())
+            while k:
                 ties &= ties - 1
+                k -= 1
             pick = (ties & -ties).bit_length() - 1
         else:
             pick = min(bits_of(ties), key=tie_key)
@@ -134,6 +150,27 @@ def greedy_cover_indices(
                 planes[j] = plane ^ borrow
                 borrow &= ~plane
                 j += 1
+    # Gain-one tail: the ties are the disjoint union of the uncovered
+    # vertices' incidence masks, and a pick covers one vertex.
+    ties = planes[0] if uncovered else 0
+    while uncovered:
+        if not ties:
+            raise _uncoverable(vertices, uncovered)
+        if randrange is not None:
+            rest = ties
+            k = randrange(rest.bit_count())
+            while k:
+                rest &= rest - 1
+                k -= 1
+            pick = (rest & -rest).bit_length() - 1
+        else:
+            pick = min(bits_of(ties), key=tie_key)
+        covered = edge_masks[pick] & uncovered
+        if not covered:
+            raise RuntimeError(f"greedy cover: edge {pick} has no gain")
+        chosen.append(pick)
+        uncovered ^= covered
+        ties ^= incidence[covered.bit_length() - 1]
     return chosen
 
 

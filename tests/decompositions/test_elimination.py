@@ -17,6 +17,7 @@ from repro.hypergraphs.elimination_graph import eliminate_sequence
 from repro.hypergraphs.graph import complete_graph, cycle_graph, path_graph
 from repro.instances.dimacs_like import grid_graph, random_gnp
 from repro.instances.hypergraphs import random_csp_hypergraph
+from repro.kernels.bithypergraph import BitGraph
 
 
 class TestEliminationBags:
@@ -34,6 +35,31 @@ class TestEliminationBags:
             elimination_bags(graph, [0, 1])
         with pytest.raises(ValueError):
             elimination_bags(graph, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "ordering, named",
+        [
+            ([0, 1, 1], "duplicate vertex 1"),
+            ([1, 0, 1, 2], "duplicate vertex 1"),
+            ([0, 7, 2], "unknown vertex 7"),
+            ([0, 7], "unknown vertex 7"),
+            ([2, 0], "missing vertex 1"),
+        ],
+    )
+    def test_rejection_names_the_vertex(self, ordering, named):
+        # The kernel rejects the ordering; the error still names the
+        # first duplicate or unknown vertex, else the smallest missing one.
+        graph = path_graph(3)
+        message = f"ordering is not a permutation of the vertices: {named}"
+        for call in (
+            lambda: elimination_bags(graph, ordering),
+            lambda: elimination_bags(BitGraph.from_graph(graph), ordering),
+            lambda: ordering_width(graph, ordering),
+            lambda: ordering_to_tree_decomposition(graph, ordering),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_figure_2_11_ordering(self, figure_2_11):
         """The thesis's sigma = (x6, x5, ..., x1) eliminated back-to-front

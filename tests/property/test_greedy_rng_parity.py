@@ -242,3 +242,109 @@ def test_elimination_bag_masks_unpack_to_the_reference(case):
     bags = elimination_bags(graph, ordering)
     assert list(bags) == ordering
     assert bags == expected
+
+
+# Gain-one tail: once no edge holds two uncovered vertices the loop drops
+# its gain counters and covers one vertex per step. These fixed cases
+# enter that tail at once, after larger gains, and with a vertex no edge
+# holds; every case runs seeded and with ``rng=None``.
+
+TAIL_SEEDS = (*range(12), None)
+
+
+def _pick_gains(edges, target, names):
+    """The gain of each pick in ``names``, in order."""
+    uncovered = set(target)
+    gains = []
+    for name in names:
+        gains.append(len(uncovered & edges[name]))
+        uncovered -= edges[name]
+    return gains
+
+
+def test_tail_one_vertex_bag():
+    vertices = [_vertex("int", i) for i in range(5)]
+    v = vertices[2]
+    edges = {
+        7: frozenset({v, vertices[0]}),
+        5: frozenset({vertices[1]}),
+        12: frozenset({v}),
+        6: frozenset(),
+        10: frozenset({v, vertices[3], vertices[4]}),
+    }
+    _assert_all_paths_replay_the_reference(vertices, edges, {v}, TAIL_SEEDS)
+
+
+def test_tail_from_the_start_with_singleton_edges():
+    # Every edge meets the bag in at most one vertex, so the first step
+    # is already a tail step; vertices hold one to three tied edges.
+    build = random.Random(3)
+    vertices = [_vertex("str", i) for i in range(12)]
+    target = set(vertices[:9])
+    family = []
+    for vertex in vertices:
+        for _ in range(build.randint(1, 3)):
+            outside = build.sample(vertices[9:], build.randint(0, 2))
+            family.append({vertex, *outside} if vertex in target else {vertex})
+    family += [set(), set()]
+    build.shuffle(family)
+    edges = {_edge_name("int", i): frozenset(e) for i, e in enumerate(family)}
+    assert all(len(edge & target) <= 1 for edge in edges.values())
+    _assert_all_paths_replay_the_reference(vertices, edges, target, TAIL_SEEDS)
+
+
+def test_tail_entered_after_a_gain_three_pick():
+    v = [_vertex("tuple", i) for i in range(10)]
+    target = set(v[:6])
+    edges = {
+        "big": frozenset(v[0:3]),
+        "a": frozenset({v[0], v[3]}),
+        "b": frozenset({v[1], v[4], v[7]}),
+        "g": frozenset({v[2], v[5]}),
+        "c": frozenset({v[5]}),
+        "d": frozenset({v[3]}),
+        "e": frozenset({v[4], v[8]}),
+        "f": frozenset({v[5], v[9]}),
+    }
+    for seed in TAIL_SEEDS:
+        rng = None if seed is None else random.Random(seed)
+        gains = _pick_gains(edges, target, greedy_set_cover(target, edges, rng))
+        assert gains[0] == 3 and set(gains[1:]) == {1}
+    _assert_all_paths_replay_the_reference(v, edges, target, TAIL_SEEDS)
+
+
+def test_tail_finds_an_uncoverable_vertex():
+    # A gain-2 step, then tail steps, then the vertex no edge holds.
+    v = [_vertex("int", i) for i in range(7)]
+    target = set(v[:6])
+    edges = {
+        "p": frozenset({v[0], v[1]}),
+        "q": frozenset({v[2]}),
+        "r": frozenset({v[2], v[6]}),
+        "s": frozenset({v[3]}),
+        "t": frozenset({v[4], v[6]}),
+        "u": frozenset({v[1], v[4]}),
+    }
+    for seed in TAIL_SEEDS:
+        rng = None if seed is None else random.Random(seed)
+        outcome, _state = _run(greedy_set_cover, target, edges, rng)
+        missing = f"vertices {[repr(v[5])]} appear in no hyperedge"
+        assert outcome == ("uncoverable", missing)
+    _assert_all_paths_replay_the_reference(v, edges, target, TAIL_SEEDS)
+
+
+def test_tail_without_rng_takes_the_smallest_name_first():
+    # Integer names: insertion order, index order and repr order ('10'
+    # before '5') all differ across the tied tail edges.
+    vertices = [_vertex("int", i) for i in range(6)]
+    names = [9, 5, 13, 10, 6, 11, 7, 12, 8]
+    edges = {
+        name: frozenset({vertices[i % 6]}) for i, name in enumerate(names)
+    }
+    target = set(vertices)
+    # repr order, skipping edges whose vertex an earlier pick covered
+    expected = [10, 11, 12, 13, 6, 7]
+    assert greedy_set_cover(target, edges) == expected
+    bh = _intern(vertices, edges)
+    assert greedy_set_cover(bh.mask_of(target), bh) == expected
+    _assert_all_paths_replay_the_reference(vertices, edges, target, (None,))

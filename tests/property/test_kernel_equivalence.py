@@ -12,13 +12,17 @@ canonical by definition.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.decompositions.elimination import ordering_ghw, ordering_width
-from repro.hypergraphs.graph import Graph
+from repro.hypergraphs.graph import Graph, complete_graph, path_graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
+from repro.kernels.elimination import bit_elimination_bags, bit_ordering_width
 from tests.reference import (
     ReferenceExactSetCoverSolver,
     reference_elimination_bags,
@@ -137,3 +141,117 @@ def test_bitgraph_round_trip(graph):
         assert not mask & (1 << i)
         for j in bits_of(mask):
             assert bg.nbr_masks[j] & (1 << i)
+
+
+# The kernel finds each clique's successor (its member eliminated first)
+# by a galloping bisection over prefix masks of the ordering, and pushes
+# a two-member clique onto both members. These cases put the successor
+# at either end of the range, push pairs either way round, give empty
+# and one-member cliques, and run past 64 vertices, where the prefix
+# masks span several digits.
+
+
+def _assert_kernel_bags_match_the_oracle(graph: Graph, ordering: list) -> None:
+    bg = BitGraph.from_graph(graph)
+    order = bg.order_of(ordering)
+    expected = reference_elimination_bags(graph, ordering)
+    bags = bit_elimination_bags(bg, order)
+    assert [bg.vertices_of(mask) for mask in bags] == [
+        expected[v] for v in ordering
+    ]
+    width = max((len(bag) - 1 for bag in expected.values()), default=0)
+    assert bit_ordering_width(bg, order) == width
+    assert reference_ordering_width(graph, ordering) == width
+
+
+def test_successor_right_after_the_vertex():
+    # Eliminating a hub first hands its whole neighbourhood to the very
+    # next position; in a complete graph that holds at every position.
+    hub = Graph(vertices=range(8), edges=[(0, v) for v in range(1, 8)])
+    _assert_kernel_bags_match_the_oracle(hub, list(range(8)))
+    _assert_kernel_bags_match_the_oracle(hub, [0, 5, 2, 7, 1, 3, 6, 4])
+    clique = complete_graph(7)
+    _assert_kernel_bags_match_the_oracle(clique, [3, 0, 6, 1, 5, 2, 4])
+
+
+def test_successor_at_the_end_of_the_ordering():
+    # Leaves of a star eliminated before the centre: one-member cliques
+    # whose successor is the last position. A vertex adjacent to the
+    # last three alone sends the search out past the end, to ``n``.
+    star = Graph(vertices=range(6), edges=[(5, v) for v in range(5)])
+    _assert_kernel_bags_match_the_oracle(star, [0, 1, 2, 3, 4, 5])
+    late = Graph(
+        vertices=range(7),
+        edges=[(0, 4), (0, 5), (0, 6), (1, 2), (2, 3), (4, 5)],
+    )
+    _assert_kernel_bags_match_the_oracle(late, [0, 1, 2, 3, 4, 5, 6])
+    _assert_kernel_bags_match_the_oracle(late, [1, 0, 2, 3, 6, 4, 5])
+
+
+def test_two_member_cliques_either_way_round():
+    # A two-member clique is pushed onto both members; the copy on the
+    # one eliminated later must drop out, whichever bit is lower.
+    graph = Graph(vertices=range(5), edges=[(0, 1), (0, 3), (2, 4), (1, 2)])
+    for ordering in ([0, 3, 1, 2, 4], [0, 1, 3, 2, 4], [2, 0, 4, 3, 1]):
+        _assert_kernel_bags_match_the_oracle(graph, ordering)
+
+
+def test_isolated_vertices_give_empty_cliques():
+    graph = Graph(vertices=range(7), edges=[(1, 4), (4, 6), (1, 6)])
+    for ordering in ([0, 1, 2, 3, 4, 5, 6], [6, 5, 0, 4, 3, 1, 2]):
+        _assert_kernel_bags_match_the_oracle(graph, ordering)
+    _assert_kernel_bags_match_the_oracle(Graph(vertices=range(4)), [2, 0, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(vertices=[0]),
+        Graph(vertices=[0, 1]),
+        Graph(vertices=[0, 1], edges=[(0, 1)]),
+    ],
+    ids=["one", "two-apart", "two-joined"],
+)
+def test_one_and_two_vertices(graph):
+    vertices = sorted(graph.vertices())
+    _assert_kernel_bags_match_the_oracle(graph, vertices)
+    _assert_kernel_bags_match_the_oracle(graph, vertices[::-1])
+
+
+@given(
+    st.integers(min_value=65, max_value=150),
+    st.floats(min_value=0.0, max_value=0.3),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_more_than_64_vertices(n, density, seed):
+    build = random.Random(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if build.random() < density
+    ]
+    graph = Graph(vertices=range(n), edges=edges)
+    ordering = list(range(n))
+    build.shuffle(ordering)
+    _assert_kernel_bags_match_the_oracle(graph, ordering)
+
+
+def test_long_path_in_a_random_order():
+    # Cliques of one or two members whose pushes cross digit boundaries.
+    graph = path_graph(200)
+    ordering = sorted(graph.vertices())
+    random.Random(7).shuffle(ordering)
+    _assert_kernel_bags_match_the_oracle(graph, ordering)
+
+
+@pytest.mark.parametrize(
+    "order", [[0, 1], [0, 1, 1], [0, 1, 2, 2], [2, 0, 1, 3], [0, 1, -1]]
+)
+def test_kernel_rejects_a_non_permutation(order):
+    bg = BitGraph.from_graph(path_graph(3))
+    with pytest.raises(ValueError):
+        bit_elimination_bags(bg, order)
+    with pytest.raises(ValueError):
+        bit_ordering_width(bg, order)
