@@ -37,7 +37,9 @@ Section 5.2.1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
 
@@ -60,7 +62,8 @@ class EliminationGraph:
     ``index`` maps a vertex to ``i``, ``alive`` has bit ``i`` set while
     ``labels[i]`` is present, and ``key_order`` lists every index by
     :func:`~repro.hypergraphs.graph.vertex_sort_key` (the reduction rules'
-    tie-break). Mutate only through :meth:`eliminate`/:meth:`restore`.
+    tie-break); ``repr_ends`` closes each index's ``repr`` group (PR2's
+    canonical order). Mutate only through :meth:`eliminate`/:meth:`restore`.
 
     :meth:`vertices` iterates in the order a :class:`Graph` copy would
     after the same ``remove_vertex``/``add_vertex`` calls: eliminating a
@@ -88,6 +91,14 @@ class EliminationGraph:
         )
         self._present: dict[Vertex, int] = {vertex: index[vertex] for vertex in graph}
         self._stack: list[tuple[Vertex, int, list[tuple[int, int]]]] = []
+
+    @cached_property
+    def repr_ends(self) -> list[int]:
+        """``repr_ends[i]`` is one past the last index whose label has the
+        ``repr`` of ``labels[i]``: the labels whose ``repr`` is at most
+        ``repr(labels[i])`` are those of ``range(repr_ends[i])``."""
+        keys = [repr(vertex) for vertex in self.labels]  # sorted
+        return [bisect_right(keys, key) for key in keys]
 
     # ------------------------------------------------------------------
     # elimination and restoration

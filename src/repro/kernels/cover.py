@@ -94,8 +94,11 @@ def greedy_cover_indices(
     is the draw ``rng.choice`` makes on that list (both draw one
     ``rng._randbelow(count)``), at every step, even on a single tie, so
     the random stream advances exactly as in that loop. Without one
-    they take ``min(ties, key=tie_key)``. A vertex in no edge is left
-    when the tail's ties run out, after the same draws as in that loop.
+    they take ``min(ties, key=tie_key)``, the lowest index among equal
+    keys; the tail's ties only leave the set, so it ranks them once by
+    ``tie_key`` (stably) and walks that order past the edges gone since.
+    A vertex in no edge is left when the tail's ties run out, after the
+    same draws as in that loop.
     """
     # A gain never exceeds |uncovered|, so this many planes never overflow.
     planes = [0] * uncovered.bit_count().bit_length()
@@ -153,6 +156,11 @@ def greedy_cover_indices(
     # Gain-one tail: the ties are the disjoint union of the uncovered
     # vertices' incidence masks, and a pick covers one vertex.
     ties = planes[0] if uncovered else 0
+    if randrange is None and ties:
+        # Ties only leave: rank them once (a stable sort keeps the lower
+        # index first among equal keys, as ``min`` does) and skip those
+        # gone since.
+        ranked = iter(sorted(bits_of(ties), key=tie_key))
     while uncovered:
         if not ties:
             raise _uncoverable(vertices, uncovered)
@@ -164,7 +172,9 @@ def greedy_cover_indices(
                 k -= 1
             pick = (rest & -rest).bit_length() - 1
         else:
-            pick = min(bits_of(ties), key=tie_key)
+            pick = next(ranked)
+            while not ties >> pick & 1:
+                pick = next(ranked)
         covered = edge_masks[pick] & uncovered
         if not covered:
             raise RuntimeError(f"greedy cover: edge {pick} has no gain")

@@ -24,10 +24,11 @@ vertex order, so a bag is ``(1 << i) | masks[i]`` and the remainder is
 memo, keyed on bag masks, keeps what each bag has proven (elimination
 bags repeat massively), and it prices a bag only as exactly as the
 window ``(g, limit)`` the driver passes needs. The remaining filled
-graph depends only on the eliminated *set*, so the forced simplicial
-vertex and ``h`` are computed once per ``alive`` mask. PR1's greedy remainder cover runs
-only when a size-profile floor says it could close the node or improve
-the incumbent (see DESIGN.md).
+graph depends only on the eliminated *set*, so ``h`` is computed once
+per ``alive`` mask, and the forced simplicial vertex once per mask whose
+state survives its bound. PR1's greedy remainder cover runs only when a
+size-profile floor says it could close the node or improve the
+incumbent (see DESIGN.md).
 
 The search itself is :func:`repro.search.driver.branch_and_bound`; this
 module supplies the ghw :class:`~repro.search.driver.Measure`, which
@@ -121,9 +122,11 @@ class GhwMeasure:
             "vertices": hypergraph.num_vertices(),
             "edges": hypergraph.num_edges(),
         }
-        # alive -> (forced simplicial vertex, h): both depend only on the
-        # eliminated set, never on the order it was eliminated in.
-        self.reduced: dict[int, tuple[Vertex | None, int]] = {}
+        # alive -> h and alive -> forced simplicial vertex: both depend
+        # only on the eliminated set, never on the order it was
+        # eliminated in. A state the bound cuts never fills ``forced``.
+        self.bounds: dict[int, int] = {}
+        self.forced: dict[int, Vertex | None] = {}
 
     def root_bounds(
         self, rng: random.Random | None
@@ -134,7 +137,14 @@ class GhwMeasure:
         return (lb, *initial_ghw_incumbent(self.hypergraph, self.solver, rng))
 
     def reduce(self, low: int) -> Vertex | None:
-        return find_simplicial(self.working) if self.use_reductions else None
+        if not self.use_reductions:
+            return None
+        alive = self.working.alive
+        try:
+            return self.forced[alive]
+        except KeyError:
+            forced = self.forced[alive] = find_simplicial(self.working)
+            return forced
 
     def bag_cost(
         self, child: Vertex, g: int | None = None, limit: int | None = None
@@ -144,18 +154,17 @@ class GhwMeasure:
         i = working.index[child]
         return self.solver.cover_size((1 << i) | working.masks[i], g, limit)
 
-    def expand(self, low: int) -> tuple[Vertex | None, int]:
+    def lower(self) -> int:
         alive = self.working.alive
-        entry = self.reduced.get(alive)
-        if entry is None:
-            forced = self.reduce(low)
+        try:
+            return self.bounds[alive]
+        except KeyError:
             # Per-node bounds tie on repr (rng=None): only the root calls
             # consume ``rng``; the bitmask kernel reads the live masks.
-            h = tw_ksc_width_remaining(
+            h = self.bounds[alive] = tw_ksc_width_remaining(
                 self.bh, self.working, tw_methods=self.lb_methods, rng=None
             )
-            entry = self.reduced[alive] = (forced, h)
-        return entry
+            return h
 
     def finish(self, g: int, below: int) -> int | None:
         # The greedy remainder cover runs only when it could reach g or

@@ -76,13 +76,10 @@ class TreewidthMeasure:
         # Degrees are exact at no extra cost: the window is ignored.
         return self.working.degree(child)
 
-    def expand(self, low: int) -> tuple[Vertex | None, int]:
-        forced = self.reduce(low)
+    def lower(self) -> int:
         # Per-node bounds tie on repr (rng=None): only the root calls
         # consume ``rng``; the bitmask kernel reads the live masks.
-        return forced, treewidth_lower_bound(
-            self.working, methods=self.lb_methods, rng=None
-        )
+        return treewidth_lower_bound(self.working, methods=self.lb_methods, rng=None)
 
     def finish(self, g: int, below: int) -> int:
         return pr1_treewidth(g, self.working.num_vertices())[0]

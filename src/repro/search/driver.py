@@ -12,7 +12,9 @@ supplies six hooks:
 
 * ``root_bounds(rng)`` -> ``(lb, ub, ordering)``, the only calls that
   consume ``rng``;
-* ``reduce(low)``: the vertex forced at the root (``None`` if none);
+* ``reduce(low)``: the vertex forced in the current state (``None`` if
+  none), ``low`` being the almost-simplicial threshold; called at the
+  root and on each child that survives its bound;
 * ``bag_cost(child, g, limit)``: the cost of eliminating ``child``
   next, priced only inside the window ``(g, limit)``: a value ``v``
   with ``max(g, v) == max(g, c)`` whenever ``max(g, c) < limit``, and
@@ -20,8 +22,8 @@ supplies six hooks:
   parent's cost and ``limit`` the bound the child is then pruned
   against, so the walks prune and push the same children with the same
   cost as with exact prices (DESIGN.md, "Windowed bag costs");
-* ``expand(low)`` -> ``(forced, h)`` after a child was eliminated: the
-  vertex forced next and a lower bound on the remaining width;
+* ``lower()``: a lower bound ``h`` on the remaining width of the
+  current state, asked after a child was eliminated;
 * ``finish(g, below)``: PR1, the width of finishing now in any order,
   or ``None`` when it can be neither ``<= g`` nor ``< below``;
 * ``pr2(child, grandchildren)``: the grandchildren PR2 keeps, judged
@@ -34,12 +36,14 @@ PR2 and forcing).
 
 Both drivers run in one shell (:func:`_search`): the root bounds, the
 incumbent, the counters and the exit brackets, and the one child step
-that applies PR2, eliminates the child and expands it. Branch and bound
-steps into every child it tries and keeps its path on a list of frames,
-not on the Python stack. A* steps only into the children it pops (lazy
-evaluation): every generated child costs one ``bag_cost``, and DESIGN.md
-argues that the states are still expanded in eager order and the anytime
-bound stays sound.
+that applies PR2, eliminates the child, bounds it and, only if it
+survives the bound, asks for its forced vertex: a child the bound cuts
+is never expanded, so nothing would read its forced vertex. Branch and
+bound steps into every child it tries and keeps its path on a list of
+frames, not on the Python stack. A* steps only into the children it
+pops (lazy evaluation): every generated child costs one ``bag_cost``,
+and DESIGN.md argues that the states are still expanded in eager order
+and the anytime bound stays sound.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ class Measure(Protocol):
 
     def bag_cost(self, child: Vertex, g: int, limit: int) -> int: ...
 
-    def expand(self, low: int) -> tuple[Vertex | None, int]: ...
+    def lower(self) -> int: ...
 
     def finish(self, g: int, below: int) -> int | None: ...
 
@@ -146,10 +150,13 @@ class _Run:
     """A search past its root, as :func:`_search` hands it to a walk.
 
     ``children``/``forced`` are the root's children and whether they were
-    forced. ``step(child, forced, low)`` lists the vertices other than
-    ``child``, keeps those PR2 keeps unless the parent's children were
-    ``forced``, eliminates ``child`` and expands it at ``low``; it
-    returns the new state's ``(children, forced, h)``.
+    forced. ``step(child, forced, low, floor, limit)`` lists the
+    vertices other than ``child``, keeps those PR2 keeps unless the
+    parent's children were ``forced``, eliminates ``child`` and bounds
+    it; it returns the new state's ``(children, forced, h)``. A child
+    with ``max(floor, h) >= limit`` is cut: its ``children`` are
+    ``None`` and nothing is forced. A survivor's children are its
+    forced vertex (reduced at ``low``) or the kept vertices.
     """
 
     name: str
@@ -162,7 +169,9 @@ class _Run:
     forced: bool
     nodes: Counter
     prunes: dict[str, Counter]
-    step: Callable[[Vertex, bool, int], tuple[list[Vertex], bool, int]]
+    step: Callable[
+        [Vertex, bool, int, int, int], tuple[list[Vertex] | None, bool, int]
+    ]
 
     def interrupted(self, lb: int) -> SearchResult:
         """The bracket of a search stopped with ``lb`` proven."""
@@ -230,16 +239,21 @@ def _search(
             return attach_metrics(certified(ub, ub_ordering, budget, name), metrics)
 
         vertices, eliminate = working.vertices, working.eliminate
-        expand, pr2 = measure.expand, measure.pr2
+        lower, reduce, pr2 = measure.lower, measure.reduce, measure.pr2
 
-        def step(child: Vertex, forced: bool, low: int) -> tuple[list, bool, int]:
+        def step(
+            child: Vertex, forced: bool, low: int, floor: int, limit: int
+        ) -> tuple[list | None, bool, int]:
             children = [v for v in vertices() if v != child]
             if use_pr2 and not forced:
                 kept = pr2(child, children)
                 prune_pr2.inc(len(children) - len(kept))
                 children = kept
             eliminate(child)
-            reduction, h = expand(low)
+            h = lower()
+            if max(floor, h) >= limit:
+                return None, False, h
+            reduction = reduce(low)
             if reduction is None:
                 return children, False, h
             forced_total.inc()
@@ -321,8 +335,10 @@ def _depth_first(run: _Run) -> SearchResult | None:
                 if exhausted.get(child_key, child_g + 1) <= child_g:
                     prune_dup.inc()
                     continue
-            children, child_forced, h = step(child, forced, max(child_g, root_lb))
-            if max(child_g, h) < limit:
+            children, child_forced, h = step(
+                child, forced, max(child_g, root_lb), child_g, limit
+            )
+            if children is not None:
                 frame[2] = position + 1
                 stack.append([child_g, children, -1, child_forced, child_key])
                 break
@@ -364,8 +380,8 @@ def _best_first(run: _Run) -> SearchResult | None:
             continue  # stale: a cheaper path to this set was queued
         if children is None:
             working.switch_to(prefix[:-1])
-            children, forced, h = step(prefix[-1], forced, max(g, lb))
-            if max(f, h) >= bound():
+            children, forced, h = step(prefix[-1], forced, max(g, lb), f, bound())
+            if children is None:
                 prune_ub.inc()
                 continue
             if h > f:
@@ -454,8 +470,9 @@ def astar(
     2007): an expansion pushes each child with key ``max(g, f(parent))``
     and only its bag cost computed. When such an entry is popped, PR2
     runs against the parent's graph, the child is eliminated and
-    bounded, and the entry is re-pushed (uncharged) if ``h`` raised its
-    ``f``, dropped if ``f`` reached the pruning bound, and expanded
+    bounded, and the entry is dropped if ``f`` reached the pruning
+    bound; otherwise its forced vertex is found and the entry is
+    re-pushed (uncharged) if ``h`` raised its ``f``, and expanded
     otherwise. A re-pushed entry keeps its tiebreak, so states are
     expanded in the order eager evaluation expands them. The budget and
     stop test runs just before a state is charged, so a search whose

@@ -127,8 +127,8 @@ class LoggedMeasure:
     def bag_cost(self, child, g=None, limit=None):
         return self.inner.bag_cost(child, g, limit)
 
-    def expand(self, low):
-        return self.inner.expand(self.low)
+    def lower(self):
+        return self.inner.lower()
 
     def finish(self, g, below):
         self.log.append(tuple(self.working.eliminated()))

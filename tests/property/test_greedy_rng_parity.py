@@ -348,3 +348,52 @@ def test_tail_without_rng_takes_the_smallest_name_first():
     bh = _intern(vertices, edges)
     assert greedy_set_cover(bh.mask_of(target), bh) == expected
     _assert_all_paths_replay_the_reference(vertices, edges, target, (None,))
+
+
+class Alias:
+    """An edge name whose ``repr`` other names may share: ``rng=None``
+    then takes the tied edge inserted first."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def test_tail_without_rng_breaks_equal_names_by_insertion_order():
+    # Every step is a tail step; the "a" edges tie on repr, and the
+    # first inserted of them is not the lowest vertex's.
+    vertices = [_vertex("int", i) for i in range(5)]
+    names = [Alias(text) for text in ("b", "a", "c", "a", "a", "b", "a")]
+    held = [{0}, {3}, {1}, {1}, {4}, {2}, {0}]
+    edges = {
+        name: frozenset(vertices[i] for i in members)
+        for name, members in zip(names, held)
+    }
+    target = set(vertices[:4])  # names[4] holds no target vertex
+    assert greedy_set_cover(target, edges) == [names[1], names[3], names[6], names[5]]
+    _assert_all_paths_replay_the_reference(vertices, edges, target, TAIL_SEEDS)
+
+
+@st.composite
+def tail_families(draw):
+    """``(vertices, edges, target)`` whose greedy runs are all tail: each
+    edge holds at most one target vertex, names share a few ``repr``s,
+    and some target vertices may be held by no edge."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    vertices = [_vertex("str", i) for i in range(n + 4)]
+    target = set(vertices[:n])
+    edges: dict = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=70))):
+        held = draw(st.integers(min_value=0, max_value=n))
+        outside = set(draw(st.lists(st.sampled_from(vertices[n:]), max_size=2)))
+        edge = outside if held == n else {vertices[held], *outside}
+        edges[Alias(draw(st.sampled_from("abcde")))] = frozenset(edge)
+    return vertices, edges, target
+
+
+@given(tail_families(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_tail_families_replay_the_reference(case, seed):
+    _assert_all_paths_replay_the_reference(*case, seeds=(seed, None))

@@ -9,7 +9,9 @@ oracles here are the textbook loops over
 neighbourhood-set formulas of swap-safety. Inputs cover ints whose
 ``repr`` order differs from their value order (so ranking by ``repr``
 fails), strings, tuples, degenerate graphs and mid-search states of the
-instances the exact searches run on.
+instances the exact searches run on, and distinct vertices that share
+a ``repr``: PR2 prunes a swap-safe child whose ``repr`` equals the last
+vertex's, so its prune mask must run to the end of that ``repr`` group.
 """
 
 from __future__ import annotations
@@ -99,13 +101,24 @@ def assert_parity(graph: Graph, working: EliminationGraph | None = None) -> None
             (swap_safe_treewidth, ref_swap_safe_treewidth),
             (swap_safe_ghw, lambda g, a, b: not g.has_edge(a, b)),
         ):
-            assert pr2_prune_children(
-                masks, v, children, swap_safe=swap_safe
-            ) == [
+            expected = [
                 u
                 for u in children
                 if repr(u) > repr(v) or not reference(graph, u, v)
             ]
+            for subject in subjects:
+                assert (
+                    pr2_prune_children(subject, v, children, swap_safe=swap_safe)
+                    == expected
+                )
+
+
+class Twin(int):
+    """An int vertex that shares its ``repr`` with the other twin of its
+    pair. The reduction rules still rank twins apart, by value."""
+
+    def __repr__(self) -> str:
+        return f"t{int(self) // 2}"
 
 
 LABELS = {
@@ -113,6 +126,8 @@ LABELS = {
     "int": lambda i: 10 + 45 * i,
     "str": lambda i: f"v{i}",
     "tuple": lambda i: (i % 3, f"x{i}"),
+    # pairs of distinct vertices with one repr
+    "twin": Twin,
 }
 
 
@@ -147,8 +162,17 @@ def test_mask_reductions_equal_reference(graph):
             vertices=[100, 55, 10, 145],
             edges=[(55, 10), (10, 100), (100, 145), (145, 55)],
         ),
+        # reprs t0 t0 t1 t1 t2: the t0 twins are not adjacent, the t1
+        # twins are, and each has a neighbour the other lacks
+        Graph(
+            vertices=[Twin(i) for i in (1, 2, 0, 3, 4)],
+            edges=[
+                (Twin(2), Twin(3)), (Twin(2), Twin(0)),
+                (Twin(3), Twin(1)), (Twin(3), Twin(4)),
+            ],
+        ),
     ],
-    ids=["empty", "single", "isolated", "path-key-vs-repr", "cycle"],
+    ids=["empty", "single", "isolated", "path-key-vs-repr", "cycle", "twins"],
 )
 def test_mask_reductions_on_small_graphs(graph):
     assert_parity(graph)

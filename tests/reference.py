@@ -609,7 +609,8 @@ def reference_eager_astar(
             if use_pr2 and not forced:
                 grandchildren = measure.pr2(child, grandchildren)
             working.eliminate(child)
-            reduction, h = measure.expand(max(child_g, lb))
+            reduction = measure.reduce(max(child_g, lb))
+            h = measure.lower()
             if reduction is not None:
                 grandchildren = [reduction]
             child_f = max(child_g, h, f)

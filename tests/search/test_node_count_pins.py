@@ -58,28 +58,33 @@ def test_astar_tw_grid6_bracket(seed):
 
 
 #: Each tw-exact cell of the benchmark with the children its run skipped
-#: by duplicate detection on the eliminated set (``prunes{rule="dup"}``).
+#: by duplicate detection on the eliminated set (``prunes{rule="dup"}``)
+#: and the children it forced (``reductions{kind="forced"}``). Forcing is
+#: asked only of a child that survives its bound, so the forcing counter
+#: counts survivors.
 TW_DUP_PINS = (
-    ("bb", "queen5_5", None, 62),
-    ("astar", "myciel4", None, 24),
-    ("bb", "myciel4", None, 14),
-    ("astar", "grid6", 500, 158),
+    ("bb", "queen5_5", None, 62, 96),
+    ("astar", "myciel4", None, 24, 161),
+    ("bb", "myciel4", None, 14, 65),
+    ("astar", "grid6", 500, 158, 491),
 )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "algorithm, name, budget, dups",
+    "algorithm, name, budget, dups, forced",
     TW_DUP_PINS,
-    ids=[f"{algorithm}-{name}" for algorithm, name, _b, _d in TW_DUP_PINS],
+    ids=[f"{algorithm}-{name}" for algorithm, name, *_counts in TW_DUP_PINS],
 )
-def test_tw_dup_counter(algorithm, name, budget, dups, seed):
+def test_tw_dup_counter(algorithm, name, budget, dups, forced, seed):
     with obs.instrument():
         result = treewidth(
             instance(name), algorithm=algorithm, seed=seed, node_limit=budget
         )
     key = f'prunes{{rule="dup",solver="{algorithm}-tw"}}'
     assert result.metrics[key] == dups
+    key = f'reductions{{kind="forced",solver="{algorithm}-tw"}}'
+    assert result.metrics[key] == forced
 
 
 @pytest.mark.parametrize("seed", SEEDS)
