@@ -33,7 +33,8 @@ from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
 from repro.setcover.lower_bounds import (
     k_set_cover_lower_bound,
-    size_profile_lower_bound,
+    profile_lower_bound,
+    size_profile,
 )
 
 
@@ -73,6 +74,7 @@ def tw_ksc_width_remaining(
     remaining_vertices: Iterable[Vertex] | None = None,
     tw_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
+    profile: list[int] | None = None,
 ) -> int:
     """tw-ksc-width of the instance left after a partial elimination.
 
@@ -86,47 +88,59 @@ def tw_ksc_width_remaining(
 
     The searches pass their interned :class:`BitHypergraph`, whose
     vertex ``i`` is ``remaining_graph.labels[i]``; the restricted sizes
-    are then ``popcount(edge & alive)``. A :class:`Hypergraph` is
-    restricted to ``remaining_vertices`` (default: the graph's
-    vertices).
+    are then ``popcount(edge & alive)``, and ``profile``, when given, is
+    their :func:`remainder_profile` for the live ``alive``, which the
+    caller may share with PR1's :func:`remainder_cover_floor`. A
+    :class:`Hypergraph` is restricted to ``remaining_vertices``
+    (default: the graph's vertices).
 
     Returns 0 for an empty remainder (nothing left to pay for).
     """
-    if isinstance(hypergraph, BitHypergraph):
-        sizes = restricted_sizes(hypergraph, remaining_graph.alive)
-    else:
-        vertices = (
-            set(remaining_vertices)
-            if remaining_vertices is not None
-            else remaining_graph.vertices()
-        )
-        if not vertices:
-            return 0
-        sizes = [len(edge) for edge in hypergraph.restrict(vertices).edge_sets()]
-    if not sizes:
+    if profile is None:
+        if isinstance(hypergraph, BitHypergraph):
+            profile = remainder_profile(hypergraph, remaining_graph.alive)
+        else:
+            vertices = (
+                set(remaining_vertices)
+                if remaining_vertices is not None
+                else remaining_graph.vertices()
+            )
+            if not vertices:
+                return 0
+            profile = size_profile(
+                len(edge) for edge in hypergraph.restrict(vertices).edge_sets()
+            )
+    if not profile:
         return 0
     tw_bound = treewidth_lower_bound(
         remaining_graph, methods=tw_methods, rng=rng
     )
     # The size-profile bound dominates ``ceil(k / max size)``.
-    return max(1, size_profile_lower_bound(tw_bound + 1, sizes))
+    return max(1, profile_lower_bound(tw_bound + 1, profile))
 
 
-def restricted_sizes(bh: BitHypergraph, alive: int) -> list[int]:
-    """The non-zero sizes ``popcount(edge & alive)`` of the hyperedges."""
-    return [size for edge in bh.edge_masks if (size := (edge & alive).bit_count())]
+def remainder_profile(bh: BitHypergraph, alive: int) -> list[int]:
+    """The :func:`~repro.setcover.lower_bounds.size_profile` of the
+    non-zero restricted sizes ``popcount(edge & alive)``."""
+    return size_profile(
+        filter(None, map(int.bit_count, map(alive.__and__, bh.edge_masks)))
+    )
 
 
-def remainder_cover_floor(bh: BitHypergraph, alive: int) -> int:
+def remainder_cover_floor(
+    bh: BitHypergraph, alive: int, profile: list[int] | None = None
+) -> int:
     """A lower bound on the cover number of the whole remainder ``alive``.
 
     The size-profile k-set-cover bound with ``k = popcount(alive)`` over
-    the restricted edge sizes: no cover of the remainder is smaller, so
-    neither is its greedy cover. 0 when the edges cannot cover it.
+    the restricted edge sizes (``profile``, their
+    :func:`remainder_profile`, when the caller has it): no cover of the
+    remainder is smaller, so neither is its greedy cover. 0 when the
+    edges cannot cover it.
     """
+    if profile is None:
+        profile = remainder_profile(bh, alive)
     try:
-        return size_profile_lower_bound(
-            alive.bit_count(), restricted_sizes(bh, alive)
-        )
+        return profile_lower_bound(alive.bit_count(), profile)
     except ValueError:
         return 0

@@ -35,11 +35,8 @@ from repro.hypergraphs.graph import Graph, Vertex
 from repro.kernels.minor_bound import minor_lower_bound
 
 
-def _min_degree_vertex(
-    graph: Graph, rng: random.Random | None
-) -> Vertex:
-    lowest = min(graph.degree(v) for v in graph)
-    candidates = [v for v in graph if graph.degree(v) == lowest]
+def _pick(candidates: list[Vertex], rng: random.Random | None) -> Vertex:
+    """The draw ``rng.choice`` makes, or the smallest ``repr`` without one."""
     if rng is None:
         return min(candidates, key=repr)
     return rng.choice(candidates)
@@ -53,17 +50,11 @@ def _contract_into_min_neighbour(
     Isolated vertices are simply removed (there is no edge to contract;
     removing them never increases any degree-based bound).
     """
-    neighbours = graph.neighbours(vertex)
-    if not neighbours:
-        graph.remove_vertex(vertex)
-        return
-    lowest = min(graph.degree(u) for u in neighbours)
-    candidates = [u for u in neighbours if graph.degree(u) == lowest]
-    if rng is None:
-        partner = min(candidates, key=repr)
+    candidates = graph.min_degree_neighbours(vertex)
+    if candidates:
+        graph.contract(_pick(candidates, rng), vertex)
     else:
-        partner = rng.choice(candidates)
-    graph.contract(partner, vertex)
+        graph.remove_vertex(vertex)
 
 
 def degeneracy(graph: Graph, rng: random.Random | None = None) -> int:
@@ -71,9 +62,9 @@ def degeneracy(graph: Graph, rng: random.Random | None = None) -> int:
     working = graph.copy()
     bound = 0
     while working.num_vertices() > 0:
-        vertex = _min_degree_vertex(working, rng)
-        bound = max(bound, working.degree(vertex))
-        working.remove_vertex(vertex)
+        lowest, candidates = working.min_degree_vertices()
+        bound = max(bound, lowest)
+        working.remove_vertex(_pick(candidates, rng))
     return bound
 
 
@@ -82,9 +73,9 @@ def minor_min_width(graph: Graph, rng: random.Random | None = None) -> int:
     working = graph.copy()
     bound = 0
     while working.num_vertices() > 0:
-        vertex = _min_degree_vertex(working, rng)
-        bound = max(bound, working.degree(vertex))
-        _contract_into_min_neighbour(working, vertex, rng)
+        lowest, candidates = working.min_degree_vertices()
+        bound = max(bound, lowest)
+        _contract_into_min_neighbour(working, _pick(candidates, rng), rng)
     return bound
 
 
@@ -94,31 +85,29 @@ def gamma_r(graph: Graph) -> int:
     ``n - 1`` if the graph is complete, else the minimum over vertices
     ``v`` that are non-adjacent to at least one other vertex of the
     degree of ``v``'s cheapest non-adjacent "partner" — equivalently,
-    min over non-adjacent pairs of the larger degree.
+    min over non-adjacent pairs of the larger degree, or the smallest
+    ``d`` whose vertices of degree at most ``d`` are not a clique
+    (:meth:`Graph.gamma_r`).
     """
-    vertices = sorted(graph.vertices(), key=lambda v: (graph.degree(v), repr(v)))
-    n = len(vertices)
-    if n == 0:
-        return 0
-    # First vertex (in ascending degree order) not adjacent to all its
-    # predecessors: gamma equals its degree (Figure 4.8 step b/c).
-    for index, vertex in enumerate(vertices):
-        predecessors = vertices[:index]
-        if any(not graph.has_edge(vertex, other) for other in predecessors):
-            return graph.degree(vertex)
-    return n - 1
+    return graph.gamma_r()
 
 
 def minor_gamma_r(graph: Graph, rng: random.Random | None = None) -> int:
-    """Figure 4.8: maximise gamma_R over minimum-degree contractions."""
+    """Figure 4.8: maximise gamma_R over minimum-degree contractions.
+
+    gamma_R of a minor is evaluated only as far as it could raise the
+    running bound; the contractions, and so the draws, are those of
+    every minor down to one vertex.
+    """
     working = graph.copy()
     bound = 0
-    while working.num_vertices() > 0:
-        bound = max(bound, gamma_r(working))
-        if working.num_vertices() == 1:
-            break
-        vertex = _min_degree_vertex(working, rng)
-        _contract_into_min_neighbour(working, vertex, rng)
+    while working.num_vertices() > 1:
+        lowest, candidates = working.min_degree_vertices()
+        # Two non-adjacent vertices of degree ``lowest <= bound`` cap
+        # gamma_R at the bound: no need to evaluate it.
+        if lowest > bound or working.is_clique(candidates):
+            bound = working.gamma_r(bound)
+        _contract_into_min_neighbour(working, _pick(candidates, rng), rng)
     return bound
 
 

@@ -102,9 +102,7 @@ def min_width_ordering(
     working = graph.copy()
     ordering: list[Vertex] = []
     while working.num_vertices() > 0:
-        lowest = min(working.degree(v) for v in working)
-        candidates = [v for v in working if working.degree(v) == lowest]
-        choice = _pick(candidates, rng)
+        choice = _pick(working.min_degree_vertices()[1], rng)
         working.remove_vertex(choice)
         ordering.append(choice)
     return ordering

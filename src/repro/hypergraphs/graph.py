@@ -114,12 +114,22 @@ class Graph:
         ``u``; ``v`` disappears. This is the minor operation used by the
         lower-bound heuristics of Section 4.4.2.
         """
-        if v not in self._adj[u]:
+        adj = self._adj
+        if v not in adj[u]:
             raise KeyError(f"cannot contract non-edge {{{u!r}, {v!r}}}")
-        for neighbour in self._adj[v]:
+        # Each set sees the adds and discards it saw as add_edge(u, w)
+        # per neighbour w, then remove_vertex(v): a set's iteration
+        # order follows its own history, which the seeded lower bounds'
+        # draws read.
+        merged = adj.pop(v)
+        target = adj[u]
+        for neighbour in merged:
             if neighbour != u:
-                self.add_edge(u, neighbour)
-        self.remove_vertex(v)
+                target.add(neighbour)
+                row = adj[neighbour]
+                row.add(u)
+                row.discard(v)
+        target.discard(v)
 
     # ------------------------------------------------------------------
     # queries
@@ -143,6 +153,56 @@ class Graph:
 
     def degree(self, vertex: Vertex) -> int:
         return len(self._adj[vertex])
+
+    def min_degree_vertices(self) -> tuple[int, list[Vertex]]:
+        """The minimum degree and the vertices of that degree, in
+        iteration order. The graph must not be empty."""
+        adj = self._adj
+        lowest = min(map(len, adj.values()))
+        return lowest, [v for v, neighbours in adj.items() if len(neighbours) == lowest]
+
+    def min_degree_neighbours(self, vertex: Vertex) -> list[Vertex]:
+        """The neighbours of ``vertex`` of minimum degree, in the order
+        :meth:`neighbours` iterates them (a fresh copy can iterate in a
+        different order than the set it copies); ``[]`` if isolated."""
+        adj = self._adj
+        neighbours = set(adj[vertex])
+        if not neighbours:
+            return []
+        lowest = min(map(len, map(adj.__getitem__, neighbours)))
+        return [u for u in neighbours if len(adj[u]) == lowest]
+
+    def gamma_r(self, floor: int = 0) -> int:
+        """``max(floor, gamma_R)`` for Ramachandramurthi's gamma_R.
+
+        gamma_R is ``n - 1`` on a complete graph, else the smallest
+        ``d`` whose vertices of degree at most ``d`` are not a clique
+        (the least, over non-adjacent pairs, of the larger degree); 0 on
+        the empty graph. It exceeds ``floor`` only if the vertices of
+        degree at most ``floor`` form a clique, which is checked first;
+        only then are the other vertices ranked by degree.
+        """
+        adj = self._adj
+        n = len(adj)
+        if n - 1 <= floor:
+            return max(floor, 0)
+        low = [v for v, neighbours in adj.items() if len(neighbours) <= floor]
+        # A clique of s vertices needs degrees of at least s - 1.
+        size = len(low) - 1
+        if size > floor:
+            return floor
+        clique = set(low)
+        for vertex in low:
+            if len(adj[vertex] & clique) != size:
+                return floor
+        rest = [v for v, neighbours in adj.items() if len(neighbours) > floor]
+        rest.sort(key=lambda vertex: len(adj[vertex]))
+        for vertex in rest:
+            neighbours = adj[vertex]
+            if not clique <= neighbours:
+                return len(neighbours)
+            clique.add(vertex)
+        return n - 1
 
     def has_vertex(self, vertex: Vertex) -> bool:
         return vertex in self._adj

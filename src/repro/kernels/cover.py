@@ -13,7 +13,7 @@ used by the bitset elimination kernel:
   holds at most one uncovered vertex, the tied edges are the disjoint
   union of those vertices' incidence masks, and each pick removes one
   of them. The maximum-gain edges come out in edge insertion order;
-  with an ``rng`` the loop takes the ``rng.randrange(count)``-th of
+  with an ``rng`` the loop takes the ``rng._randbelow(count)``-th of
   them, the draw ``rng.choice`` makes on that list (the thesis's random
   tie-breaking, one draw per step), without one it takes the edge whose
   *name* is smallest under ``repr``;
@@ -90,13 +90,15 @@ def greedy_cover_indices(
     that union, ``ties``; a pick covers a single vertex ``v`` and
     ``ties ^= incidence[v]`` drops exactly the edges that lost their
     gain, with no narrowing and no borrow chain. With an ``rng`` both
-    phases take the ``k``-th tie for ``k = rng.randrange(count)``, which
-    is the draw ``rng.choice`` makes on that list (both draw one
-    ``rng._randbelow(count)``), at every step, even on a single tie, so
-    the random stream advances exactly as in that loop. Without one
-    they take ``min(ties, key=tie_key)``, the lowest index among equal
-    keys; the tail's ties only leave the set, so it ranks them once by
-    ``tie_key`` (stably) and walks that order past the edges gone since.
+    phases take the ``k``-th tie for ``k = rng._randbelow(count)``,
+    which is the draw ``rng.choice`` makes on that list (and what
+    ``rng.randrange(count)`` draws; the bound method also follows a
+    subclass that overrides only ``random()``), at every step, even on
+    a single tie, so the random stream advances exactly as in that
+    loop. Without one they take ``min(ties, key=tie_key)``, the lowest
+    index among equal keys; the tail's ties only leave the set, so it
+    ranks them once by ``tie_key`` (stably) and walks that order past
+    the edges gone since.
     A vertex in no edge is left when the tail's ties run out, after the
     same draws as in that loop.
     """
@@ -113,7 +115,7 @@ def greedy_cover_indices(
             planes[j] = plane ^ carry
             carry &= plane
             j += 1
-    randrange = None if rng is None else rng.randrange
+    randbelow = None if rng is None else rng._randbelow
     top = len(planes) - 1
     chosen: list[int] = []
     while uncovered:
@@ -128,8 +130,8 @@ def greedy_cover_indices(
             if narrowed:
                 ties = narrowed
             j -= 1
-        if randrange is not None:
-            k = randrange(ties.bit_count())
+        if randbelow is not None:
+            k = randbelow(ties.bit_count())
             while k:
                 ties &= ties - 1
                 k -= 1
@@ -156,7 +158,7 @@ def greedy_cover_indices(
     # Gain-one tail: the ties are the disjoint union of the uncovered
     # vertices' incidence masks, and a pick covers one vertex.
     ties = planes[0] if uncovered else 0
-    if randrange is None and ties:
+    if randbelow is None and ties:
         # Ties only leave: rank them once (a stable sort keeps the lower
         # index first among equal keys, as ``min`` does) and skip those
         # gone since.
@@ -164,9 +166,9 @@ def greedy_cover_indices(
     while uncovered:
         if not ties:
             raise _uncoverable(vertices, uncovered)
-        if randrange is not None:
+        if randbelow is not None:
             rest = ties
-            k = randrange(rest.bit_count())
+            k = randbelow(rest.bit_count())
             while k:
                 rest &= rest - 1
                 k -= 1
@@ -260,25 +262,43 @@ def _exact_cover(
     """The body of both exact covers: ``(cover, proven lower bound)``."""
     if not bag_mask:
         return (), 0
-    # Restrict to the bag and drop dominated (subset) edges.
-    restricted: list[tuple[int, int]] = []  # (edge index, restricted mask)
+    # Restrict to the bag, largest first (ties by name rank, then index).
+    restricted: list[tuple[int, int, int, int]] = []
     coverable = 0
+    edge_masks, tie_rank = bh.edge_masks, bh.tie_rank
     scan = _candidate_edges(bh, bag_mask)
     while scan:
         low = scan & -scan
         scan ^= low
         i = low.bit_length() - 1
-        useful = bh.edge_masks[i] & bag_mask
-        restricted.append((i, useful))
+        useful = edge_masks[i] & bag_mask
+        restricted.append((-useful.bit_count(), tie_rank[i], i, useful))
         coverable |= useful
     if bag_mask & ~coverable:
         raise _uncoverable(bh.vertices, bag_mask & ~coverable)
-    tie_rank = bh.tie_rank
-    restricted.sort(key=lambda item: (-item[1].bit_count(), tie_rank[item[0]]))
+    restricted.sort()
+    # Drop dominated (subset) edges: ``holders[b]`` is the mask over
+    # positions in ``kept`` of the kept edges holding bag bit ``b``, so
+    # ANDing it over an edge's bits leaves the kept edges containing it.
     kept: list[tuple[int, int, int]] = []  # (tie rank, edge index, mask)
-    for i, mask in restricted:
-        if not any(mask & ~other == 0 for _r, _i, other in kept):
-            kept.append((tie_rank[i], i, mask))
+    holders: dict[int, int] = {}
+    get = holders.get
+    for _size, rank, i, mask in restricted:
+        above = -1  # every kept edge, until a bit rules it out
+        probe = mask
+        while probe and above:
+            low = probe & -probe
+            above &= get(low, 0)
+            probe ^= low
+        if above:
+            continue
+        position = 1 << len(kept)
+        kept.append((rank, i, mask))
+        probe = mask
+        while probe:
+            low = probe & -probe
+            holders[low] = get(low, 0) | position
+            probe ^= low
 
     best = list(greedy_cover_mask(bh, bag_mask))
     budget = len(best)
@@ -300,13 +320,8 @@ def _exact_cover(
         done = max(g, floor)
 
     # Pivot order: (kept edges holding the bit, bit), each bit with the
-    # kept edges holding it.
-    pivots: list[tuple[int, list[tuple[int, int, int]]]] = []
-    probe = bag_mask
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        pivots.append((low, [item for item in kept if item[2] & low]))
+    # kept edges holding it, in ``kept`` order.
+    pivots = [(low, [kept[j] for j in bits_of(held)]) for low, held in holders.items()]
     pivots.sort(key=lambda pivot: (len(pivot[1]), pivot[0]))
 
     counter = [0] if nodes is None else nodes

@@ -23,6 +23,8 @@ Two cuts keep the walk short without changing the result:
 * gamma_R of a minor is only computed when it could raise the running
   bound, i.e. when the vertices of degree at most the bound form a
   clique (otherwise some non-adjacent pair among them caps gamma_R);
+  the probe is skipped outright when the minimum-degree vertex misses
+  another vertex of its own bucket, a pair inside that set;
 * a minor on ``n`` vertices has every degree and gamma_R at most
   ``n - 1``, so the walk stops once ``n - 1`` no longer exceeds the bound.
 """
@@ -106,7 +108,11 @@ def minor_lower_bound(
         vertex = vertex_bit.bit_length() - 1
         if min_width and lowest > bound:
             bound = lowest
-        if gamma_r:
+        # A vertex of the lowest bucket that the minimum-degree vertex
+        # misses caps gamma_R at ``lowest <= bound``: no probe needed.
+        if gamma_r and not (
+            lowest <= bound and buckets[lowest] & ~adjacency[vertex] & ~vertex_bit
+        ):
             bound = _gamma_r_exceeds(buckets, adjacency, lowest, n, bound)
         buckets[lowest] ^= vertex_bit
         n -= 1

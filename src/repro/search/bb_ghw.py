@@ -26,9 +26,11 @@ bags repeat massively), and it prices a bag only as exactly as the
 window ``(g, limit)`` the driver passes needs. The remaining filled
 graph depends only on the eliminated *set*, so ``h`` is computed once
 per ``alive`` mask, and the forced simplicial vertex once per mask whose
-state survives its bound. PR1's greedy remainder cover runs only when a
-size-profile floor says it could close the node or improve the
-incumbent (see DESIGN.md).
+state survives its bound. The restricted edge sizes, sorted largest
+first as prefix sums, are kept for the current ``alive`` mask: ``h``'s
+k-set-cover step and PR1's cover floor both read them by bisection.
+PR1's greedy remainder cover runs only when that floor says it could
+close the node or improve the incumbent (see DESIGN.md).
 
 The search itself is :func:`repro.search.driver.branch_and_bound`; this
 module supplies the ghw :class:`~repro.search.driver.Measure`, which
@@ -39,7 +41,11 @@ from __future__ import annotations
 
 import random
 
-from repro.bounds.ghw_lower import remainder_cover_floor, tw_ksc_width_remaining
+from repro.bounds.ghw_lower import (
+    remainder_cover_floor,
+    remainder_profile,
+    tw_ksc_width_remaining,
+)
 from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
@@ -127,6 +133,10 @@ class GhwMeasure:
         # eliminated in. A state the bound cuts never fills ``forced``.
         self.bounds: dict[int, int] = {}
         self.forced: dict[int, Vertex | None] = {}
+        # The size profile of one remaining set: ``lower()`` for a child
+        # and ``finish()`` when it is entered share it.
+        self._profile_alive = -1
+        self._profile: list[int] = []
 
     def root_bounds(
         self, rng: random.Random | None
@@ -154,6 +164,16 @@ class GhwMeasure:
         i = working.index[child]
         return self.solver.cover_size((1 << i) | working.masks[i], g, limit)
 
+    def profile(self) -> list[int]:
+        """The restricted edge sizes of the current remainder as a
+        :func:`~repro.bounds.ghw_lower.remainder_profile`, kept for one
+        ``alive`` mask at a time."""
+        alive = self.working.alive
+        if alive != self._profile_alive:
+            self._profile = remainder_profile(self.bh, alive)
+            self._profile_alive = alive
+        return self._profile
+
     def lower(self) -> int:
         alive = self.working.alive
         try:
@@ -162,7 +182,8 @@ class GhwMeasure:
             # Per-node bounds tie on repr (rng=None): only the root calls
             # consume ``rng``; the bitmask kernel reads the live masks.
             h = self.bounds[alive] = tw_ksc_width_remaining(
-                self.bh, self.working, tw_methods=self.lb_methods, rng=None
+                self.bh, self.working, tw_methods=self.lb_methods, rng=None,
+                profile=self.profile(),
             )
             return h
 
@@ -170,7 +191,7 @@ class GhwMeasure:
         # The greedy remainder cover runs only when it could reach g or
         # go below ``below``: greedy >= floor always.
         alive = self.working.alive
-        floor = remainder_cover_floor(self.bh, alive)
+        floor = remainder_cover_floor(self.bh, alive, self.profile())
         if floor <= g or floor < below:
             return pr1_ghw(g, len(greedy_set_cover(alive, self.bh)))[0]
         return None

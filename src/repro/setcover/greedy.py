@@ -44,7 +44,7 @@ def greedy_set_cover(
     rng:
         Optional random source for tie-breaking: among the edges of
         maximum gain, listed in edge insertion order, the loop takes
-        the ``rng.randrange(count)``-th at every step, the pick
+        the ``rng._randbelow(count)``-th at every step, the pick
         ``rng.choice`` makes on that list. Without it ties break toward the
         smallest edge name by ``repr``, which keeps evaluation
         deterministic for exact algorithms and tests.

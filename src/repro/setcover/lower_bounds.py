@@ -15,7 +15,9 @@ branch-and-bound relies on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
+from itertools import accumulate
 
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
@@ -29,17 +31,28 @@ def size_profile_lower_bound(k: int, edge_sizes: Iterable[int]) -> int:
     largest edges do — so fewer than the returned ``m`` edges can never
     suffice, whichever k vertices the adversary picks.
     """
+    return profile_lower_bound(k, size_profile(edge_sizes))
+
+
+def size_profile(edge_sizes: Iterable[int]) -> list[int]:
+    """The prefix sums of ``edge_sizes`` sorted largest first: entry
+    ``m - 1`` is the most vertex slots ``m`` edges can offer."""
+    return list(accumulate(sorted(edge_sizes, reverse=True)))
+
+
+def profile_lower_bound(k: int, profile: list[int]) -> int:
+    """:func:`size_profile_lower_bound` read off a :func:`size_profile`
+    by bisection; raises :class:`ValueError` when ``k`` exceeds its
+    total."""
     if k <= 0:
         return 0
-    sizes = sorted(edge_sizes, reverse=True)
-    total = 0
-    for m, size in enumerate(sizes, start=1):
-        total += size
-        if total >= k:
-            return m
-    raise ValueError(
-        f"hyperedges cover only {total} vertex slots; cannot cover {k}"
-    )
+    m = bisect_left(profile, k)
+    if m == len(profile):
+        total = profile[-1] if profile else 0
+        raise ValueError(
+            f"hyperedges cover only {total} vertex slots; cannot cover {k}"
+        )
+    return m + 1
 
 
 def k_set_cover_lower_bound(

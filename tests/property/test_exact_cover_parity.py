@@ -23,6 +23,9 @@ against the cover number ``c`` of the oracle (``max(g, v) == max(g, c)``
 when ``max(g, c) < limit``, else ``max(g, v) >= limit``), every proven lower
 bound must be at most ``c``, and every cover marked exact (its size
 meets the proven bound) must be the tuple the unwindowed search returns.
+Its setup finds dominated edges by ANDing, per bag bit, the masks of the
+kept edges holding it; :func:`tests.reference.reference_windowed_cover_mask`
+scans the kept list instead, and both must answer every window alike.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from repro.kernels.bithypergraph import BitHypergraph
 from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import UncoverableError
-from tests.reference import ReferenceExactSetCoverSolver, reference_exact_cover_mask
+from tests.reference import (
+    ReferenceExactSetCoverSolver,
+    reference_exact_cover_mask,
+    reference_windowed_cover_mask,
+)
 
 LABELS = {
     # ints >= 10 whose repr order differs from their value order (109 < 21)
@@ -269,3 +276,54 @@ def test_bound_memo_keeps_the_window_contract(family, data):
     for bag in bags:
         # Unwindowed lookups stay exact whatever the memo holds.
         assert solver.cover(bag) == bh.names_of(exact_cover_mask(bh, bag))
+
+
+def _windowed_outcome(cover, bh, mask, g, limit):
+    nodes = [0]
+    try:
+        return cover(bh, mask, g, limit, nodes), nodes[0], None
+    except UncoverableError as exc:
+        return None, None, str(exc)
+
+
+@given(st.one_of(families(), branching_families()), windows, st.data())
+@settings(max_examples=300, deadline=None)
+def test_windowed_setup_on_incidence_masks_matches_the_list_scan(family, window, data):
+    """Dominated edges found by ANDing incidence masks over kept
+    positions, and pivots listed from them, give the frozen list scan's
+    ``(cover, lower)`` and search node count on every window."""
+    vertices, edges, *target = family
+    target = target[0] if target else data.draw(st.sets(st.sampled_from(vertices)))
+    bh = BitHypergraph.from_edges(edges, vertices)
+    mask = bh.mask_of(target)
+    g, limit = window
+    assert _windowed_outcome(windowed_cover_mask, bh, mask, g, limit) == (
+        _windowed_outcome(reference_windowed_cover_mask, bh, mask, g, limit)
+    )
+
+
+def test_windowed_setup_on_nested_and_duplicate_edges():
+    # c/d duplicate, b nested in a, k nested in both j and i; every
+    # window from "priced at once" to "search to the end".
+    edges = {
+        "a": {1, 2, 3, 4},
+        "b": {1, 2},
+        "c": {3, 4, 5},
+        "d": {3, 4, 5},
+        "e": {5, 6},
+        "f": {6, 7, 1},
+        "g": {2, 7},
+        "i": {8, 9, 10},
+        "j": {8, 9, 11},
+        "k": {8, 9},
+        "l": {10, 11},
+    }
+    bh = BitHypergraph.from_edges(edges, vertices=range(1, 12))
+    for bag in (range(1, 12), range(1, 8), (8, 9, 10, 11), (3, 4), (5,)):
+        mask = bh.mask_of(bag)
+        for g in range(5):
+            for limit in (None, *range(1, 7)):
+                outcome = _windowed_outcome(windowed_cover_mask, bh, mask, g, limit)
+                assert outcome == _windowed_outcome(
+                    reference_windowed_cover_mask, bh, mask, g, limit
+                )

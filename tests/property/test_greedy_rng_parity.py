@@ -397,3 +397,47 @@ def tail_families(draw):
 @settings(max_examples=200, deadline=None)
 def test_tail_families_replay_the_reference(case, seed):
     _assert_all_paths_replay_the_reference(*case, seeds=(seed, None))
+
+
+class RandomOnly(random.Random):
+    """A generator that overrides only ``random()``: ``random.Random``
+    then draws indices from floats, not from ``getrandbits``."""
+
+    def random(self) -> float:
+        return super().random()
+
+
+def test_random_only_subclass_draws_as_choice():
+    # ``Random.__init_subclass__`` gives such a subclass the float-based
+    # index draw; the greedy loop must take it, as ``choice`` does.
+    assert RandomOnly._randbelow is RandomOnly._randbelow_without_getrandbits
+    vertices = [_vertex("int", i) for i in range(8)]
+    target = set(vertices)
+    edges = {
+        "ab": frozenset(vertices[0:2]),
+        "cd": frozenset(vertices[2:4]),
+        "bc": frozenset(vertices[1:3]),
+        "ef": frozenset(vertices[4:6]),
+        **{f"s{i}": frozenset({v}) for i, v in enumerate(vertices)},
+    }
+    for seed in range(12):
+        reference = _run(reference_greedy_set_cover, target, edges, RandomOnly(seed))
+        assert _run(greedy_set_cover, target, edges, RandomOnly(seed)) == reference
+        bh = _intern(vertices, edges)
+        assert (
+            _run(greedy_set_cover, bh.mask_of(target), bh, RandomOnly(seed))
+            == reference
+        )
+
+
+@given(families(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_random_only_subclass_replays_the_reference(case, seed):
+    vertices, edges, target = case
+    reference = _run(reference_greedy_set_cover, target, edges, RandomOnly(seed))
+    assert _run(greedy_set_cover, target, edges, RandomOnly(seed)) == reference
+    bh = _intern(vertices, edges)
+    assert (
+        _run(greedy_set_cover, bh.mask_of(target), bh, RandomOnly(seed))
+        == reference
+    )

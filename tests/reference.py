@@ -42,6 +42,19 @@
   ``Measure`` hooks as it ran before children were evaluated lazily:
   every generated child is PR2-filtered, eliminated and bounded before
   it is pushed.
+* :func:`reference_minor_min_width`, :func:`reference_minor_gamma_r`,
+  :func:`reference_gamma_r` and :func:`reference_degeneracy` are the
+  seeded degree bounds of :mod:`repro.bounds.lower` as they ran before
+  their scans moved into :class:`~repro.hypergraphs.graph.Graph`: one
+  method call per vertex for every degree minimum, one ``add_edge`` per
+  contracted neighbour, and gamma_R on every minor by a
+  ``(degree, repr)`` sort.
+* :func:`reference_windowed_cover_mask` is
+  :func:`repro.kernels.cover.windowed_cover_mask` with its setup as a
+  list scan: every restricted edge is checked against all kept edges.
+* :func:`reference_remainder_cover_floor` is PR1's remainder cover
+  floor computed from a fresh size list, as the ghw measure priced it
+  before it kept one size profile per remaining set.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
-from repro.kernels.cover import greedy_cover_mask
+from repro.kernels.cover import _search_mask, greedy_cover_mask
 from repro.search.common import SearchBudget, SearchResult, certified, interrupted
 from repro.setcover.greedy import UncoverableError
 
@@ -625,3 +638,175 @@ def reference_eager_astar(
                 )
             working.restore()
     return certified(ub, ub_ordering, budget, name)
+
+
+def _reference_min_degree_vertex(
+    graph: Graph, rng: random.Random | None
+) -> Vertex:
+    lowest = min(graph.degree(v) for v in graph)
+    candidates = [v for v in graph if graph.degree(v) == lowest]
+    if rng is None:
+        return min(candidates, key=repr)
+    return rng.choice(candidates)
+
+
+def _reference_contract_into_min_neighbour(
+    graph: Graph, vertex: Vertex, rng: random.Random | None
+) -> None:
+    neighbours = graph.neighbours(vertex)
+    if not neighbours:
+        graph.remove_vertex(vertex)
+        return
+    lowest = min(graph.degree(u) for u in neighbours)
+    candidates = [u for u in neighbours if graph.degree(u) == lowest]
+    if rng is None:
+        partner = min(candidates, key=repr)
+    else:
+        partner = rng.choice(candidates)
+    # Graph.contract(partner, vertex) as it was: one add_edge per
+    # neighbour of ``vertex``, read from its live set, then remove_vertex.
+    for neighbour in graph._adj[vertex]:
+        if neighbour != partner:
+            graph.add_edge(partner, neighbour)
+    graph.remove_vertex(vertex)
+
+
+def reference_minor_min_width(
+    graph: Graph, rng: random.Random | None = None
+) -> int:
+    """Figure 4.7, one ``Graph`` method call per vertex and contraction."""
+    working = graph.copy()
+    bound = 0
+    while working.num_vertices() > 0:
+        vertex = _reference_min_degree_vertex(working, rng)
+        bound = max(bound, working.degree(vertex))
+        _reference_contract_into_min_neighbour(working, vertex, rng)
+    return bound
+
+
+def reference_degeneracy(graph: Graph, rng: random.Random | None = None) -> int:
+    """MMD, one ``Graph`` method call per vertex for every degree minimum."""
+    working = graph.copy()
+    bound = 0
+    while working.num_vertices() > 0:
+        vertex = _reference_min_degree_vertex(working, rng)
+        bound = max(bound, working.degree(vertex))
+        working.remove_vertex(vertex)
+    return bound
+
+
+def reference_gamma_r(graph: Graph) -> int:
+    """gamma_R by sorting the vertices on ``(degree, repr)`` and finding
+    the first that misses a predecessor."""
+    vertices = sorted(graph.vertices(), key=lambda v: (graph.degree(v), repr(v)))
+    n = len(vertices)
+    if n == 0:
+        return 0
+    for index, vertex in enumerate(vertices):
+        predecessors = vertices[:index]
+        if any(not graph.has_edge(vertex, other) for other in predecessors):
+            return graph.degree(vertex)
+    return n - 1
+
+
+def reference_minor_gamma_r(
+    graph: Graph, rng: random.Random | None = None
+) -> int:
+    """Figure 4.8, evaluating gamma_R on every minor."""
+    working = graph.copy()
+    bound = 0
+    while working.num_vertices() > 0:
+        bound = max(bound, reference_gamma_r(working))
+        if working.num_vertices() == 1:
+            break
+        vertex = _reference_min_degree_vertex(working, rng)
+        _reference_contract_into_min_neighbour(working, vertex, rng)
+    return bound
+
+
+def reference_windowed_cover_mask(
+    bh: BitHypergraph,
+    bag_mask: int,
+    g: int,
+    limit: int | None,
+    nodes: list[int] | None = None,
+) -> tuple[tuple[int, ...], int]:
+    """:func:`repro.kernels.cover.windowed_cover_mask` with the setup it
+    had before dominance was found on incidence masks: each restricted
+    edge is tested against the whole kept list, and each pivot lists
+    its holders by scanning the kept list again."""
+    if not bag_mask:
+        return (), 0
+    restricted: list[tuple[int, int]] = []
+    coverable = 0
+    scan = 0
+    probe = bag_mask
+    while probe:
+        low = probe & -probe
+        scan |= bh.incidence_masks[low.bit_length() - 1]
+        probe ^= low
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        i = low.bit_length() - 1
+        useful = bh.edge_masks[i] & bag_mask
+        restricted.append((i, useful))
+        coverable |= useful
+    if bag_mask & ~coverable:
+        missing = bag_mask & ~coverable
+        names = sorted(
+            repr(vertex)
+            for i, vertex in enumerate(bh.vertices)
+            if missing >> i & 1
+        )
+        raise UncoverableError(f"vertices {names} appear in no hyperedge")
+    tie_rank = bh.tie_rank
+    restricted.sort(key=lambda item: (-item[1].bit_count(), tie_rank[item[0]]))
+    kept: list[tuple[int, int, int]] = []
+    for i, mask in restricted:
+        if not any(mask & ~other == 0 for _r, _i, other in kept):
+            kept.append((tie_rank[i], i, mask))
+
+    best = list(greedy_cover_mask(bh, bag_mask))
+    budget = len(best)
+    floor = 0
+    need = bag_mask.bit_count()
+    for _r, _i, mask in kept:
+        floor += 1
+        need -= mask.bit_count()
+        if need <= 0:
+            break
+    if budget <= g or floor == budget or (limit is not None and floor >= limit):
+        return tuple(best), floor
+    if limit is not None and limit < budget:
+        budget = limit
+    done = max(g, floor)
+
+    pivots: list[tuple[int, list[tuple[int, int, int]]]] = []
+    probe = bag_mask
+    while probe:
+        low = probe & -probe
+        probe ^= low
+        pivots.append((low, [item for item in kept if item[2] & low]))
+    pivots.sort(key=lambda pivot: (len(pivot[1]), pivot[0]))
+
+    counter = [0] if nodes is None else nodes
+    masks = [mask for _r, _i, mask in kept]
+    found = _search_mask(bag_mask, masks, pivots, [], budget, done, counter)
+    if found is None:
+        return tuple(best), budget
+    return tuple(found), floor if len(found) <= done else len(found)
+
+
+def reference_remainder_cover_floor(bh: BitHypergraph, alive: int) -> int:
+    """PR1's cover floor of the remainder ``alive`` from a fresh list of
+    the restricted edge sizes; 0 when the edges cannot cover it."""
+    need = alive.bit_count()
+    if need <= 0:
+        return 0
+    sizes = [size for edge in bh.edge_masks if (size := (edge & alive).bit_count())]
+    for m, size in enumerate(sorted(sizes, reverse=True), start=1):
+        need -= size
+        if need <= 0:
+            return m
+    return 0
