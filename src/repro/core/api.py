@@ -26,7 +26,11 @@ from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
 from repro.core.solvers import SOLVERS, Solver, lookup
 from repro.core.widths import WIDTHS, validate_hypergraph
-from repro.decompositions.elimination import ordering_ghw, ordering_to_ghd
+from repro.decompositions.elimination import (
+    check_cover,
+    ordering_ghw,
+    ordering_to_ghd,
+)
 from repro.decompositions.ghd import (
     GeneralizedHypertreeDecomposition,
     make_complete,
@@ -282,9 +286,10 @@ def decompose(
     ``"tabu"``) or else a treewidth one (an ordering heuristic name such
     as ``"min-fill"``), whose ordering of the primal graph is an
     elimination ordering of the hypergraph too. ``cover`` selects how
-    bags are covered (``"exact"`` or ``"greedy"``); ``jobs`` applies to
-    the ``"ga"``/``"saiga"`` paths.
+    bags are covered (``"exact"`` or ``"greedy"``, checked before the
+    solver runs); ``jobs`` applies to the ``"ga"``/``"saiga"`` paths.
     """
+    check_cover(cover)
     solver = SOLVERS.get((algorithm, "ghw")) or lookup(algorithm, "tw")
     validate_hypergraph(hypergraph)
     if hypergraph.num_vertices() == 0:

@@ -27,27 +27,33 @@ via :mod:`repro.kernels.evaluators` instead of paying the per-call
 interning here.
 
 :func:`ordering_ghw` and :func:`ordering_to_ghd` cover bag masks of the
-same interned :class:`~repro.kernels.BitHypergraph`, and set covers —
-greedy deterministic and exact — are memoised in the process-wide
-:func:`~repro.kernels.cache.cover_cache`, so :func:`ordering_to_ghd`
-reuses the covers :func:`ordering_ghw` already computed for the same
-bags rather than solving them again.
+same interned :class:`~repro.kernels.BitHypergraph` in edge indices,
+exact covers through one :class:`~repro.setcover.exact.ExactSetCoverSolver`
+per call. Set covers — greedy deterministic and exact — are memoised in
+the process-wide :func:`~repro.kernels.cache.cover_cache`, so
+:func:`ordering_to_ghd` reuses the covers :func:`ordering_ghw` already
+computed for the same bags rather than solving them again; only the
+GHD's lambda-labels are edge names.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence, Set as AbstractSet
+from collections.abc import Callable, Sequence, Set as AbstractSet
+from functools import partial
 
 from repro.decompositions.ghd import GeneralizedHypertreeDecomposition
 from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.hypergraphs.graph import Graph, Vertex
-from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
+from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph
 from repro.kernels.cache import cover_cache
-from repro.kernels.cover import cover_mask
+from repro.kernels.cover import cover_mask, greedy_cover_mask
 from repro.kernels.elimination import bit_elimination_bags, bit_ordering_width
-from repro.setcover.greedy import greedy_set_cover
+from repro.setcover.exact import ExactSetCoverSolver
+
+# The benchmark's layer tracer wraps this binding.
+from repro.setcover.greedy import greedy_set_cover  # noqa: F401
 
 
 def _check_ordering(
@@ -126,18 +132,28 @@ def ordering_width(graph: Graph, ordering: Sequence[Vertex]) -> int:
         raise
 
 
-def _bag_cover(
-    bh: BitHypergraph, bag: int, cover: str, rng: random.Random | None
-) -> list[EdgeName]:
-    """Edge names covering the bag mask ``bag`` in mode ``cover``.
+def check_cover(cover: str) -> None:
+    """Reject a cover mode other than ``"greedy"`` and ``"exact"``."""
+    if cover not in ("greedy", "exact"):
+        raise ValueError(f"unknown cover mode {cover!r}")
 
-    Greedy covers with an ``rng`` take the thesis's random tie-breaks
-    and are never cached (re-randomisation is part of their semantics);
-    every other cover goes through the shared cover cache.
+
+def _bag_covers(
+    bh: BitHypergraph, cover: str, rng: random.Random | None
+) -> Callable[[int], tuple[int, ...]]:
+    """Bag mask -> edge indices of ``bh`` covering it in mode ``cover``.
+
+    Exact covers come from one solver over ``bh``. Greedy covers with an
+    ``rng`` take the thesis's random tie-breaks and are never cached
+    (re-randomisation is part of their semantics); deterministic greedy
+    covers go through the shared cover cache.
     """
-    if cover == "greedy" and rng is not None:
-        return greedy_set_cover(bag, bh, rng=rng)
-    return bh.names_of(cover_mask(bh, bag, cover, cover_cache()))
+    check_cover(cover)
+    if cover == "exact":
+        return ExactSetCoverSolver(bh).cover
+    if rng is not None:
+        return partial(greedy_cover_mask, bh, rng=rng)
+    return partial(cover_mask, bh, cache=cover_cache())
 
 
 def ordering_ghw(
@@ -156,14 +172,13 @@ def ordering_ghw(
     on the bitmask kernel. Covers are memoised in the shared cover
     cache, except greedy covers with an ``rng``: their random tie-breaks
     must stay fresh, so they run uncached and draw from ``rng`` exactly
-    as the thesis's loop does.
+    as the thesis's loop does. A ``cover`` other than ``"greedy"`` and
+    ``"exact"`` raises ``ValueError`` before any bag is covered.
     """
     bh = BitHypergraph.from_hypergraph(hypergraph)
+    covers = _bag_covers(bh, cover, rng)
     return max(
-        (
-            len(_bag_cover(bh, bag, cover, rng))
-            for bag in elimination_bags(bh, ordering).values()
-        ),
+        (len(covers(bag)) for bag in elimination_bags(bh, ordering).values()),
         default=0,
     )
 
@@ -209,14 +224,15 @@ def ordering_to_ghd(
     the result equals :func:`ordering_ghw` for the same cover mode — and
     both cover masks of the same interned hypergraph through the shared
     cover cache, so building the GHD for an ordering whose width was
-    already evaluated re-solves nothing.
+    already evaluated re-solves nothing. ``cover`` is checked as in
+    :func:`ordering_ghw`.
     """
-    tree = ordering_to_tree_decomposition(hypergraph.primal_graph(), ordering)
     bh = BitHypergraph.from_hypergraph(hypergraph)
+    covers = _bag_covers(bh, cover, rng)
+    tree = ordering_to_tree_decomposition(hypergraph.primal_graph(), ordering)
     ghd = GeneralizedHypertreeDecomposition(tree=tree)
     for node in tree.nodes():
-        bag = bh.mask_of(tree.bags[node])
-        ghd.covers[node] = set(_bag_cover(bh, bag, cover, rng))
+        ghd.covers[node] = set(bh.names_of(covers(bh.mask_of(tree.bags[node]))))
     return ghd
 
 
@@ -232,10 +248,3 @@ def cliques_of_ordering(
     """
     bags = elimination_bags(hypergraph.primal_graph(), ordering)
     return [bags[vertex] for vertex in ordering]
-
-
-def width_of_cliques(
-    hypergraph: Hypergraph, ordering: Sequence[Vertex]
-) -> int:
-    """``width(sigma, H)`` of Definition 17 with exact covers."""
-    return ordering_ghw(hypergraph, ordering, cover="exact")

@@ -179,14 +179,17 @@ def exact_cover_width(
 
     A GHD built with greedy covers may label bags with more hyperedges
     than necessary; this utility reports the width the same tree would
-    have under optimal lambda-labels. Import is deferred to avoid a
-    package cycle (setcover depends on hypergraphs only).
+    have under optimal lambda-labels. One solver covers every bag, in
+    the interning :func:`~repro.decompositions.elimination.ordering_to_ghd`
+    uses, so covers it already solved come from the cover cache. Import
+    is deferred to avoid a package cycle (setcover depends on
+    hypergraphs only).
     """
-    from repro.setcover.exact import exact_set_cover
+    from repro.kernels.bithypergraph import BitHypergraph
+    from repro.setcover.exact import ExactSetCoverSolver
 
-    edges = hypergraph.edges()
-    width = 0
-    for node in ghd.tree.nodes():
-        cover = exact_set_cover(ghd.tree.bags[node], edges)
-        width = max(width, len(cover))
-    return width
+    cover = ExactSetCoverSolver(BitHypergraph.from_hypergraph(hypergraph)).cover
+    return max(
+        (len(cover(ghd.tree.bags[node])) for node in ghd.tree.nodes()),
+        default=0,
+    )

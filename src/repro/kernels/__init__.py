@@ -9,16 +9,18 @@ population evaluation:
   to indices, bags and neighbourhoods as Python-int bitmasks,
 * :func:`bit_elimination_bags` / :func:`bit_ordering_width` /
   :func:`bit_ordering_ghw` — incremental bucket elimination over masks
-  (:func:`repro.decompositions.elimination.elimination_bags` runs on it),
-* :func:`~repro.kernels.cover.greedy_cover_indices` — the library's
-  one greedy set-cover loop, on bit-sliced gain counters over edge
-  indices, with the thesis's random tie-breaks replayed exactly
-  (:func:`repro.setcover.greedy.greedy_set_cover` and
-  :func:`greedy_cover_mask` run on it),
+  (:func:`repro.decompositions.elimination.elimination_bags` runs on
+  it); :func:`bit_ordering_ghw` prices bags with greedy covers,
+* :func:`greedy_cover_mask` — the library's one greedy set-cover loop,
+  on bit-sliced gain counters over edge indices, with the thesis's
+  random tie-breaks replayed exactly
+  (:func:`repro.setcover.greedy.greedy_set_cover` runs on it), and
+  :func:`cover_mask`, its deterministic form through the cover cache,
 * :func:`exact_cover_mask` — the library's one exact set-cover search,
   and :func:`windowed_cover_mask`, the same search priced only inside a
-  window ``(g, limit)`` (:class:`repro.setcover.exact.ExactSetCoverSolver`
-  answers through them),
+  window ``(g, limit)``. Their one caller is
+  :class:`repro.setcover.exact.ExactSetCoverSolver`, the exact-cover
+  front end every exact cover goes through,
 * :class:`CoverCache` — the shared, instrumented bag -> cover LRU
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness

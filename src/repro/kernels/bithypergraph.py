@@ -20,11 +20,23 @@ on — and round-trips exactly (property-tested).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property
 
 from repro.hypergraphs.elimination_graph import bits_of
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
 from repro.kernels.cache import family_token
+
+
+class UncoverableError(ValueError):
+    """Raised when the target vertices cannot be covered by the edges."""
+
+
+def uncoverable(missing: Iterable[Vertex]) -> UncoverableError:
+    """The error naming the target vertices ``missing`` from every edge."""
+    return UncoverableError(
+        f"vertices {sorted(map(repr, missing))} appear in no hyperedge"
+    )
 
 
 class BitGraph:
@@ -92,7 +104,8 @@ class BitHypergraph(BitGraph):
       of the hyperedges containing it, so cover search only ever scans
       edges that can still contribute, and
     * ``token`` — the shared cover-cache family token for this edge
-      family (see :mod:`repro.kernels.cache`).
+      family (see :mod:`repro.kernels.cache`), interned on first use, so
+      a family that never reaches the cache keeps no fingerprint there.
     """
 
     def __init__(
@@ -114,8 +127,11 @@ class BitHypergraph(BitGraph):
             bit = 1 << i
             for v in bits_of(mask):
                 self.incidence_masks[v] |= bit
-        self.token = family_token(
-            (tuple(vertices), tuple(edge_names), tuple(edge_masks))
+
+    @cached_property
+    def token(self) -> int:
+        return family_token(
+            (tuple(self.vertices), tuple(self.edge_names), tuple(self.edge_masks))
         )
 
     @classmethod
@@ -173,6 +189,22 @@ class BitHypergraph(BitGraph):
             },
             vertices=self.vertices,
         )
+
+    def bag_mask(self, target: Iterable[Vertex]) -> int:
+        """The mask of the vertex set ``target``, to be covered.
+
+        A vertex outside the family raises :class:`UncoverableError`,
+        naming it with every other target vertex that no edge holds.
+        """
+        target = set(target)
+        index = self.index
+        if not index.keys() >= target:
+            incidence = self.incidence_masks
+            raise uncoverable(
+                vertex for vertex in target
+                if vertex not in index or not incidence[index[vertex]]
+            )
+        return self.mask_of(target)
 
     def names_of(self, edge_indices: Iterable[int]) -> list[EdgeName]:
         return [self.edge_names[i] for i in edge_indices]

@@ -1,12 +1,12 @@
 """Set covers over bitmasks: greedy (Figure 7.2) and exact (B&B).
 
-The library's one greedy set-cover loop and the mask-native exact cover
-used by the bitset elimination kernel:
+The library's one greedy set-cover loop and its one exact set-cover
+search, both over bag bitmasks:
 
-* :func:`greedy_cover_indices` is the greedy loop behind
+* :func:`greedy_cover_mask` is the greedy loop behind
   :func:`~repro.setcover.greedy.greedy_set_cover` and
-  :func:`greedy_cover_mask`. It keeps the gains of all edges in
-  bit-sliced counters — one mask over edge indices per bit of the gain
+  :func:`cover_mask`. It keeps the gains of all edges in bit-sliced
+  counters — one mask over edge indices per bit of the gain
   — built once from the per-vertex incidence masks and lowered with a
   borrow chain as vertices get covered, so no step rescans the edges.
   Once the maximum gain is 1 the counters are dropped: every edge then
@@ -20,35 +20,31 @@ used by the bitset elimination kernel:
 * :func:`exact_cover_mask` is the library's one exact set-cover
   search, and :func:`windowed_cover_mask` the same search asked only
   whether the cover number lies inside a window ``(g, limit)``;
-  :class:`~repro.setcover.exact.ExactSetCoverSolver` answers through
-  them.
+  :class:`~repro.setcover.exact.ExactSetCoverSolver`, the library's one
+  exact-cover front end, is their only caller.
 
 Neither routine ever scans the full edge family: edges meeting no bag
 vertex never enter the counters or the exact search's edge list.
-Deterministic covers are cached in the shared :mod:`repro.kernels.cache`
-keyed by the bag bitmask, which is what makes GA-scale evaluation cheap:
-across a population of orderings the same bags recur constantly.
-Random-tie covers are never cached.
+:func:`cover_mask` is the deterministic greedy cover cached in the
+shared :mod:`repro.kernels.cache` keyed by the bag bitmask, which is
+what makes GA-scale evaluation cheap: across a population of orderings
+the same bags recur constantly. Random-tie covers are never cached;
+exact covers reach the cache through the solver. Every routine answers
+in edge indices of one interned :class:`BitHypergraph`.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sequence
 from math import ceil
 
-from repro.hypergraphs.graph import Vertex
-from repro.kernels.bithypergraph import BitHypergraph, bits_of
+from repro.kernels.bithypergraph import (  # UncoverableError is re-exported here
+    BitHypergraph,
+    UncoverableError,
+    bits_of,
+    uncoverable,
+)
 from repro.kernels.cache import CoverCache
-
-
-class UncoverableError(ValueError):
-    """Raised when the target vertices cannot be covered by the edges."""
-
-
-def _uncoverable(vertices: Sequence[Vertex], uncovered: int) -> UncoverableError:
-    missing = sorted(repr(vertices[i]) for i in bits_of(uncovered))
-    return UncoverableError(f"vertices {missing} appear in no hyperedge")
 
 
 def _candidate_edges(bh: BitHypergraph, bag_mask: int) -> int:
@@ -63,19 +59,12 @@ def _candidate_edges(bh: BitHypergraph, bag_mask: int) -> int:
     return candidates
 
 
-def greedy_cover_indices(
-    vertices: Sequence[Vertex],
-    edge_masks: Sequence[int],
-    incidence: Sequence[int],
-    uncovered: int,
-    rng: random.Random | None,
-    tie_key: Callable[[int], object],
-) -> list[int]:
-    """The greedy loop: cover ``uncovered``, return chosen edge indices.
+def greedy_cover_mask(
+    bh: BitHypergraph, bag_mask: int, rng: random.Random | None = None
+) -> tuple[int, ...]:
+    """The greedy loop: cover ``bag_mask``, return chosen edge indices.
 
-    ``incidence[v]`` is the mask over edge indices of the edges holding
-    vertex bit ``v``; ``vertices[i]`` names bit ``i`` for the error
-    message. The gains (uncovered vertices held) of all edges live in
+    The gains (uncovered vertices held) of all edges live in
     bit-sliced counters: bit ``i`` of ``planes[j]`` is bit ``j`` of edge
     ``i``'s gain. They are summed once from the incidence masks of the
     uncovered vertices and lowered, with a borrow chain, by the
@@ -95,13 +84,16 @@ def greedy_cover_indices(
     ``rng.randrange(count)`` draws; the bound method also follows a
     subclass that overrides only ``random()``), at every step, even on
     a single tie, so the random stream advances exactly as in that
-    loop. Without one they take ``min(ties, key=tie_key)``, the lowest
-    index among equal keys; the tail's ties only leave the set, so it
-    ranks them once by ``tie_key`` (stably) and walks that order past
-    the edges gone since.
+    loop. Without one they take the tie of smallest edge name by
+    ``repr`` (``bh.tie_rank``), the lowest index among equal names; the
+    tail's ties only leave the set, so it ranks them once (stably) and
+    walks that order past the edges gone since.
     A vertex in no edge is left when the tail's ties run out, after the
     same draws as in that loop.
     """
+    edge_masks, incidence = bh.edge_masks, bh.incidence_masks
+    tie_key = bh.tie_rank.__getitem__
+    uncovered = bag_mask
     # A gain never exceeds |uncovered|, so this many planes never overflow.
     planes = [0] * uncovered.bit_count().bit_length()
     probe = uncovered
@@ -165,7 +157,7 @@ def greedy_cover_indices(
         ranked = iter(sorted(bits_of(ties), key=tie_key))
     while uncovered:
         if not ties:
-            raise _uncoverable(vertices, uncovered)
+            raise uncoverable(bh.vertices[i] for i in bits_of(uncovered))
         if randbelow is not None:
             rest = ties
             k = randbelow(rest.bit_count())
@@ -183,28 +175,7 @@ def greedy_cover_indices(
         chosen.append(pick)
         uncovered ^= covered
         ties ^= incidence[covered.bit_length() - 1]
-    return chosen
-
-
-def greedy_cover_mask(
-    bh: BitHypergraph, bag_mask: int, rng: random.Random | None = None
-) -> tuple[int, ...]:
-    """Greedy cover of ``bag_mask``; returns chosen edge indices.
-
-    Ties break on the draw ``rng.choice`` makes on them when an ``rng``
-    is given, else toward the smallest edge name by ``repr``
-    (``bh.tie_rank``).
-    """
-    return tuple(
-        greedy_cover_indices(
-            bh.vertices,
-            bh.edge_masks,
-            bh.incidence_masks,
-            bag_mask,
-            rng,
-            bh.tie_rank.__getitem__,
-        )
-    )
+    return tuple(chosen)
 
 
 def exact_cover_mask(
@@ -275,7 +246,7 @@ def _exact_cover(
         restricted.append((-useful.bit_count(), tie_rank[i], i, useful))
         coverable |= useful
     if bag_mask & ~coverable:
-        raise _uncoverable(bh.vertices, bag_mask & ~coverable)
+        raise uncoverable(bh.vertices[i] for i in bits_of(bag_mask & ~coverable))
     restricted.sort()
     # Drop dominated (subset) edges: ``holders[b]`` is the mask over
     # positions in ``kept`` of the kept edges holding bag bit ``b``, so
@@ -377,22 +348,11 @@ def _search_mask(
 
 
 def cover_mask(
-    bh: BitHypergraph,
-    bag_mask: int,
-    mode: str,
-    cache: CoverCache | None = None,
+    bh: BitHypergraph, bag_mask: int, cache: CoverCache
 ) -> tuple[int, ...]:
-    """Cover ``bag_mask`` in ``mode`` (``"greedy"``/``"exact"``), cached."""
-    if cache is not None:
-        cached = cache.get(bh.token, mode, bag_mask)
-        if cached is not None:
-            return cached
-    if mode == "greedy":
+    """The deterministic greedy cover of ``bag_mask``, through ``cache``."""
+    cover = cache.get(bh.token, "greedy", bag_mask)
+    if cover is None:
         cover = greedy_cover_mask(bh, bag_mask)
-    elif mode == "exact":
-        cover = exact_cover_mask(bh, bag_mask)
-    else:
-        raise ValueError(f"unknown cover mode {mode!r}")
-    if cache is not None:
-        cache.put(bh.token, mode, bag_mask, cover)
+        cache.put(bh.token, "greedy", bag_mask, cover)
     return cover

@@ -116,25 +116,20 @@ def bit_ordering_width(bg: BitGraph, order: list[int]) -> int:
 
 
 def bit_ordering_ghw(
-    bh: BitHypergraph,
-    order: list[int],
-    cover: str = "greedy",
-    cache: CoverCache | None = None,
+    bh: BitHypergraph, order: list[int], cache: CoverCache | None = None
 ) -> int:
-    """Cover width of the ordering (Definition 17) on the bitset kernel.
+    """Greedy cover width of the ordering (Definition 17) on the bitset kernel.
 
-    Every elimination bag is covered with hyperedges (greedy or exact
-    over masks); covers are memoised in the shared cover cache keyed by
-    the bag bitmask, so repeated bags — the common case across a GA
-    population — cost one cache lookup.
+    Every elimination bag is covered greedily over masks, ties toward
+    the smallest edge name; covers are memoised in the shared cover
+    cache keyed by the bag bitmask, so repeated bags — the common case
+    across a GA population — cost one cache lookup.
     """
-    if cover not in ("greedy", "exact"):
-        raise ValueError(f"unknown cover mode {cover!r}")
     if cache is None:
         cache = cover_cache()
     width = 0
     for bag in bit_elimination_bags(bh, order):
-        size = len(cover_mask(bh, bag, cover, cache))
+        size = len(cover_mask(bh, bag, cache))
         if size > width:
             width = size
     return width

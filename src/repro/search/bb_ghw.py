@@ -85,7 +85,7 @@ def initial_ghw_incumbent(
         ordering = build(primal, rng)
         width = 0
         for bag in elimination_bags(solver.bh, ordering).values():
-            width = max(width, solver.cover_size(bag, width, best_width))
+            width = max(width, len(solver.cover(bag, width, best_width)))
             if best_width is not None and width >= best_width:
                 break  # it can no longer win: ties keep the first
         if best_width is None or width < best_width:
@@ -162,7 +162,7 @@ class GhwMeasure:
         # Exact only inside the window (g, limit); without one, exact.
         working = self.working
         i = working.index[child]
-        return self.solver.cover_size((1 << i) | working.masks[i], g, limit)
+        return len(self.solver.cover((1 << i) | working.masks[i], g, limit))
 
     def profile(self) -> list[int]:
         """The restricted edge sizes of the current remainder as a

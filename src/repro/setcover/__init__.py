@@ -1,16 +1,8 @@
 """Set cover: greedy heuristic, exact solver, k-set-cover lower bounds."""
 
 from repro._lazy import lazy_exports
-from repro.setcover.exact import (
-    ExactSetCoverSolver,
-    exact_cover_size,
-    exact_set_cover,
-)
-from repro.setcover.greedy import (
-    UncoverableError,
-    greedy_cover_size,
-    greedy_set_cover,
-)
+from repro.setcover.exact import ExactSetCoverSolver, exact_set_cover
+from repro.setcover.greedy import UncoverableError, greedy_set_cover
 from repro.setcover.lower_bounds import (
     k_set_cover_lower_bound,
     size_profile_lower_bound,
@@ -23,11 +15,9 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 __all__ = [
     "ExactSetCoverSolver",
     "UncoverableError",
-    "exact_cover_size",
     "exact_set_cover",
     "fractional_cover_value",
     "ordering_fractional_width",
-    "greedy_cover_size",
     "greedy_set_cover",
     "k_set_cover_lower_bound",
     "size_profile_lower_bound",

@@ -7,19 +7,23 @@ branch and bound over bitmasks in :func:`repro.kernels.cover.exact_cover_mask`
 (greedy first incumbent, branching on a least-covered vertex, the
 ``ceil(|uncovered| / max_gain)`` bound, dominance preprocessing).
 
-:class:`ExactSetCoverSolver` is its facade. It interns the edge family
-once into a :class:`~repro.kernels.bithypergraph.BitHypergraph` (or takes
-one) and keeps a memo of what each bag mask has proven: a lower bound on
-its cover number and the best cover found. A lookup may carry a window
-``(g, limit)``: the exact searches only read ``max(g, cover)`` and only
-ask whether it is below their pruning limit, so the memo answers when
-its cover is exact, is ``<= g``, or its bound is ``>= limit``, and
-otherwise refines the entry with
-:func:`~repro.kernels.cover.windowed_cover_mask`. A bag seen for the
-first time is looked up in the process-wide cover cache
+:class:`ExactSetCoverSolver` is its one front end: no other module calls
+the kernel. It interns the edge family once into a
+:class:`~repro.kernels.bithypergraph.BitHypergraph` (or takes one),
+answers in edge indices of that family, and keeps a memo of what each
+bag mask has proven: a lower bound on its cover number and the best
+cover found. A lookup may carry a window ``(g, limit)``: the exact
+searches only read ``max(g, cover)`` and only ask whether it is below
+their pruning limit, so the memo answers when its cover is exact, is
+``<= g``, or its bound is ``>= limit``, and otherwise refines the entry
+with :func:`~repro.kernels.cover.windowed_cover_mask`. A bag seen for
+the first time is looked up in the process-wide cover cache
 (:mod:`repro.kernels.cache`), which receives only exact covers, so the
 covers later solvers and witness decompositions read are the tuples an
-unwindowed search returns.
+unwindowed search returns. The exact searches, exact
+``ordering_ghw``/``ordering_to_ghd`` and ``exact_cover_width`` each
+build one solver per call; only :func:`exact_set_cover` and the witness
+decomposition map its edge indices to names.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from collections.abc import Iterable, Mapping
 
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
-from repro.kernels.bithypergraph import BitHypergraph, bits_of
+from repro.kernels.bithypergraph import BitHypergraph
 from repro.kernels.cache import cover_cache
 from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 from repro.obs.runtime import current
@@ -39,7 +43,6 @@ from repro.setcover.greedy import UncoverableError, greedy_set_cover
 __all__ = [
     "ExactSetCoverSolver",
     "UncoverableError",
-    "exact_cover_size",
     "exact_set_cover",
     "greedy_set_cover",
 ]
@@ -51,7 +54,8 @@ class ExactSetCoverSolver:
     ``edges`` is a ``name -> vertices`` mapping, interned once (vertices
     ranked by :func:`~repro.hypergraphs.graph.vertex_sort_key`), or a
     :class:`BitHypergraph`, used as it is: its vertex indexing is the
-    one bag masks passed to :meth:`cover` are read in.
+    one bag masks passed to :meth:`cover` are read in, and its edge
+    indexing the one covers answer in.
     """
 
     def __init__(
@@ -67,45 +71,24 @@ class ExactSetCoverSolver:
         # is optimal when its size meets the bound.
         self._memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-    def _mask_of(self, target: Iterable[Vertex]) -> int:
-        """Intern ``target``; unknown vertices are uncoverable."""
-        index = self.bh.index
-        mask = 0
-        unknown: list[Vertex] = []
-        for vertex in set(target):
-            i = index.get(vertex)
-            if i is None:
-                unknown.append(vertex)
-            else:
-                mask |= 1 << i
-        if unknown:
-            incidence = self.bh.incidence_masks
-            missing = unknown + [
-                self.bh.vertices[i] for i in bits_of(mask) if not incidence[i]
-            ]
-            raise UncoverableError(
-                f"vertices {sorted(map(repr, missing))} appear in no hyperedge"
-            )
-        return mask
-
     def cover(
         self,
         target: int | Iterable[Vertex],
         g: int | None = None,
         limit: int | None = None,
-    ) -> list[EdgeName]:
-        """A cover of ``target``; raises if uncoverable.
+    ) -> tuple[int, ...]:
+        """A cover of ``target`` as edge indices; raises if uncoverable.
 
         ``target`` is a bag mask in ``self.bh``'s indexing or an iterable
-        of vertices. Returns edge names. Without a window the cover is
-        optimal. With one (``g``, ``limit``; ``None`` leaves that end
-        open) its size ``v`` only meets the window contract against the
-        cover number ``c``: ``max(g, v) == max(g, c)`` whenever
-        ``max(g, c) < limit``, and ``max(g, v) >= limit`` otherwise.
+        of vertices. Without a window the cover is optimal. With one
+        (``g``, ``limit``; ``None`` leaves that end open) its size ``v``
+        only meets the window contract against the cover number ``c``:
+        ``max(g, v) == max(g, c)`` whenever ``max(g, c) < limit``, and
+        ``max(g, v) >= limit`` otherwise.
         """
-        mask = target if isinstance(target, int) else self._mask_of(target)
+        mask = target if isinstance(target, int) else self.bh.bag_mask(target)
         if not mask:
-            return []
+            return ()
         memo = self._memo
         entry = memo.get(mask)
         if entry is None:
@@ -123,7 +106,7 @@ class ExactSetCoverSolver:
             ):
                 if metrics.enabled:
                     metrics.counter("setcover_cache", event="hit").inc()
-                return self.bh.names_of(cover)
+                return cover
         nodes = [0]
         if g is None and limit is None:
             cover = exact_cover_mask(self.bh, mask, nodes)
@@ -142,28 +125,13 @@ class ExactSetCoverSolver:
             metrics.counter("setcover_cache", event="miss").inc()
             if nodes[0]:
                 metrics.counter("setcover_nodes").inc(nodes[0])
-        return self.bh.names_of(cover)
-
-    def cover_size(
-        self,
-        target: int | Iterable[Vertex],
-        g: int | None = None,
-        limit: int | None = None,
-    ) -> int:
-        """``len(self.cover(target, g, limit))``."""
-        return len(self.cover(target, g, limit))
+        return cover
 
 
 def exact_set_cover(
     target: Iterable[Vertex],
     edges: Mapping[EdgeName, Iterable[Vertex]],
 ) -> list[EdgeName]:
-    """One-shot exact cover (builds a throwaway solver)."""
-    return ExactSetCoverSolver(edges).cover(target)
-
-
-def exact_cover_size(
-    target: Iterable[Vertex],
-    edges: Mapping[EdgeName, Iterable[Vertex]],
-) -> int:
-    return len(exact_set_cover(target, edges))
+    """One-shot exact cover as edge names (builds a throwaway solver)."""
+    solver = ExactSetCoverSolver(edges)
+    return solver.bh.names_of(solver.cover(target))

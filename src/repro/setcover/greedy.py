@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping
 
-from repro.hypergraphs.graph import Vertex
+from repro.hypergraphs.graph import Vertex, vertex_sort_key
 from repro.hypergraphs.hypergraph import EdgeName
 from repro.kernels.bithypergraph import BitHypergraph
 from repro.kernels.cover import (  # UncoverableError is re-exported here
     UncoverableError,
-    greedy_cover_indices,
     greedy_cover_mask,
 )
 from repro.obs.runtime import current
@@ -39,8 +38,8 @@ def greedy_set_cover(
         or a bag bitmask when ``edges`` is a :class:`BitHypergraph`.
     edges:
         All available hyperedges: a name -> vertices mapping, interned
-        to bitmasks once per call, or an already interned
-        :class:`BitHypergraph`.
+        with :meth:`BitHypergraph.from_edges` on each call, or an
+        already interned :class:`BitHypergraph`.
     rng:
         Optional random source for tie-breaking: among the edges of
         maximum gain, listed in edge insertion order, the loop takes
@@ -56,47 +55,21 @@ def greedy_set_cover(
     Raises
     ------
     UncoverableError
-        If some target vertex appears in no edge at all.
+        If some target vertex appears in no edge at all: after the
+        loop's draws, except for a vertex a :class:`BitHypergraph` does
+        not hold, which raises before any draw.
     """
     metrics = current().metrics
     if metrics.enabled:
         metrics.counter("setcover", algo="greedy", event="call").inc()
-    if isinstance(edges, BitHypergraph):
-        return edges.names_of(greedy_cover_mask(edges, target, rng))
-    vertices = list(set(target))
-    if not vertices:
-        return []
-    index = {vertex: i for i, vertex in enumerate(vertices)}
-    wanted = index.keys()
-    names: list[EdgeName] = []
-    masks: list[int] = []
-    incidence = [0] * len(vertices)
-    for name, edge in edges.items():
-        hit = wanted & edge
-        if hit:
-            bit = 1 << len(names)
-            mask = 0
-            for vertex in hit:
-                i = index[vertex]
-                mask |= 1 << i
-                incidence[i] |= bit
-            names.append(name)
-            masks.append(mask)
-    chosen = greedy_cover_indices(
-        vertices,
-        masks,
-        incidence,
-        (1 << len(vertices)) - 1,
-        rng,
-        lambda i: repr(names[i]),
-    )
-    return [names[i] for i in chosen]
-
-
-def greedy_cover_size(
-    target: Iterable[Vertex] | int,
-    edges: Mapping[EdgeName, Iterable[Vertex]] | BitHypergraph,
-    rng: random.Random | None = None,
-) -> int:
-    """``len(greedy_set_cover(...))`` — the quantity GA-ghw maximises against."""
-    return len(greedy_set_cover(target, edges, rng=rng))
+    if not isinstance(edges, BitHypergraph):
+        # The target's vertices are interned too: one in no edge is left
+        # uncovered, and raises after the loop's draws, as in the thesis.
+        target = set(target)
+        vertices = target.union(*edges.values())
+        edges = BitHypergraph.from_edges(
+            edges, sorted(vertices, key=vertex_sort_key)
+        )
+    if not isinstance(target, int):
+        target = edges.bag_mask(target)
+    return edges.names_of(greedy_cover_mask(edges, target, rng))

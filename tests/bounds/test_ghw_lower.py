@@ -96,7 +96,7 @@ class TestRemaining:
                     working.snapshot(), list(perm)
                 )
                 width = max(
-                    solver.cover_size(bag) for bag in bags.values()
+                    len(solver.cover(bag)) for bag in bags.values()
                 )
                 if best is None or width < best:
                     best = width

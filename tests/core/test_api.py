@@ -1,5 +1,7 @@
 """Tests for the high-level public API."""
 
+import sys
+
 import pytest
 
 from repro.core.api import (
@@ -105,6 +107,16 @@ class TestDecompose:
             ghd = decompose(example5, algorithm=algorithm, cover="greedy")
             ghd.validate(example5)
             assert ghd.width() >= 2
+
+    def test_unknown_cover_mode_raises_before_the_solver(
+        self, example5, monkeypatch
+    ):
+        def run(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(sys.modules["repro.core.api"], "_run", run)
+        with pytest.raises(ValueError, match="unknown cover mode 'optimal'"):
+            decompose(example5, cover="optimal")
 
     def test_ghd_incomplete_on_request(self, example5):
         ghd = decompose(example5, complete=False)

@@ -15,6 +15,7 @@ from repro.decompositions.elimination import (
 )
 from repro.hypergraphs.elimination_graph import eliminate_sequence
 from repro.hypergraphs.graph import complete_graph, cycle_graph, path_graph
+from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.dimacs_like import grid_graph, random_gnp
 from repro.instances.hypergraphs import random_csp_hypergraph
 from repro.kernels.bithypergraph import BitGraph
@@ -151,6 +152,12 @@ class TestOrderingGhw:
     def test_unknown_cover_mode(self, example5):
         with pytest.raises(ValueError):
             ordering_ghw(example5, sorted(example5.vertices()), cover="magic")
+
+    @pytest.mark.parametrize("build", [ordering_ghw, ordering_to_ghd])
+    def test_unknown_cover_mode_raises_without_bags(self, build):
+        # No bag to cover: the mode is still checked, at entry.
+        with pytest.raises(ValueError, match="unknown cover mode 'optimal'"):
+            build(Hypergraph(), [], cover="optimal")
 
     def test_ghd_construction_matches_width(self):
         hypergraph = random_csp_hypergraph(8, 6, arity=3, seed=4)

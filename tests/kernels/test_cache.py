@@ -106,3 +106,19 @@ def test_randomised_greedy_is_never_cached():
     before = len(cover_cache())
     ordering_ghw(h, [0, 1, 2, 3], cover="greedy", rng=random.Random(0))
     assert len(cover_cache()) == before
+
+
+def test_token_is_interned_only_when_the_cache_is_read():
+    from repro.genetic.engine import GAParameters
+    from repro.genetic.ga_ghw import ga_ghw
+    from repro.kernels import cache
+    from repro.setcover.greedy import greedy_set_cover
+
+    # Edge names no other test uses: a token for them would be new.
+    h = Hypergraph({f"lazy{i}": {i, (i + 1) % 5} for i in range(5)})
+    before = len(cache._FAMILY_TOKENS)
+    ga_ghw(h, GAParameters(population_size=6, max_iterations=3), seed=0)
+    greedy_set_cover({0, 1, 2}, h.edges())
+    assert len(cache._FAMILY_TOKENS) == before
+    ordering_ghw(h, list(range(5)), cover="greedy")  # reads the cache
+    assert len(cache._FAMILY_TOKENS) == before + 1

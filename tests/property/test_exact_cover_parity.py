@@ -26,6 +26,8 @@ meets the proven bound) must be the tuple the unwindowed search returns.
 Its setup finds dominated edges by ANDing, per bag bit, the masks of the
 kept edges holding it; :func:`tests.reference.reference_windowed_cover_mask`
 scans the kept list instead, and both must answer every window alike.
+Witness decompositions and ``exact_cover_width`` read the solver too,
+and must label every bag with the unwindowed tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.decompositions.elimination import (
+    elimination_bags,
+    ordering_ghw,
+    ordering_to_ghd,
+)
+from repro.decompositions.ghd import exact_cover_width
+from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
 from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 from repro.setcover.exact import ExactSetCoverSolver
@@ -103,8 +112,8 @@ def test_mapping_input_matches_oracle(family, data):
     size, error = _outcome(solver.cover, target)
     assert (size, error) == _outcome(oracle.cover, target)
     if error is None:
-        _assert_valid_cover(solver.cover(target), target, edges)
-        assert solver.cover_size(target) == size
+        _assert_valid_cover(solver.bh.names_of(solver.cover(target)), target, edges)
+        assert len(solver.cover(target)) == size
 
 
 @given(families(), st.data())
@@ -120,7 +129,7 @@ def test_mask_input_matches_oracle(family, data):
     # The same interned family answers vertex iterables identically.
     assert _outcome(solver.cover, target) == outcome
     if outcome[1] is None:
-        _assert_valid_cover(solver.cover(mask), target, edges)
+        _assert_valid_cover(bh.names_of(solver.cover(mask)), target, edges)
 
 
 @pytest.mark.parametrize(
@@ -266,16 +275,16 @@ def test_bound_memo_keeps_the_window_contract(family, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
         bag = data.draw(st.sampled_from(bags))
         g, limit = data.draw(windows)
-        names = solver.cover(bag, g, limit)
-        _assert_valid_cover(names, bh.vertices_of(bag), edges)
-        assert _meets_window(len(names), truth[bag], g, limit)
+        found = solver.cover(bag, g, limit)
+        _assert_valid_cover(bh.names_of(found), bh.vertices_of(bag), edges)
+        assert _meets_window(len(found), truth[bag], g, limit)
         for entry_bag, (lower, cover) in solver._memo.items():
             assert lower <= truth[entry_bag] <= len(cover)
             if lower == len(cover):
                 assert cover == exact_cover_mask(bh, entry_bag)
     for bag in bags:
         # Unwindowed lookups stay exact whatever the memo holds.
-        assert solver.cover(bag) == bh.names_of(exact_cover_mask(bh, bag))
+        assert solver.cover(bag) == exact_cover_mask(bh, bag)
 
 
 def _windowed_outcome(cover, bh, mask, g, limit):
@@ -327,3 +336,49 @@ def test_windowed_setup_on_nested_and_duplicate_edges():
                 assert outcome == _windowed_outcome(
                     reference_windowed_cover_mask, bh, mask, g, limit
                 )
+
+
+def _assert_witness_is_unwindowed(hypergraph, ordering, lookups):
+    """Price ``lookups`` (bag index, window) first, then check that every
+    lambda-label of the exact witness is the unwindowed tuple and that
+    ``exact_cover_width`` is their largest size."""
+    bh = BitHypergraph.from_hypergraph(hypergraph)
+    bags = sorted(elimination_bags(bh, ordering).values())
+    windowed = ExactSetCoverSolver(bh)
+    for position, window in lookups:
+        windowed.cover(bags[position % len(bags)], *window)
+    ghd = ordering_to_ghd(hypergraph, ordering, cover="exact")
+    sizes = []
+    for node in ghd.tree.nodes():
+        cover = exact_cover_mask(bh, bh.mask_of(ghd.tree.bags[node]))
+        assert ghd.covers[node] == set(bh.names_of(cover))
+        sizes.append(len(cover))
+    assert exact_cover_width(ghd, hypergraph) == max(sizes)
+
+
+@given(families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_witness_labels_are_the_unwindowed_covers(family, data):
+    """Every lambda-label of ``ordering_to_ghd(h, sigma, "exact")`` is the
+    tuple the unwindowed :func:`exact_cover_mask` returns for its bag, and
+    ``exact_cover_width`` is their largest size, also after windowed
+    lookups of the same bags have filled the cover cache."""
+    _vertices, edges = family
+    hypergraph = Hypergraph({name: edge for name, edge in edges.items() if edge})
+    assume(hypergraph.num_vertices())
+    ordering = data.draw(st.permutations(sorted(hypergraph.vertices(), key=repr)))
+    lookups = data.draw(st.lists(st.tuples(st.integers(0, 99), windows), max_size=6))
+    _assert_witness_is_unwindowed(hypergraph, ordering, lookups)
+
+
+def test_witness_labels_are_exact_where_greedy_is_not():
+    """The bag {1, 3, 4, 5, 6, 7, 8} of this ordering takes three edges
+    greedily (middle first) and two exactly (top, bottom); a lookup with
+    ``g = 3`` leaves the greedy cover in that solver's memo."""
+    hypergraph = Hypergraph(
+        {"top": {1, 2, 3, 4}, "bottom": {5, 6, 7, 8}, "middle": {2, 3, 4, 5, 6, 7}}
+    )
+    ordering = [2, 5, 1, 3, 4, 6, 7, 8]
+    assert ordering_ghw(hypergraph, ordering, cover="greedy") == 3
+    lookups = [(position, (3, None)) for position in range(len(ordering))]
+    _assert_witness_is_unwindowed(hypergraph, ordering, lookups)

@@ -74,7 +74,7 @@ def test_remainder_floor_never_exceeds_a_cover(case):
     alive = _state(name, prefix).alive
     floor = remainder_cover_floor(bh, alive)
     if alive:
-        assert 1 <= floor <= ExactSetCoverSolver(bh).cover_size(alive)
+        assert 1 <= floor <= len(ExactSetCoverSolver(bh).cover(alive))
         assert floor <= len(greedy_set_cover(alive, bh))
     else:
         assert floor == 0

@@ -31,7 +31,7 @@ from repro.search.astar_ghw import astar_ghw
 from repro.search.astar_tw import astar_treewidth
 from repro.search.bb_ghw import branch_and_bound_ghw
 from repro.search.bb_tw import branch_and_bound_treewidth
-from repro.setcover.exact import exact_cover_size
+from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import greedy_set_cover
 
 
@@ -185,7 +185,7 @@ def test_exact_cover_never_larger_than_greedy(instance):
     for edge in instance.values():
         universe |= edge
     greedy = len(greedy_set_cover(universe, instance))
-    exact = exact_cover_size(universe, instance)
+    exact = len(exact_set_cover(universe, instance))
     assert 1 <= exact <= greedy
 
 
@@ -206,7 +206,7 @@ def test_exact_cover_of_subsets_never_larger_than_greedy(data, instance):
         universe |= edge
     target = data.draw(st.sets(st.sampled_from(sorted(universe))))
     greedy = len(greedy_set_cover(target, instance))
-    exact = exact_cover_size(target, instance)
+    exact = len(exact_set_cover(target, instance))
     assert exact <= greedy
 
 

@@ -5,11 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.setcover.exact import (
-    ExactSetCoverSolver,
-    exact_cover_size,
-    exact_set_cover,
-)
+from repro.setcover.exact import ExactSetCoverSolver, exact_set_cover
 from repro.setcover.greedy import UncoverableError, greedy_set_cover
 
 
@@ -45,7 +41,7 @@ class TestExact:
         )
         target = set(range(1, 9))
         assert len(greedy_set_cover(target, instance)) == 3
-        assert exact_cover_size(target, instance) == 2
+        assert len(exact_set_cover(target, instance)) == 2
 
     def test_uncoverable(self):
         with pytest.raises(UncoverableError):
@@ -75,13 +71,13 @@ class TestExact:
                 coverable |= edge
             target = set(rng.sample(sorted(coverable), min(6, len(coverable))))
             expected = brute_force_cover_size(target, instance)
-            assert exact_cover_size(target, instance) == expected
+            assert len(exact_set_cover(target, instance)) == expected
 
     def test_solver_memoisation_consistent(self):
         instance = edges(a={1, 2, 3}, b={3, 4}, c={1, 4}, d={2})
         solver = ExactSetCoverSolver(instance)
-        first = solver.cover_size({1, 2, 3, 4})
-        second = solver.cover_size({1, 2, 3, 4})
+        first = len(solver.cover({1, 2, 3, 4}))
+        second = len(solver.cover({1, 2, 3, 4}))
         assert first == second == 2
 
     def test_solver_handles_many_overlapping_targets(self):
@@ -90,16 +86,16 @@ class TestExact:
         )
         solver = ExactSetCoverSolver(instance)
         for target in ({1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {2, 4}, set()):
-            size = solver.cover_size(target)
+            size = len(solver.cover(target))
             assert size == brute_force_cover_size(target, instance)
 
     def test_dominated_edges_do_not_break_optimality(self):
         instance = edges(big={1, 2, 3}, sub1={1, 2}, sub2={2, 3}, other={4})
-        assert exact_cover_size({1, 2, 3, 4}, instance) == 2
+        assert len(exact_set_cover({1, 2, 3, 4}, instance)) == 2
 
     def test_duplicate_edges(self):
         instance = edges(a={1, 2}, b={1, 2})
-        assert exact_cover_size({1, 2}, instance) == 1
+        assert len(exact_set_cover({1, 2}, instance)) == 1
 
     def test_regression_search_must_respect_budget(self):
         """Regression: the branch and bound once returned a *complete but
@@ -134,6 +130,6 @@ class TestExact:
             "g119", "g120", "g121", "g123",
         }
         greedy = len(greedy_set_cover(bag, instance))
-        exact = exact_cover_size(bag, instance)
+        exact = len(exact_set_cover(bag, instance))
         assert exact <= greedy
         assert exact == brute_force_cover_size(bag, instance)

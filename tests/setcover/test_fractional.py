@@ -14,7 +14,7 @@ from repro.setcover.fractional import (
     fractional_cover_value,
     ordering_fractional_width,
 )
-from repro.setcover.exact import exact_cover_size
+from repro.setcover.exact import exact_set_cover
 from repro.setcover.greedy import UncoverableError
 
 
@@ -39,14 +39,14 @@ class TestFractionalCover:
         """The classic gap instance: covering a triangle's vertices with
         its edges costs 2 integrally but only 1.5 fractionally."""
         instance = edges(ab={1, 2}, bc={2, 3}, ca={3, 1})
-        assert exact_cover_size({1, 2, 3}, instance) == 2
+        assert len(exact_set_cover({1, 2, 3}, instance)) == 2
         assert fractional_cover_value({1, 2, 3}, instance) == pytest.approx(1.5)
 
     def test_never_exceeds_integral(self):
         for seed in range(10):
             hypergraph = random_csp_hypergraph(8, 6, arity=3, seed=seed)
             target = hypergraph.vertices()
-            integral = exact_cover_size(target, hypergraph.edges())
+            integral = len(exact_set_cover(target, hypergraph.edges()))
             fractional = fractional_cover_value(target, hypergraph.edges())
             assert fractional <= integral + 1e-9
 

@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.setcover.greedy import (
-    UncoverableError,
-    greedy_cover_size,
-    greedy_set_cover,
-)
+from repro.setcover.greedy import UncoverableError, greedy_set_cover
 
 
 def edges(**named):
@@ -63,7 +59,7 @@ class TestGreedy:
         assert len(seen) > 1
 
     def test_cover_size_helper(self):
-        assert greedy_cover_size({1, 2, 3}, edges(a={1, 2}, b={3})) == 2
+        assert len(greedy_set_cover({1, 2, 3}, edges(a={1, 2}, b={3}))) == 2
 
     def test_cover_is_actually_a_cover(self):
         rng = random.Random(0)
