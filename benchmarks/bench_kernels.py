@@ -1,4 +1,4 @@
-"""Benchmark the bitset kernel + shared cover cache against the
+"""Benchmark the bitset kernel + its cover memo against the
 pure-Python GA fitness evaluation of the test oracle.
 
 Three workload phases per instance, all replaying the exact populations
@@ -8,10 +8,14 @@ a GA-ghw run sees:
   orderings (every bag is new, so this measures the raw kernel);
 * **converged** — late-run style populations built from an elite
   min-fill ordering plus small ISM mutations (bags repeat massively
-  across individuals and generations, so this also measures the shared
-  cover cache);
+  across individuals and generations, so this also measures the
+  evaluator's cover memo);
 * **random_ties** — the random populations again, on GA-ghw's default
-  path: random greedy tie-breaks from a seeded ``rng``, uncached.
+  path: random greedy tie-breaks from a seeded ``rng``, unmemoised.
+
+Each phase's ``cache`` stats are those of its kernel evaluator's own
+memo (``evaluate.covers``); the unmemoised ``random_ties`` evaluator
+keeps none and reports an empty one.
 
 Both sides evaluate the *same* populations. The "python" side is the
 dict-of-sets bucket elimination and greedy loop kept as the oracle in
@@ -107,7 +111,7 @@ def bench_instance(name, size, rounds):
         sys.path.insert(0, str(ROOT))
     from repro.genetic.ga_ghw import make_ghw_evaluator
     from repro.instances.registry import instance as registry_instance
-    from repro.kernels.cache import cover_cache
+    from repro.kernels.cache import CoverCache
     from repro.kernels.evaluators import make_bit_ghw_evaluator
     from tests.reference import make_reference_ghw_evaluator
 
@@ -121,7 +125,6 @@ def bench_instance(name, size, rounds):
         "random_ties": random_orderings,
     }
 
-    cache = cover_cache()
     phases = []
     python_total = bitset_total = 0.0
     for phase, populations in workloads.items():
@@ -130,12 +133,13 @@ def bench_instance(name, size, rounds):
             bitset_rng = random.Random(TIE_SEED)
             reference = make_reference_ghw_evaluator(hypergraph, rng=python_rng)
             kernel = make_ghw_evaluator(hypergraph, rng=bitset_rng)
+            covers = CoverCache()
         else:
             python_rng = bitset_rng = None
             reference = make_reference_ghw_evaluator(hypergraph)
             kernel = make_bit_ghw_evaluator(hypergraph)
+            covers = kernel.covers
         python_s, python_widths = _time_evaluator(reference, populations)
-        cache.clear()
         bitset_s, bitset_widths = _time_evaluator(kernel, populations)
         if python_widths != bitset_widths:
             raise AssertionError(
@@ -157,7 +161,7 @@ def bench_instance(name, size, rounds):
                 "bitset_s": round(bitset_s, 4),
                 "speedup": round(python_s / bitset_s, 2) if bitset_s else 0.0,
                 "widths_equal": True,
-                "cache": cache.stats(),
+                "cache": covers.stats(),
             }
         )
     return {

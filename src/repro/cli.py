@@ -96,13 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate GA/SAIGA populations on N worker processes",
     )
     parser.add_argument(
-        "--cover-cache-size",
-        type=int,
-        default=None,
-        metavar="M",
-        help="resize the process-wide bag-cover cache to M entries",
-    )
-    parser.add_argument(
         "--metrics",
         action="store_true",
         help="print the run's metric counters to stderr",
@@ -187,13 +180,6 @@ def build_portfolio_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="resume a previous race from --checkpoint-dir",
-    )
-    parser.add_argument(
-        "--cover-cache-size",
-        type=int,
-        default=None,
-        metavar="M",
-        help="resize the process-wide bag-cover cache to M entries",
     )
     parser.add_argument(
         "--metrics",
@@ -306,13 +292,8 @@ def main_portfolio(argv: list[str]) -> int:
 
 
 def _start(args: argparse.Namespace) -> Graph | Hypergraph | None:
-    """Resize the cover cache and load the instance; ``None`` once an
-    error is printed."""
+    """Load the instance; ``None`` once an error is printed."""
     try:
-        if args.cover_cache_size is not None:
-            from repro.kernels.cache import configure_cover_cache
-
-            configure_cover_cache(args.cover_cache_size)
         return _load(args)
     except (KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -468,21 +449,13 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     if telemetry:
-        from repro.kernels.cache import cover_cache
-
-        cache = cover_cache()
         report = RunReport.capture(
             ins,
             instance=label,
             solver=args.algorithm if args.measure != "hw" else "hw",
             measure=args.measure,
             elapsed_s=time.monotonic() - started,
-            meta={
-                "seed": args.seed,
-                "jobs": args.jobs,
-                "cover_cache_size": cache.maxsize,
-                "cover_cache": cache.stats(),
-            },
+            meta={"seed": args.seed, "jobs": args.jobs},
             **fields,
         )
         return _emit(args, ins, report)

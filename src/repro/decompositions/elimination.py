@@ -26,14 +26,14 @@ on the kernel too (the pure-Python loops are the test oracle in
 via :mod:`repro.kernels.evaluators` instead of paying the per-call
 interning here.
 
-:func:`ordering_ghw` and :func:`ordering_to_ghd` cover bag masks of the
-same interned :class:`~repro.kernels.BitHypergraph` in edge indices,
-exact covers through one :class:`~repro.setcover.exact.ExactSetCoverSolver`
-per call. Set covers — greedy deterministic and exact — are memoised in
-the process-wide :func:`~repro.kernels.cache.cover_cache`, so
-:func:`ordering_to_ghd` reuses the covers :func:`ordering_ghw` already
-computed for the same bags rather than solving them again; only the
-GHD's lambda-labels are edge names.
+:func:`ordering_ghw` and :func:`ordering_to_ghd` each intern the
+hypergraph to one :class:`~repro.kernels.BitHypergraph` and cover its
+bag masks in edge indices: exact covers through one
+:class:`~repro.setcover.exact.ExactSetCoverSolver` per call,
+deterministic greedy covers through that call's ``BitHypergraph.covers``
+memo. Nothing is shared between calls, so :func:`ordering_to_ghd`
+solves again what :func:`ordering_ghw` solved; only the GHD's
+lambda-labels are edge names.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.decompositions.tree_decomposition import TreeDecomposition
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph
-from repro.kernels.cache import cover_cache
 from repro.kernels.cover import cover_mask, greedy_cover_mask
 from repro.kernels.elimination import bit_elimination_bags, bit_ordering_width
 from repro.setcover.exact import ExactSetCoverSolver
@@ -144,16 +143,16 @@ def _bag_covers(
     """Bag mask -> edge indices of ``bh`` covering it in mode ``cover``.
 
     Exact covers come from one solver over ``bh``. Greedy covers with an
-    ``rng`` take the thesis's random tie-breaks and are never cached
+    ``rng`` take the thesis's random tie-breaks and are never memoised
     (re-randomisation is part of their semantics); deterministic greedy
-    covers go through the shared cover cache.
+    covers go through ``bh.covers``.
     """
     check_cover(cover)
     if cover == "exact":
         return ExactSetCoverSolver(bh).cover
     if rng is not None:
         return partial(greedy_cover_mask, bh, rng=rng)
-    return partial(cover_mask, bh, cache=cover_cache())
+    return partial(cover_mask, bh)
 
 
 def ordering_ghw(
@@ -169,11 +168,10 @@ def ordering_ghw(
     ``cover="exact"`` this is the exact quantity whose minimum over all
     orderings equals ``ghw(H)`` (Theorem 3); with ``cover="greedy"`` it is
     the upper bound GA-ghw optimises (Figure 7.1). Bags and covers run
-    on the bitmask kernel. Covers are memoised in the shared cover
-    cache, except greedy covers with an ``rng``: their random tie-breaks
-    must stay fresh, so they run uncached and draw from ``rng`` exactly
-    as the thesis's loop does. A ``cover`` other than ``"greedy"`` and
-    ``"exact"`` raises ``ValueError`` before any bag is covered.
+    on the bitmask kernel. Greedy covers with an ``rng`` draw from it
+    exactly as the thesis's loop does. A ``cover`` other than
+    ``"greedy"`` and ``"exact"`` raises ``ValueError`` before any bag is
+    covered.
     """
     bh = BitHypergraph.from_hypergraph(hypergraph)
     covers = _bag_covers(bh, cover, rng)
@@ -221,11 +219,8 @@ def ordering_to_ghd(
 
     The chi-labels come from bucket elimination on the primal graph; each
     lambda-label is a set cover of the bag (greedy or exact). The width of
-    the result equals :func:`ordering_ghw` for the same cover mode — and
-    both cover masks of the same interned hypergraph through the shared
-    cover cache, so building the GHD for an ordering whose width was
-    already evaluated re-solves nothing. ``cover`` is checked as in
-    :func:`ordering_ghw`.
+    the result equals :func:`ordering_ghw` for the same cover mode.
+    ``cover`` is checked as in :func:`ordering_ghw`.
     """
     bh = BitHypergraph.from_hypergraph(hypergraph)
     covers = _bag_covers(bh, cover, rng)

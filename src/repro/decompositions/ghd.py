@@ -179,11 +179,10 @@ def exact_cover_width(
 
     A GHD built with greedy covers may label bags with more hyperedges
     than necessary; this utility reports the width the same tree would
-    have under optimal lambda-labels. One solver covers every bag, in
-    the interning :func:`~repro.decompositions.elimination.ordering_to_ghd`
-    uses, so covers it already solved come from the cover cache. Import
-    is deferred to avoid a package cycle (setcover depends on
-    hypergraphs only).
+    have under optimal lambda-labels. One solver of its own covers every
+    bag, so the width is recomputed independently of the covers the GHD
+    was built with. Import is deferred to avoid a package cycle
+    (setcover depends on hypergraphs only).
     """
     from repro.kernels.bithypergraph import BitHypergraph
     from repro.setcover.exact import ExactSetCoverSolver

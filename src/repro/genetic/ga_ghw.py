@@ -67,7 +67,7 @@ def ga_ghw(
     ties break randomly from this run's ``rng`` as the thesis does,
     uncached. ``jobs > 1`` fans each population out over a process pool;
     pool workers cannot share the parent's ``rng``, so they break ties
-    deterministically and cache covers in their own cover cache. The
+    deterministically and memoise covers in their own evaluator. The
     remaining parameters are those of
     :func:`~repro.genetic.ga_tw.ga_treewidth`.
     """

@@ -175,7 +175,7 @@ def saiga_ghw(
     greedy tie rule of :func:`~repro.genetic.ga_ghw.ga_ghw`: the run's
     random ties at ``jobs=1``; ``jobs > 1`` fans each island's
     population evaluation out over a process pool, with deterministic
-    ties through each worker's cover cache. Defaults reproduce the seed
+    ties through each worker's cover memo. Defaults reproduce the seed
     behaviour exactly.
     """
 

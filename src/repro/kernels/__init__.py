@@ -2,7 +2,7 @@
 
 Everything the heuristics spend their time on — elimination-ordering
 evaluation and per-bag set covers — runs here over interned bitmask
-representations, with a process-wide cover cache and opt-in process-pool
+representations, with per-owner cover memos and opt-in process-pool
 population evaluation:
 
 * :class:`BitGraph` / :class:`BitHypergraph` — vertices/edges interned
@@ -15,13 +15,15 @@ population evaluation:
   on bit-sliced gain counters over edge indices, with the thesis's
   random tie-breaks replayed exactly
   (:func:`repro.setcover.greedy.greedy_set_cover` runs on it), and
-  :func:`cover_mask`, its deterministic form through the cover cache,
+  :func:`cover_mask`, its deterministic form through the
+  ``BitHypergraph.covers`` memo,
 * :func:`exact_cover_mask` — the library's one exact set-cover search,
   and :func:`windowed_cover_mask`, the same search priced only inside a
   window ``(g, limit)``. Their one caller is
   :class:`repro.setcover.exact.ExactSetCoverSolver`, the exact-cover
   front end every exact cover goes through,
-* :class:`CoverCache` — the shared, instrumented bag -> cover LRU
+* :class:`CoverCache` — the bounded, instrumented bag -> cover LRU
+  each ``BitHypergraph`` keeps for its deterministic greedy covers
   (see ``docs/performance.md`` for its semantics),
 * :class:`ParallelEvaluator` — opt-in ``--jobs N`` process-pool fitness
   evaluation for GA/SAIGA populations,
@@ -32,7 +34,7 @@ population evaluation:
 
 Every GA/SAIGA/SA/tabu fitness evaluation runs on this kernel. The
 greedy tie rule of ghw fitness follows the job count: random and
-uncached at ``jobs=1``, deterministic and cached in pool workers (see
+unmemoised at ``jobs=1``, deterministic and memoised in pool workers (see
 :mod:`repro.kernels.evaluators`). The pure-Python implementations are
 kept as test oracles (``tests/reference.py``), and the property suite
 holds the kernel to them.
@@ -40,12 +42,7 @@ holds the kernel to them.
 
 from repro._lazy import lazy_exports
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
-from repro.kernels.cache import (
-    CoverCache,
-    configure_cover_cache,
-    cover_cache,
-    family_token,
-)
+from repro.kernels.cache import CoverCache
 from repro.kernels.cover import (
     cover_mask,
     exact_cover_mask,
@@ -73,11 +70,8 @@ __all__ = [
     "bit_ordering_ghw",
     "bit_ordering_width",
     "bits_of",
-    "configure_cover_cache",
-    "cover_cache",
     "cover_mask",
     "exact_cover_mask",
-    "family_token",
     "greedy_cover_mask",
     "make_bit_ghw_evaluator",
     "make_tw_evaluator",

@@ -25,7 +25,7 @@ from functools import cached_property
 from repro.hypergraphs.elimination_graph import bits_of
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
 from repro.hypergraphs.hypergraph import EdgeName, Hypergraph
-from repro.kernels.cache import family_token
+from repro.kernels.cache import CoverCache
 
 
 class UncoverableError(ValueError):
@@ -103,9 +103,9 @@ class BitHypergraph(BitGraph):
     * ``incidence_masks[v]`` — per vertex, a bitmask over *edge indices*
       of the hyperedges containing it, so cover search only ever scans
       edges that can still contribute, and
-    * ``token`` — the shared cover-cache family token for this edge
-      family (see :mod:`repro.kernels.cache`), interned on first use, so
-      a family that never reaches the cache keeps no fingerprint there.
+    * ``covers`` — the memo of this family's deterministic greedy covers
+      (:func:`~repro.kernels.cover.cover_mask`), made on first use, so
+      a family that is never covered that way keeps none.
     """
 
     def __init__(
@@ -129,10 +129,8 @@ class BitHypergraph(BitGraph):
                 self.incidence_masks[v] |= bit
 
     @cached_property
-    def token(self) -> int:
-        return family_token(
-            (tuple(self.vertices), tuple(self.edge_names), tuple(self.edge_masks))
-        )
+    def covers(self) -> CoverCache:
+        return CoverCache()
 
     @classmethod
     def from_hypergraph(

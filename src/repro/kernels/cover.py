@@ -25,12 +25,12 @@ search, both over bag bitmasks:
 
 Neither routine ever scans the full edge family: edges meeting no bag
 vertex never enter the counters or the exact search's edge list.
-:func:`cover_mask` is the deterministic greedy cover cached in the
-shared :mod:`repro.kernels.cache` keyed by the bag bitmask, which is
-what makes GA-scale evaluation cheap: across a population of orderings
-the same bags recur constantly. Random-tie covers are never cached;
-exact covers reach the cache through the solver. Every routine answers
-in edge indices of one interned :class:`BitHypergraph`.
+:func:`cover_mask` is the deterministic greedy cover memoised in the
+:class:`BitHypergraph`'s own ``covers``, keyed by the bag bitmask,
+which is what makes pool evaluation cheap: across a population of
+orderings the same bags recur constantly. Random-tie covers are never
+memoised; exact covers stay in their solver's memo. Every routine
+answers in edge indices of one interned :class:`BitHypergraph`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.kernels.bithypergraph import (  # UncoverableError is re-exported her
     bits_of,
     uncoverable,
 )
-from repro.kernels.cache import CoverCache
 
 
 def _candidate_edges(bh: BitHypergraph, bag_mask: int) -> int:
@@ -347,12 +346,11 @@ def _search_mask(
     return best
 
 
-def cover_mask(
-    bh: BitHypergraph, bag_mask: int, cache: CoverCache
-) -> tuple[int, ...]:
-    """The deterministic greedy cover of ``bag_mask``, through ``cache``."""
-    cover = cache.get(bh.token, "greedy", bag_mask)
+def cover_mask(bh: BitHypergraph, bag_mask: int) -> tuple[int, ...]:
+    """The deterministic greedy cover of ``bag_mask``, through ``bh.covers``."""
+    covers = bh.covers
+    cover = covers.get(bag_mask)
     if cover is None:
         cover = greedy_cover_mask(bh, bag_mask)
-        cache.put(bh.token, "greedy", bag_mask, cover)
+        covers.put(bag_mask, cover)
     return cover

@@ -34,7 +34,6 @@ from itertools import accumulate
 from operator import or_
 
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph
-from repro.kernels.cache import CoverCache, cover_cache
 from repro.kernels.cover import cover_mask
 
 
@@ -115,21 +114,17 @@ def bit_ordering_width(bg: BitGraph, order: list[int]) -> int:
     return width
 
 
-def bit_ordering_ghw(
-    bh: BitHypergraph, order: list[int], cache: CoverCache | None = None
-) -> int:
+def bit_ordering_ghw(bh: BitHypergraph, order: list[int]) -> int:
     """Greedy cover width of the ordering (Definition 17) on the bitset kernel.
 
     Every elimination bag is covered greedily over masks, ties toward
-    the smallest edge name; covers are memoised in the shared cover
-    cache keyed by the bag bitmask, so repeated bags — the common case
-    across a GA population — cost one cache lookup.
+    the smallest edge name; covers are memoised in ``bh.covers`` keyed
+    by the bag bitmask, so repeated bags — the common case across a GA
+    population — cost one memo lookup.
     """
-    if cache is None:
-        cache = cover_cache()
     width = 0
     for bag in bit_elimination_bags(bh, order):
-        size = len(cover_mask(bh, bag, cache))
+        size = len(cover_mask(bh, bag))
         if size > width:
             width = size
     return width

@@ -7,12 +7,12 @@ builds the bitset evaluator once (in the pool initializer) and then
 evaluates chunks of orderings, so per-generation IPC is one pickle of the
 orderings and one of the integer fitnesses. Workers cannot share the
 parent's ``rng``, so ghw fitness breaks greedy ties deterministically
-and caches covers (:func:`~repro.kernels.evaluators.make_bit_ghw_evaluator`).
+and memoises covers (:func:`~repro.kernels.evaluators.make_bit_ghw_evaluator`).
 
 Parallelism is strictly opt-in (``jobs=1`` — the default everywhere —
 never spawns a process): on small instances the fork+pickle overhead
-dwarfs the evaluation time, and each worker holds its own cover cache,
-so cross-candidate sharing happens per worker rather than process-wide.
+dwarfs the evaluation time, and each worker's evaluator holds its own
+cover memo, so cross-candidate sharing happens per worker.
 Use it when single-ordering evaluation is the bottleneck at scale.
 
 Utilization is instrumented: the evaluator counts batches, tasks and

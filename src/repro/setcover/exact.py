@@ -16,14 +16,13 @@ cover found. A lookup may carry a window ``(g, limit)``: the exact
 searches only read ``max(g, cover)`` and only ask whether it is below
 their pruning limit, so the memo answers when its cover is exact, is
 ``<= g``, or its bound is ``>= limit``, and otherwise refines the entry
-with :func:`~repro.kernels.cover.windowed_cover_mask`. A bag seen for
-the first time is looked up in the process-wide cover cache
-(:mod:`repro.kernels.cache`), which receives only exact covers, so the
-covers later solvers and witness decompositions read are the tuples an
-unwindowed search returns. The exact searches, exact
-``ordering_ghw``/``ordering_to_ghd`` and ``exact_cover_width`` each
-build one solver per call; only :func:`exact_set_cover` and the witness
-decomposition map its edge indices to names.
+with :func:`~repro.kernels.cover.windowed_cover_mask`. The memo lives
+and dies with its solver: no solver reads another's covers, so a run's
+``setcover_cache`` counts do not depend on what ran before it. The
+exact searches, exact ``ordering_ghw``/``ordering_to_ghd`` and
+``exact_cover_width`` each build one solver per call; only
+:func:`exact_set_cover` and the witness decomposition map its edge
+indices to names.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from collections.abc import Iterable, Mapping
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import EdgeName
 from repro.kernels.bithypergraph import BitHypergraph
-from repro.kernels.cache import cover_cache
 from repro.kernels.cover import exact_cover_mask, windowed_cover_mask
 from repro.obs.runtime import current
 
@@ -49,7 +47,7 @@ __all__ = [
 
 
 class ExactSetCoverSolver:
-    """Optimal covers over one interned edge family, cached across calls.
+    """Optimal covers over one interned edge family, memoised across calls.
 
     ``edges`` is a ``name -> vertices`` mapping, interned once (vertices
     ranked by :func:`~repro.hypergraphs.graph.vertex_sort_key`), or a
@@ -66,7 +64,6 @@ class ExactSetCoverSolver:
             if isinstance(edges, BitHypergraph)
             else BitHypergraph.from_edges(edges)
         )
-        self._cache = cover_cache()
         # bag mask -> (proven lower bound, best cover found); the cover
         # is optimal when its size meets the bound.
         self._memo: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -91,10 +88,6 @@ class ExactSetCoverSolver:
             return ()
         memo = self._memo
         entry = memo.get(mask)
-        if entry is None:
-            cached = self._cache.get(self.bh.token, "exact", mask)
-            if cached is not None:
-                entry = memo[mask] = (len(cached), cached)
         metrics = current().metrics
         if entry is not None:
             lower, cover = entry
@@ -119,8 +112,6 @@ class ExactSetCoverSolver:
             if len(entry[1]) <= len(cover):
                 cover = entry[1]
         memo[mask] = (lower, cover)
-        if lower == len(cover):
-            self._cache.put(self.bh.token, "exact", mask, cover)
         if metrics.enabled:
             metrics.counter("setcover_cache", event="miss").inc()
             if nodes[0]:

@@ -23,11 +23,7 @@ from repro.search.components import treewidth_by_components
 class TestSolverCounters:
     def test_bb_ghw_emits_prune_and_cache_counters(self):
         """On the 3x3 grid both PR1 and PR2 fire, and the exact set-cover
-        cache sees both hits and misses (cold cache: the cover cache is
-        process-wide, so earlier tests may have warmed this family)."""
-        from repro.kernels.cache import cover_cache
-
-        cover_cache().clear()
+        memo sees both hits and misses."""
         with obs.instrument() as ins:
             result = branch_and_bound_ghw(grid2d(3, 3))
         snapshot = ins.metrics.snapshot()
@@ -42,12 +38,9 @@ class TestSolverCounters:
     def test_exact_cover_counts_kernel_runs_as_misses(self):
         """``setcover_cache{event}`` counts a miss whenever the cover
         kernel runs, also when a windowed call returns at once without
-        searching, and a hit whenever the solver's memo or the cover
-        cache answers."""
-        from repro.kernels.cache import cover_cache
+        searching, and a hit whenever the solver's memo answers."""
         from repro.setcover.exact import ExactSetCoverSolver
 
-        cover_cache().clear()
         # Greedy takes a (4 vertices) and then two more edges; b and c
         # cover the bag with two, the size-profile floor.
         edges = {"a": {1, 2, 3, 4}, "b": {1, 2, 5}, "c": {3, 4, 6}}
@@ -68,12 +61,11 @@ class TestSolverCounters:
             assert snapshot['setcover_cache{event="hit"}'] == 1
             assert snapshot['setcover_cache{event="miss"}'] == 2
             assert snapshot["setcover_nodes"] > 0
-            # The exact cover went to the cover cache: a fresh solver's
-            # first lookup is a hit there.
+            # A fresh solver shares nothing: its first lookup is a miss.
             assert len(ExactSetCoverSolver(edges).cover(hard)) == 2
             snapshot = ins.metrics.snapshot()
-            assert snapshot['setcover_cache{event="hit"}'] == 2
-            assert snapshot['setcover_cache{event="miss"}'] == 2
+            assert snapshot['setcover_cache{event="hit"}'] == 1
+            assert snapshot['setcover_cache{event="miss"}'] == 3
 
     def test_result_carries_metrics_snapshot(self):
         with obs.instrument():
@@ -206,7 +198,7 @@ class TestCliTelemetry:
         assert reports[0].meta["seed"] == 0
         assert "backend" not in reports[0].meta
         assert reports[0].meta["jobs"] == 1
-        assert "hits" in reports[0].meta["cover_cache"]
+        assert "cover_cache" not in reports[0].meta
 
     def test_unwritable_telemetry_path_is_a_clean_error(self, tmp_path, capsys):
         code = main(

@@ -66,11 +66,3 @@ def test_bit_ordering_ghw_small_cycle():
     order = bh.order_of([0, 1, 2, 3])
     assert ordering_ghw(small_hypergraph(), [0, 1, 2, 3], cover="exact") == 2
     assert bit_ordering_ghw(bh, order) >= 2
-
-
-def test_tokens_shared_by_identical_families():
-    bh1 = BitHypergraph.from_hypergraph(small_hypergraph())
-    bh2 = BitHypergraph.from_hypergraph(small_hypergraph())
-    assert bh1.token == bh2.token
-    other = BitHypergraph.from_hypergraph(Hypergraph({"a": {0, 1}}))
-    assert other.token != bh1.token

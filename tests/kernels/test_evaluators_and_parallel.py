@@ -177,8 +177,6 @@ def test_cli_knob_flags_recorded(tmp_path, capsys):
             "ga",
             "--jobs",
             "1",
-            "--cover-cache-size",
-            "4096",
             "--telemetry-out",
             str(out),
         ]
@@ -187,16 +185,10 @@ def test_cli_knob_flags_recorded(tmp_path, capsys):
     report = json.loads(out.read_text().strip())
     assert "backend" not in report["meta"]
     assert report["meta"]["jobs"] == 1
-    assert report["meta"]["cover_cache_size"] == 4096
-    assert "hits" in report["meta"]["cover_cache"]
-    # restore the default so later tests see the stock capacity
-    from repro.kernels.cache import DEFAULT_MAXSIZE, configure_cover_cache
-
-    configure_cover_cache(DEFAULT_MAXSIZE)
+    assert "cover_cache" not in report["meta"]
 
 
 def test_cli_rejects_bad_knobs(capsys):
     from repro.cli import main
 
     assert main(["--instance", "adder_3", "--jobs", "0"]) == 2
-    assert main(["--instance", "adder_3", "--cover-cache-size", "0"]) == 2

@@ -1,5 +1,4 @@
-"""CLI knobs (--jobs/--cover-cache-size) and the portfolio
-subcommand."""
+"""CLI knobs (--jobs) and the portfolio subcommand."""
 
 import json
 
@@ -14,17 +13,10 @@ class TestKnobParsing:
         args = build_parser().parse_args(["--instance", "grid3"])
         assert not hasattr(args, "backend")
         assert args.jobs == 1
-        assert args.cover_cache_size is None
 
     def test_explicit_values(self):
-        args = build_parser().parse_args(
-            [
-                "--instance", "grid3",
-                "--jobs", "4", "--cover-cache-size", "1024",
-            ]
-        )
+        args = build_parser().parse_args(["--instance", "grid3", "--jobs", "4"])
         assert args.jobs == 4
-        assert args.cover_cache_size == 1024
 
     def test_unknown_backend_rejected(self):
         # the fitness kernel is no longer selectable: the flag is gone
@@ -37,10 +29,13 @@ class TestKnobParsing:
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_cover_cache_size_must_be_positive(self, capsys):
-        code = main(["--instance", "grid3", "--cover-cache-size", "0"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    def test_cover_cache_size_flag_is_gone(self):
+        # each cover memo lives with its owner: no size to set
+        for parser in (build_parser(), build_portfolio_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["--instance", "grid3", "--cover-cache-size", "1024"]
+                )
 
 
 class TestKnobsInTelemetry:
@@ -50,7 +45,7 @@ class TestKnobsInTelemetry:
             [
                 "--instance", "adder_3", "--measure", "ghw",
                 "--algorithm", "ga", "--jobs", "1",
-                "--cover-cache-size", "4096", "--telemetry-out", str(out),
+                "--telemetry-out", str(out),
             ]
         )
         assert code == 0
@@ -58,8 +53,7 @@ class TestKnobsInTelemetry:
         validate_report(report)
         assert "backend" not in report["meta"]
         assert report["meta"]["jobs"] == 1
-        assert report["meta"]["cover_cache_size"] == 4096
-        assert "hits" in report["meta"]["cover_cache"]
+        assert "cover_cache" not in report["meta"]
 
     def test_seed_in_meta(self, capsys, tmp_path):
         out = tmp_path / "runs.jsonl"
