@@ -75,6 +75,9 @@ def tw_ksc_width_remaining(
     tw_methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
     profile: list[int] | None = None,
+    *,
+    floor: int = 0,
+    limit: int | None = None,
 ) -> int:
     """tw-ksc-width of the instance left after a partial elimination.
 
@@ -95,6 +98,15 @@ def tw_ksc_width_remaining(
     (default: the graph's vertices).
 
     Returns 0 for an empty remainder (nothing left to pay for).
+
+    ``floor`` and ``limit`` ask for the bound ``h`` only inside that
+    window: the result ``v`` satisfies ``v <= h``, and ``max(floor, v)``
+    equals ``max(floor, h)`` below ``limit`` and reaches ``limit``
+    otherwise. ``h = max(1, m)`` for the smallest ``m`` with
+    ``profile[m - 1] > t`` (``t`` the treewidth bound), so ``h <= floor``
+    exactly when ``t < profile[floor - 1]``, and ``h >= limit`` exactly
+    when ``t >= profile[limit - 2]``: the treewidth bound is asked for in
+    the window those two thresholds make.
     """
     if profile is None:
         if isinstance(hypergraph, BitHypergraph):
@@ -112,8 +124,22 @@ def tw_ksc_width_remaining(
             )
     if not profile:
         return 0
+    size = len(profile)
+    if floor <= 0:
+        tw_floor = 0
+    elif floor <= size:
+        tw_floor = profile[floor - 1] - 1
+    else:
+        return 1  # h <= size < floor: any bound in [1, h] answers
+    if limit is None or limit - 2 >= size:
+        tw_limit = None  # h <= size < limit
+    elif limit <= 1:
+        return 1  # 1 <= h: the limit is reached already
+    else:
+        tw_limit = profile[limit - 2]
     tw_bound = treewidth_lower_bound(
-        remaining_graph, methods=tw_methods, rng=rng
+        remaining_graph, methods=tw_methods, rng=rng,
+        floor=tw_floor, limit=tw_limit,
     )
     # The size-profile bound dominates ``ceil(k / max size)``.
     return max(1, profile_lower_bound(tw_bound + 1, profile))

@@ -130,6 +130,9 @@ def treewidth_lower_bound(
     graph: Graph | EliminationGraph,
     methods: tuple[str, ...] = ("minor-min-width", "minor-gamma-r"),
     rng: random.Random | None = None,
+    *,
+    floor: int = 0,
+    limit: int | None = None,
 ) -> int:
     """Max of the selected heuristics (the thesis's A*-tw combination).
 
@@ -137,6 +140,13 @@ def treewidth_lower_bound(
     returns exactly what the pure-Python functions would. The exact
     searches pass their live :class:`EliminationGraph`; the pure-Python
     methods then run on a :meth:`~EliminationGraph.graph` snapshot.
+
+    ``floor`` and ``limit`` let the kernel stop once the answer is
+    decided inside that window (see
+    :func:`~repro.kernels.minor_bound.minor_lower_bound`): the result
+    ``v`` is never above the full bound ``h``, and ``max(floor, v)``
+    equals ``max(floor, h)`` below ``limit`` and reaches ``limit``
+    otherwise. The other methods ignore the window.
     """
     for name in methods:
         if name not in _METHODS:
@@ -151,6 +161,8 @@ def treewidth_lower_bound(
             graph,
             min_width="minor-min-width" in methods,
             gamma_r="minor-gamma-r" in methods,
+            floor=floor,
+            limit=limit,
         )
         methods = tuple(name for name in methods if name not in _KERNEL_METHODS)
     if methods and isinstance(graph, EliminationGraph):

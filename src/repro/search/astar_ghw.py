@@ -16,8 +16,9 @@ first such state popped is optimal. The greedy cover runs only when the
 size-profile floor of the remainder's cover number is at most ``g``.
 
 As in BB-ghw, bags and the remainder are masks of one hypergraph
-interned in the elimination graph's vertex order, and the forced
-simplicial vertex and ``h`` are computed once per eliminated set.
+interned in the elimination graph's vertex order, the forced
+simplicial vertex is computed once per eliminated set, and ``h`` is kept
+per set as a proven interval that answers every window it settles.
 
 The search itself is :func:`repro.search.driver.astar` over the ghw
 measure of :mod:`repro.search.bb_ghw`.

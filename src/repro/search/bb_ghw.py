@@ -24,9 +24,12 @@ vertex order, so a bag is ``(1 << i) | masks[i]`` and the remainder is
 memo, keyed on bag masks, keeps what each bag has proven (elimination
 bags repeat massively), and it prices a bag only as exactly as the
 window ``(g, limit)`` the driver passes needs. The remaining filled
-graph depends only on the eliminated *set*, so ``h`` is computed once
-per ``alive`` mask, and the forced simplicial vertex once per mask whose
-state survives its bound. The restricted edge sizes, sorted largest
+graph depends only on the eliminated *set*, so ``h`` is kept per
+``alive`` mask, as an interval proven to hold it: ``h`` too is asked
+for only inside a window (DESIGN.md, "Windowed lower bounds"), and is
+computed again only when the kept interval does not settle the next
+one. The forced simplicial vertex is found once per mask whose state
+survives its bound. The restricted edge sizes, sorted largest
 first as prefix sums, are kept for the current ``alive`` mask: ``h``'s
 k-set-cover step and PR1's cover floor both read them by bisection.
 PR1's greedy remainder cover runs only when that floor says it could
@@ -40,6 +43,7 @@ A*-ghw shares.
 from __future__ import annotations
 
 import random
+import sys
 
 from repro.bounds.ghw_lower import (
     remainder_cover_floor,
@@ -58,6 +62,12 @@ from repro.search.common import SearchResult
 from repro.search.driver import branch_and_bound
 from repro.setcover.exact import ExactSetCoverSolver
 from repro.setcover.greedy import greedy_set_cover
+
+
+#: An ``h`` no search reaches, and the memo entry of an ``alive`` mask
+#: whose bound was never asked for.
+_UNBOUNDED = sys.maxsize
+_UNKNOWN = (0, _UNBOUNDED)
 
 
 def initial_ghw_incumbent(
@@ -128,10 +138,11 @@ class GhwMeasure:
             "vertices": hypergraph.num_vertices(),
             "edges": hypergraph.num_edges(),
         }
-        # alive -> h and alive -> forced simplicial vertex: both depend
-        # only on the eliminated set, never on the order it was
-        # eliminated in. A state the bound cuts never fills ``forced``.
-        self.bounds: dict[int, int] = {}
+        # alive -> (lo, hi), an interval proven to hold h, and alive ->
+        # forced simplicial vertex: both depend only on the eliminated
+        # set, never on the order it was eliminated in. A state the
+        # bound cuts never fills ``forced``.
+        self.bounds: dict[int, tuple[int, int]] = {}
         self.forced: dict[int, Vertex | None] = {}
         # The size profile of one remaining set: ``lower()`` for a child
         # and ``finish()`` when it is entered share it.
@@ -174,18 +185,31 @@ class GhwMeasure:
             self._profile_alive = alive
         return self._profile
 
-    def lower(self) -> int:
+    def lower(self, floor: int = 0, limit: int | None = None) -> int:
+        # The memo answers when its interval settles the window: h is
+        # known, already reaches the limit, or cannot pass the floor.
+        # Its ``lo`` is an answer in every such case.
+        if limit is None:
+            limit = _UNBOUNDED
         alive = self.working.alive
-        try:
-            return self.bounds[alive]
-        except KeyError:
-            # Per-node bounds tie on repr (rng=None): only the root calls
-            # consume ``rng``; the bitmask kernel reads the live masks.
-            h = self.bounds[alive] = tw_ksc_width_remaining(
-                self.bh, self.working, tw_methods=self.lb_methods, rng=None,
-                profile=self.profile(),
-            )
-            return h
+        lo, hi = self.bounds.get(alive, _UNKNOWN)
+        if lo == hi or lo >= limit or hi <= floor:
+            return lo
+        # Per-node bounds tie on repr (rng=None): only the root calls
+        # consume ``rng``; the bitmask kernel reads the live masks.
+        v = tw_ksc_width_remaining(
+            self.bh, self.working, tw_methods=self.lb_methods, rng=None,
+            profile=self.profile(), floor=floor, limit=limit,
+        )
+        if v > lo:
+            lo = v
+        if max(floor, v) < limit:  # decided inside the window
+            if v > floor:
+                hi = v
+            elif floor < hi:
+                hi = floor
+        self.bounds[alive] = (lo, hi)
+        return lo
 
     def finish(self, g: int, below: int) -> int | None:
         # The greedy remainder cover runs only when it could reach g or

@@ -76,10 +76,14 @@ class TreewidthMeasure:
         # Degrees are exact at no extra cost: the window is ignored.
         return self.working.degree(child)
 
-    def lower(self) -> int:
+    def lower(self, floor: int = 0, limit: int | None = None) -> int:
         # Per-node bounds tie on repr (rng=None): only the root calls
-        # consume ``rng``; the bitmask kernel reads the live masks.
-        return treewidth_lower_bound(self.working, methods=self.lb_methods, rng=None)
+        # consume ``rng``; the bitmask kernel reads the live masks and
+        # stops once the window decides the answer.
+        return treewidth_lower_bound(
+            self.working, methods=self.lb_methods, rng=None,
+            floor=floor, limit=limit,
+        )
 
     def finish(self, g: int, below: int) -> int:
         return pr1_treewidth(g, self.working.num_vertices())[0]

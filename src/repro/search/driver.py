@@ -22,8 +22,15 @@ supplies six hooks:
   parent's cost and ``limit`` the bound the child is then pruned
   against, so the walks prune and push the same children with the same
   cost as with exact prices (DESIGN.md, "Windowed bag costs");
-* ``lower()``: a lower bound ``h`` on the remaining width of the
-  current state, asked after a child was eliminated;
+* ``lower(floor, limit)``: a lower bound on the remaining width ``h``
+  of the current state, asked after a child was eliminated and priced
+  only inside the window ``(floor, limit)``: a value ``v <= h`` with
+  ``max(floor, v) == max(floor, h)`` whenever that is below ``limit``,
+  and ``max(floor, v) >= limit`` otherwise. Branch and bound reads only
+  whether ``h`` reaches its pruning bound and asks with
+  ``floor = limit - 1``; A* reads ``h`` only above the parent's ``f``
+  and passes that ``f`` (DESIGN.md, "Windowed lower bounds"). Without a
+  window the bound is exact;
 * ``finish(g, below)``: PR1, the width of finishing now in any order,
   or ``None`` when it can be neither ``<= g`` nor ``< below``;
 * ``pr2(child, grandchildren)``: the grandchildren PR2 keeps, judged
@@ -87,7 +94,7 @@ class Measure(Protocol):
 
     def bag_cost(self, child: Vertex, g: int, limit: int) -> int: ...
 
-    def lower(self) -> int: ...
+    def lower(self, floor: int = 0, limit: int | None = None) -> int: ...
 
     def finish(self, g: int, below: int) -> int | None: ...
 
@@ -153,10 +160,12 @@ class _Run:
     forced. ``step(child, forced, low, floor, limit)`` lists the
     vertices other than ``child``, keeps those PR2 keeps unless the
     parent's children were ``forced``, eliminates ``child`` and bounds
-    it; it returns the new state's ``(children, forced, h)``. A child
+    it with ``lower(floor, limit)``; it returns the new state's
+    ``(children, forced, h)``, ``h`` being that windowed bound. A child
     with ``max(floor, h) >= limit`` is cut: its ``children`` are
     ``None`` and nothing is forced. A survivor's children are its
-    forced vertex (reduced at ``low``) or the kept vertices.
+    forced vertex (reduced at ``low``) or the kept vertices; its ``h``
+    is exact only where it exceeds ``floor``.
     """
 
     name: str
@@ -250,7 +259,7 @@ def _search(
                 prune_pr2.inc(len(children) - len(kept))
                 children = kept
             eliminate(child)
-            h = lower()
+            h = lower(floor, limit)
             if max(floor, h) >= limit:
                 return None, False, h
             reduction = reduce(low)
@@ -335,8 +344,11 @@ def _depth_first(run: _Run) -> SearchResult | None:
                 if exhausted.get(child_key, child_g + 1) <= child_g:
                     prune_dup.inc()
                     continue
-            children, child_forced, h = step(
-                child, forced, max(child_g, root_lb), child_g, limit
+            # Only the cut is read here: ``h`` is asked for at the floor
+            # ``limit - 1``, which cuts exactly when ``h >= limit``, as
+            # ``max(child_g, h) >= limit`` does with ``child_g < limit``.
+            children, child_forced, _ = step(
+                child, forced, max(child_g, root_lb), limit - 1, limit
             )
             if children is not None:
                 frame[2] = position + 1

@@ -127,8 +127,8 @@ class LoggedMeasure:
     def bag_cost(self, child, g=None, limit=None):
         return self.inner.bag_cost(child, g, limit)
 
-    def lower(self):
-        return self.inner.lower()
+    def lower(self, floor=0, limit=None):
+        return self.inner.lower(floor, limit)
 
     def finish(self, g, below):
         self.log.append(tuple(self.working.eliminated()))

@@ -8,9 +8,12 @@ kernel must return the same integer, on arbitrary vertex labels (ints
 whose ``repr`` order differs from their value order, strings, tuples),
 on degenerate graphs and on the mid-search states the exact searches
 actually bound. The kernel keeps live vertices in per-degree bitmask
-buckets; the bucket cases pin graphs on which reading a bucket's highest
-bit, or not stepping the minimum degree back after a contraction, gives
-a different bound.
+buckets and lets contracted vertices keep stale bits in the copied
+masks; the bucket cases pin graphs on which reading a bucket's highest
+bit, not stepping the minimum degree back after a contraction, reading
+a neighbourhood without the live mask, or moving the shared neighbours
+down from above the minimum bucket gives a different bound or no
+bound at all.
 """
 
 from __future__ import annotations
@@ -148,6 +151,12 @@ BUCKET_CASES = {
     ),
     # contracting 0 into 2 leaves 2 isolated: the minimum falls to 0
     "step-back": (4, [(0, 2), (1, 3)], ("minor-gamma-r",)),
+    # a contracted vertex keeps its stale bit in its neighbours' masks:
+    # a neighbourhood read without the live mask counts it again
+    "stale-bits": (5, [(0, 2), (0, 4), (1, 2), (3, 4)], ("minor-gamma-r",)),
+    # the shared neighbour 2 has the minimum degree: the bucket-wise
+    # move must start at the minimum's own bucket
+    "shared-at-minimum": (3, [(0, 1), (0, 2), (1, 2)], ("minor-min-width",)),
 }
 
 
