@@ -68,13 +68,13 @@ def fill_in_graph(graph: Graph, ordering: Sequence[Vertex]) -> Graph:
     edge elimination inserts. ``ordering`` is a perfect elimination
     ordering of the result.
     """
-    from repro.hypergraphs.elimination_graph import EliminationGraph
+    from repro.hypergraphs.elimination_graph import EliminationGraph, bits_of
 
     working = EliminationGraph(graph)
+    labels = working.labels
     filled = graph.copy()
     for vertex in ordering:
-        neighbours = working.eliminate(vertex)
-        filled.add_clique(neighbours)
+        filled.add_clique({labels[u] for u in bits_of(working.eliminate(vertex))})
     return filled
 
 

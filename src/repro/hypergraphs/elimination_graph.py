@@ -104,28 +104,35 @@ class EliminationGraph:
     # elimination and restoration
     # ------------------------------------------------------------------
 
-    def eliminate(self, vertex: Vertex) -> set[Vertex]:
+    def eliminate(self, vertex: Vertex) -> int:
         """Eliminate ``vertex`` and push an undo record.
 
-        Returns the neighbourhood of ``vertex`` at elimination time; the
-        bag produced by this elimination step is that set plus ``vertex``
-        itself.
+        Returns the mask of the neighbours of ``vertex`` at elimination
+        time; the bag produced by this elimination step is those
+        vertices plus ``vertex`` itself.
         """
         i = self._present.pop(vertex)
         masks = self.masks
-        neighbours = masks[i]
+        neighbours = rest = masks[i]
         bit = 1 << i
         fills: list[tuple[int, int]] = []
-        for u in bits_of(neighbours):
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             row = masks[u]
             # ``neighbours & ~row`` holds ``u`` itself (no loops): drop it.
-            fill = (neighbours & ~row) ^ (1 << u)
+            fill = (neighbours & ~row) ^ low
             masks[u] = (row | fill) ^ bit
             fills.append((u, fill))
         self.alive ^= bit
         self._stack.append((vertex, i, fills))
-        labels = self.labels
-        return {labels[u] for u, _fill in fills}
+        return neighbours
+
+    def last_record(self) -> tuple[Vertex, int, list[tuple[int, int]]]:
+        """The undo record of the most recent elimination:
+        ``(vertex, index, [(neighbour index, fill mask)])``."""
+        return self._stack[-1]
 
     def restore(self) -> Vertex:
         """Undo the most recent elimination; return the restored vertex."""
@@ -239,8 +246,9 @@ def eliminate_sequence(graph: Graph, ordering: Iterable[Vertex]) -> list[set[Ver
     the ordering in elimination order (i.e. already reversed if needed).
     """
     working = EliminationGraph(graph)
+    labels = working.labels
     bags: list[set[Vertex]] = []
     for vertex in ordering:
-        neighbours = working.eliminate(vertex)
+        neighbours = {labels[u] for u in bits_of(working.eliminate(vertex))}
         bags.append({vertex} | neighbours)
     return bags

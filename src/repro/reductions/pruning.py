@@ -28,30 +28,39 @@ only; for generalized hypertree width only the non-adjacent case is
 taken, where the bag *sets* (hence their covers) coincide.
 
 Each rule is a :class:`SwapRule` over the adjacency masks of an
-:class:`~repro.hypergraphs.elimination_graph.EliminationGraph`: its
-``mask(working, i, candidates)`` keeps the candidates that swap safely
-with ``w = labels[i]`` — the non-neighbours of ``w`` and, for
-treewidth, the neighbours found by one pass over ``w``'s neighbours.
-PR2 (:func:`pr2_prune_children`) asks it once per parent, about the
+:class:`~repro.hypergraphs.elimination_graph.EliminationGraph`, judged
+right *after* ``w = labels[i]`` was eliminated, from the undo record
+that elimination pushed: ``masks[i]`` is still ``w``'s old row, and for
+a neighbour ``j`` with fill mask ``fill_j`` the two private-neighbour
+tests of the state before are
+
+* ``row & ~old_j & ~bit_j == fill_j`` (``w``'s neighbours ``j``
+  missed), and
+* ``old_j & ~row & ~bit_i == masks[j] & ~row`` (``j``'s neighbours
+  outside ``w``'s row; fill only adds bits inside it).
+
+So the searches run PR2 only on a child that survived its bound, with
+nothing to restore. Its ``mask(working, i, fills, candidates)`` keeps
+the candidates that swap safely with ``w``: the non-neighbours of
+``w`` and, for treewidth, the neighbours whose two tests hold. PR2
+(:func:`pr2_prune_children`) asks it once per parent, about the
 candidates whose ``repr`` is at most ``repr(w)``: the elimination graph
 interns its vertices in stable ``repr`` order, so they are the index
 prefix that ends with ``w``'s ``repr`` group
 (:attr:`EliminationGraph.repr_ends`). The children are then filtered by
 one bit test each. Calling a rule, as in ``swap_safe_treewidth(graph,
-v, w)``, asks the same mask about one candidate; a plain
-:class:`~repro.hypergraphs.graph.Graph` is interned first.
+v, w)``, asks the same mask about one candidate of a graph where both
+are present: ``w`` is eliminated for the question and restored, on an
+interned copy of a plain :class:`~repro.hypergraphs.graph.Graph`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.hypergraphs.elimination_graph import (
-    EliminationGraph,
-    as_elimination_graph,
-    bits_of,
-)
+from repro.hypergraphs.elimination_graph import EliminationGraph, as_elimination_graph
 from repro.hypergraphs.graph import Graph, Vertex
 
 
@@ -59,37 +68,56 @@ from repro.hypergraphs.graph import Graph, Vertex
 class SwapRule:
     """PR2 swap-safety for one width measure, decided on masks.
 
-    ``mask(working, i, candidates)`` is the part of ``candidates`` (a
-    mask over ``working``'s indices) whose vertices may be swapped with
-    ``labels[i]`` as consecutive eliminations without changing any
-    completion's width. Only live candidates other than ``i`` are
-    judged: the bits of ``i`` and of eliminated vertices may come back
-    set. Calling the rule on ``(graph, v, w)``, both still present in
-    ``graph``, asks it about ``v`` as a candidate for ``w``.
+    ``mask(working, i, fills, candidates)`` is the part of
+    ``candidates`` (a mask over ``working``'s indices) whose vertices
+    may be swapped with ``labels[i]`` as consecutive eliminations
+    without changing any completion's width. It is asked right after
+    ``labels[i]`` was eliminated, ``fills`` being that elimination's
+    ``[(neighbour, fill mask)]`` undo entries. Only live candidates
+    are judged: the bits of ``i`` and of eliminated vertices may come
+    back set. Calling the rule on ``(graph, v, w)``, both still present
+    in ``graph``, asks it about ``v`` as a candidate for ``w``.
     """
 
-    mask: Callable[[EliminationGraph, int, int], int]
+    mask: Callable[[EliminationGraph, int, list[tuple[int, int]], int], int]
 
     def __call__(self, graph: Graph | EliminationGraph, v: Vertex, w: Vertex) -> bool:
-        working = as_elimination_graph(graph)
-        index = working.index
-        return bool(self.mask(working, index[w], 1 << index[v]))
+        with _eliminated(graph, w) as (working, i, fills):
+            return bool(self.mask(working, i, fills, 1 << working.index[v]))
 
 
-def _treewidth_swaps(working: EliminationGraph, i: int, candidates: int) -> int:
+@contextmanager
+def _eliminated(
+    graph: Graph | EliminationGraph, last: Vertex
+) -> Iterator[tuple[EliminationGraph, int, list[tuple[int, int]]]]:
+    """``graph`` (interned if plain) with ``last`` eliminated for the
+    block, as ``(working, index of last, its undo fills)``."""
+    working = as_elimination_graph(graph)
+    working.eliminate(last)
+    try:
+        _vertex, i, fills = working.last_record()
+        yield working, i, fills
+    finally:
+        working.restore()
+
+
+def _treewidth_swaps(
+    working: EliminationGraph, i: int, fills: list[tuple[int, int]], candidates: int
+) -> int:
     masks = working.masks
     row = masks[i]
     safe = candidates & ~row
-    outside_w = ~(1 << i)
-    for j in bits_of(candidates & row):
-        other = masks[j]
-        # Private neighbours: w's outside N[j], and j's outside N[w].
-        if row & ~other & ~(1 << j) and other & ~row & outside_w:
+    for j, fill in fills:
+        # Private neighbours: w's outside N[j] (j's fill), and j's
+        # outside N[w] (what j holds outside w's row).
+        if fill and candidates >> j & 1 and masks[j] & ~row:
             safe |= 1 << j
     return safe
 
 
-def _ghw_swaps(working: EliminationGraph, i: int, candidates: int) -> int:
+def _ghw_swaps(
+    working: EliminationGraph, i: int, fills: list[tuple[int, int]], candidates: int
+) -> int:
     return candidates & ~working.masks[i]
 
 
@@ -102,24 +130,33 @@ swap_safe_ghw = SwapRule(_ghw_swaps)
 
 
 def pr2_prune_children(
-    graph_before_last: Graph | EliminationGraph,
+    working: Graph | EliminationGraph,
     last: Vertex,
     children: list[Vertex],
     swap_safe: SwapRule = swap_safe_treewidth,
 ) -> list[Vertex]:
     """Drop children that PR2 makes redundant.
 
-    ``graph_before_last`` is the graph state *before* ``last`` was
-    eliminated — swap-safety must be judged with both vertices present.
-    A child ``v`` is redundant when ``(last, v)`` is swap-safe and the
-    sibling branch ``(v, last)`` is canonically preferred, i.e.
-    ``repr(v) <= repr(last)``. The prune mask is built once for
-    ``last``; ``children`` (live vertices other than ``last``) keep
-    their order. A plain graph is interned once.
+    ``working`` is the state right after ``last`` was eliminated, with
+    that elimination's undo record on top: swap-safety is judged from
+    it (module docstring). A plain graph, or an elimination graph that
+    still holds ``last``, is the state before: ``last`` is eliminated
+    for the judgement (on an interned copy of a plain graph) and
+    restored. A child ``v`` is redundant when ``(last, v)`` is
+    swap-safe and the sibling branch ``(v, last)`` is canonically
+    preferred, i.e. ``repr(v) <= repr(last)``. The prune mask is built
+    once for ``last``; ``children`` (live vertices other than ``last``)
+    keep their order.
     """
-    working = as_elimination_graph(graph_before_last)
-    i = working.index[last]
-    pruned = swap_safe.mask(working, i, (1 << working.repr_ends[i]) - 1)
+    if not isinstance(working, EliminationGraph) or (
+        working.alive >> working.index[last] & 1
+    ):
+        with _eliminated(working, last) as (eliminated, _i, _fills):
+            return pr2_prune_children(eliminated, last, children, swap_safe)
+    _vertex, i, fills = working.last_record()
+    if i != working.index[last]:
+        raise ValueError(f"{last!r} is not the last vertex eliminated")
+    pruned = swap_safe.mask(working, i, fills, (1 << working.repr_ends[i]) - 1)
     if not pruned:
         return children
     index = working.index

@@ -81,9 +81,15 @@ def _first_reduction(
             or lower_bound is None
             or neighbours.bit_count() > lower_bound
         ):
-            # Only the simplicial rule can still pick this vertex.
-            if simplicial and _clique_defect(masks, neighbours) is None:
-                return working.labels[i]
+            # Only the simplicial rule can still pick this vertex. Most
+            # vertices already fail at their lowest neighbour; one that
+            # passes is adjacent to all the others, which leaves the rest.
+            if simplicial:
+                low = neighbours & -neighbours
+                if low and (neighbours & ~masks[low.bit_length() - 1]) ^ low:
+                    continue
+                if _clique_defect(masks, neighbours ^ low) is None:
+                    return working.labels[i]
             continue
         defect = _clique_defect(masks, neighbours)
         if defect is None:

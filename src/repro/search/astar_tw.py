@@ -14,10 +14,11 @@ siblings (skipped when the parent's children were forced).
 
 Children are evaluated lazily (Dow & Korf, "Best-First Search for
 Treewidth", 2007): an expansion pushes each child with key
-``max(g, f(parent))``, and PR2, the elimination, forcing and ``h`` run
-only when that entry is popped. It is then re-pushed if ``h`` raised its
-``f``, dropped if its ``f`` reaches ``ub``, and expanded otherwise, in
-the order eager evaluation would expand it.
+``max(g, f(parent))``, and the elimination, ``h``, forcing and PR2 run
+only when that entry is popped, the last two only if ``h`` does not cut
+it. It is then re-pushed if ``h`` raised its ``f``, dropped if its ``f``
+reaches ``ub``, and expanded otherwise, in the order eager evaluation
+would expand it.
 
 On top of that, duplicate detection (Dow & Korf, "Best-First Search for
 Treewidth", 2007): the graph left after a prefix depends only on *which*

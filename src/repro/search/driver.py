@@ -34,7 +34,8 @@ supplies six hooks:
 * ``finish(g, below)``: PR1, the width of finishing now in any order,
   or ``None`` when it can be neither ``<= g`` nor ``< below``;
 * ``pr2(child, grandchildren)``: the grandchildren PR2 keeps, judged
-  before ``child`` is eliminated.
+  after ``child`` is eliminated, from its undo record; asked only of a
+  child that survived its bound and was not forced.
 
 ``dedup`` says whether states are keyed on the eliminated set
 (``working.alive``): the graph left after a prefix depends only on which
@@ -42,10 +43,12 @@ vertices it eliminated (DESIGN.md has the soundness argument alongside
 PR2 and forcing).
 
 Both drivers run in one shell (:func:`_search`): the root bounds, the
-incumbent, the counters and the exit brackets, and the one child step
-that applies PR2, eliminates the child, bounds it and, only if it
-survives the bound, asks for its forced vertex: a child the bound cuts
-is never expanded, so nothing would read its forced vertex. Branch and
+incumbent, the counters and the exit brackets, and the one child step.
+It eliminates the child and bounds it; only if the child survives the
+bound does it ask for its forced vertex, and only if nothing is forced
+does it apply PR2. A child the bound cuts is never expanded and a
+forced child's children are its forced vertex, so nothing would read
+either answer. Branch and
 bound steps into every child it tries and keeps its path on a list of
 frames, not on the Python stack. A* steps only into the children it
 pops (lazy evaluation): every generated child costs one ``bag_cost``,
@@ -98,7 +101,10 @@ class Measure(Protocol):
 
     def finish(self, g: int, below: int) -> int | None: ...
 
-    def pr2(self, child: Vertex, grandchildren: list[Vertex]) -> list[Vertex]: ...
+    def pr2(self, child: Vertex, grandchildren: list[Vertex]) -> list[Vertex]:
+        """The ``grandchildren`` PR2 keeps, judged after ``child`` is
+        eliminated, from its undo record."""
+        ...
 
 
 class _Incumbent:
@@ -157,15 +163,15 @@ class _Run:
     """A search past its root, as :func:`_search` hands it to a walk.
 
     ``children``/``forced`` are the root's children and whether they were
-    forced. ``step(child, forced, low, floor, limit)`` lists the
-    vertices other than ``child``, keeps those PR2 keeps unless the
-    parent's children were ``forced``, eliminates ``child`` and bounds
-    it with ``lower(floor, limit)``; it returns the new state's
-    ``(children, forced, h)``, ``h`` being that windowed bound. A child
-    with ``max(floor, h) >= limit`` is cut: its ``children`` are
-    ``None`` and nothing is forced. A survivor's children are its
-    forced vertex (reduced at ``low``) or the kept vertices; its ``h``
-    is exact only where it exceeds ``floor``.
+    forced. ``step(child, forced, low, floor, limit)`` eliminates
+    ``child`` and bounds it with ``lower(floor, limit)``; it returns the
+    new state's ``(children, forced, h)``, ``h`` being that windowed
+    bound. A child with ``max(floor, h) >= limit`` is cut: its
+    ``children`` are ``None`` and nothing is forced. A survivor's
+    children are its forced vertex (reduced at ``low``) or else the
+    other vertices, in the order the parent lists them, less those PR2
+    drops unless the parent's children were ``forced``; its ``h`` is
+    exact only where it exceeds ``floor``.
     """
 
     name: str
@@ -253,20 +259,23 @@ def _search(
         def step(
             child: Vertex, forced: bool, low: int, floor: int, limit: int
         ) -> tuple[list | None, bool, int]:
-            children = [v for v in vertices() if v != child]
-            if use_pr2 and not forced:
-                kept = pr2(child, children)
-                prune_pr2.inc(len(children) - len(kept))
-                children = kept
+            # Listed before the elimination: a set of the vertices left
+            # after it may iterate in another order (DESIGN.md, PR2).
+            present = vertices()
             eliminate(child)
             h = lower(floor, limit)
             if max(floor, h) >= limit:
                 return None, False, h
             reduction = reduce(low)
-            if reduction is None:
-                return children, False, h
-            forced_total.inc()
-            return [reduction], True, h
+            if reduction is not None:
+                forced_total.inc()
+                return [reduction], True, h
+            children = [v for v in present if v != child]
+            if use_pr2 and not forced:
+                kept = pr2(child, children)
+                prune_pr2.inc(len(children) - len(kept))
+                children = kept
+            return children, False, h
 
         reduction = measure.reduce(root_lb)
         run = _Run(
@@ -480,12 +489,12 @@ def astar(
     early once the frontier reaches the width level. Children are
     evaluated lazily (Dow & Korf, "Best-First Search for Treewidth",
     2007): an expansion pushes each child with key ``max(g, f(parent))``
-    and only its bag cost computed. When such an entry is popped, PR2
-    runs against the parent's graph, the child is eliminated and
-    bounded, and the entry is dropped if ``f`` reached the pruning
-    bound; otherwise its forced vertex is found and the entry is
-    re-pushed (uncharged) if ``h`` raised its ``f``, and expanded
-    otherwise. A re-pushed entry keeps its tiebreak, so states are
+    and only its bag cost computed. When such an entry is popped, the
+    child is eliminated and bounded, and the entry is dropped if ``f``
+    reached the pruning bound; otherwise its forced vertex is found,
+    PR2 filters its children unless it or its parent was forced, and
+    the entry is re-pushed (uncharged) if ``h`` raised its ``f``, and
+    expanded otherwise. A re-pushed entry keeps its tiebreak, so states are
     expanded in the order eager evaluation expands them. The budget and
     stop test runs just before a state is charged, so a search whose
     budget runs out still drops the pending children that eager

@@ -21,7 +21,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.hypergraphs.elimination_graph import EliminationGraph
+from repro.hypergraphs.elimination_graph import EliminationGraph, bits_of
 from repro.hypergraphs.graph import Graph
 from repro.instances.dimacs_like import random_gnp
 from tests.reference import ReferenceEliminationGraph
@@ -66,7 +66,9 @@ class EliminationMachine(RuleBasedStateMachine):
         if not remaining:
             return
         vertex = remaining[choice % len(remaining)]
-        neighbours = self.working.eliminate(vertex)
+        # ``eliminate`` answers in the working graph's indices.
+        labels = self.working.labels
+        neighbours = {labels[u] for u in bits_of(self.working.eliminate(vertex))}
         assert neighbours == self.reference.eliminate(vertex)
         self.prefix.append(vertex)
 

@@ -3,7 +3,10 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from repro.decompositions.elimination import ordering_ghw, ordering_width
+from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, cycle_graph, path_graph
 from repro.instances.dimacs_like import random_gnp
 from repro.instances.hypergraphs import random_csp_hypergraph
@@ -111,6 +114,15 @@ class TestPruneChildren:
         )
         # Under the ghw rule only non-adjacency is safe: 1 and 3 survive.
         assert kept == [1, 3]
+
+    def test_judged_after_elimination_from_the_undo_record(self):
+        working = EliminationGraph(path_graph(4))
+        working.eliminate(2)
+        assert pr2_prune_children(working, 2, [0, 1, 3]) == [3]
+        assert working.alive == 0b1011  # nothing restored
+        working.eliminate(0)
+        with pytest.raises(ValueError):
+            pr2_prune_children(working, 2, [1, 3])
 
     def test_keeps_canonically_larger(self):
         graph = path_graph(4)

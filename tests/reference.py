@@ -565,9 +565,9 @@ def reference_eager_astar(
 ) -> SearchResult:
     """A* over a :class:`~repro.search.driver.Measure` as
     :func:`repro.search.driver.astar` ran it before children were
-    evaluated lazily: an expansion runs PR2, the elimination, forcing and
-    the bound of every generated child and pushes it with its full
-    ``f = max(g, h, f(parent))``.
+    evaluated lazily: an expansion runs the elimination, PR2 (judged from
+    that elimination's undo record), forcing and the bound of every
+    generated child and pushes it with its full ``f = max(g, h, f(parent))``.
 
     Without a portfolio bus and a time limit; the counters, spans and
     checkpoints are left out. Expanded states and the result are what
@@ -619,9 +619,9 @@ def reference_eager_astar(
                     continue
                 best_g[key] = child_g
             grandchildren = [v for v in working.vertices() if v != child]
+            working.eliminate(child)
             if use_pr2 and not forced:
                 grandchildren = measure.pr2(child, grandchildren)
-            working.eliminate(child)
             reduction = measure.reduce(max(child_g, lb))
             h = measure.lower()
             if reduction is not None:
