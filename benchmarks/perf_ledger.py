@@ -3,7 +3,8 @@
 Every change that claims a speedup on the repo benchmark
 (``perfbench/run.py``) records one entry per workload it measured:
 the change's ``pr`` number and ``commit`` (``null`` until the change
-has one), the ``parent`` commit it was measured against, the perfbench
+has one: only the last PR's entries may still be ``null``, and the
+next change fills them in), the ``parent`` commit it was measured against, the perfbench
 ``workload``, the ``seeds`` and number of alternating parent/change
 ``pairs`` behind the medians, and ``before``/``after`` blocks holding the
 median ``pass_s`` (reference-host seconds) and ``work_per_s``, plus
@@ -74,6 +75,7 @@ def validate_ledger(data) -> list[str]:
         return ["entries must be a non-empty list"]
     problems: list[str] = []
     last_pr = 0
+    uncommitted: list[tuple[int, int]] = []  # (position, pr) with commit null
     for n, entry in enumerate(entries):
         where = f"entries[{n}]"
         if not isinstance(entry, dict) or set(entry) != ENTRY_KEYS:
@@ -85,9 +87,9 @@ def validate_ledger(data) -> list[str]:
         else:
             last_pr = pr
         commit = entry["commit"]
-        if commit is not None and not (
-            isinstance(commit, str) and _COMMIT.fullmatch(commit)
-        ):
+        if commit is None:
+            uncommitted.append((n, pr))
+        elif not (isinstance(commit, str) and _COMMIT.fullmatch(commit)):
             problems.append(f"{where}.commit: must be a hex commit id or null")
         parent = entry["parent"]
         if not (isinstance(parent, str) and _COMMIT.fullmatch(parent)):
@@ -109,6 +111,11 @@ def validate_ledger(data) -> list[str]:
         problems += _check_medians(f"{where}.after", entry["after"], seeds)
         if not isinstance(entry["source"], str) or not entry["source"]:
             problems.append(f"{where}.source: must be a non-empty string")
+    problems += [
+        f"entries[{n}].commit: null is allowed only on the last PR ({last_pr})"
+        for n, pr in uncommitted
+        if pr != last_pr
+    ]
     return problems
 
 

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
+from itertools import compress
 
 from repro.bounds.lower import treewidth_lower_bound
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
+from repro.kernels.elimination import bit_width_at_most
 from repro.setcover.lower_bounds import (
     k_set_cover_lower_bound,
     profile_lower_bound,
@@ -78,6 +80,7 @@ def tw_ksc_width_remaining(
     *,
     floor: int = 0,
     limit: int | None = None,
+    ordering: list[int] | None = None,
 ) -> int:
     """tw-ksc-width of the instance left after a partial elimination.
 
@@ -107,6 +110,13 @@ def tw_ksc_width_remaining(
     exactly when ``t < profile[floor - 1]``, and ``h >= limit`` exactly
     when ``t >= profile[limit - 2]``: the treewidth bound is asked for in
     the window those two thresholds make.
+
+    ``ordering``, indices of ``remaining_graph.labels`` (which must then
+    be an :class:`EliminationGraph`), may settle ``h <= floor`` before
+    the treewidth bound runs: if that ordering of the live vertices has
+    width ``w <= profile[floor - 1] - 1`` on the remaining graph, then
+    ``t <= tw <= w`` (every method is a treewidth lower bound), so
+    ``h <= floor`` and 1 answers the window.
     """
     if profile is None:
         if isinstance(hypergraph, BitHypergraph):
@@ -137,6 +147,14 @@ def tw_ksc_width_remaining(
         return 1  # 1 <= h: the limit is reached already
     else:
         tw_limit = profile[limit - 2]
+    if ordering is not None and tw_floor > 0:
+        alive = remaining_graph.alive
+        # The live indices in order, filtered by ``alive & 1 << index``.
+        live = list(
+            compress(ordering, map(alive.__and__, map((1).__lshift__, ordering)))
+        )
+        if bit_width_at_most(remaining_graph.masks, live, alive, tw_floor):
+            return 1  # t <= tw <= tw_floor: h <= floor
     tw_bound = treewidth_lower_bound(
         remaining_graph, methods=tw_methods, rng=rng,
         floor=tw_floor, limit=tw_limit,

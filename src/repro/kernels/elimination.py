@@ -5,8 +5,13 @@ vertex masks its bucket to the vertices still remaining, and pushes the
 rest of that clique on to its *successor*, the clique member eliminated
 first. ``_cliques`` is the library's one bucket recurrence:
 :func:`bit_elimination_bags` (and through it
-:func:`~repro.decompositions.elimination.elimination_bags`) and
-:func:`bit_ordering_width` both read it.
+:func:`~repro.decompositions.elimination.elimination_bags`),
+:func:`bit_ordering_width` and :func:`bit_width_at_most` all read it.
+It takes adjacency masks and the mask of the vertices to eliminate, so
+it runs on a :class:`~repro.kernels.bithypergraph.BitGraph` as well as
+on the live masks of the searches' elimination graph, where the ghw
+lower bound asks it whether an ordering's width already settles a
+window (DESIGN.md, "Windowed lower bounds").
 
 The successor is found without looking at the clique's members: one
 pass over the ordering builds the prefix masks ``before[p]`` (the
@@ -37,29 +42,30 @@ from repro.kernels.bithypergraph import BitGraph, BitHypergraph
 from repro.kernels.cover import cover_mask
 
 
-def _cliques(bg: BitGraph, order: list[int]) -> Iterator[int]:
+def _cliques(masks: list[int], order: list[int], vertices: int) -> Iterator[int]:
     """The bucket recurrence: yield each eliminated vertex's clique.
 
-    The clique is the mask of the vertex's neighbours that are
-    eliminated later, its own edges plus everything pushed forward to
-    it; the rest of it is then pushed on to its successor. The clique of
-    position ``i`` holds only vertices at later positions, so it misses
-    ``before[p]`` for every ``p`` from ``i + 1`` up to its successor's
-    position and meets it beyond, up to ``before[n]``, every vertex.
-    ``order`` must be a permutation of the vertex indices: its last
-    prefix mask is then every vertex, and anything else raises
-    ``ValueError`` before the first clique.
+    ``masks[i]`` is the adjacency of vertex ``i`` and ``vertices`` the
+    mask of the vertices ``order`` eliminates; a neighbour outside it
+    never enters a clique. The clique is the mask of the vertex's
+    neighbours that are eliminated later, its own edges plus everything
+    pushed forward to it; the rest of it is then pushed on to its
+    successor. The clique of position ``i`` holds only vertices at later
+    positions, so it misses ``before[p]`` for every ``p`` from ``i + 1``
+    up to its successor's position and meets it beyond, up to
+    ``before[n]``. ``order`` must be a permutation of ``vertices``: its
+    last prefix mask ``before[n]`` is then ``vertices``, and anything
+    else raises ``ValueError`` before the first clique.
     """
-    n = len(bg.vertices)
+    n = len(order)
     before = list(accumulate([1 << index for index in order], or_, initial=0))
-    if len(order) != n or before[-1] != bg.full_mask:
+    if before[-1] != vertices or vertices.bit_count() != n:
         raise ValueError("ordering is not a permutation of the vertices")
-    nbr_masks = bg.nbr_masks
-    pushed = [0] * n
-    remaining = bg.full_mask
+    pushed = [0] * len(masks)
+    remaining = vertices
     for i, index in enumerate(order):
         remaining ^= 1 << index
-        clique = (nbr_masks[index] | pushed[index]) & remaining
+        clique = (masks[index] | pushed[index]) & remaining
         yield clique
         rest = clique & (clique - 1)  # all but the lowest member
         if not rest:
@@ -93,7 +99,8 @@ def _cliques(bg: BitGraph, order: list[int]) -> Iterator[int]:
 def bit_elimination_bags(bg: BitGraph, order: list[int]) -> list[int]:
     """Bag masks ``{v} | N(v)`` per eliminated vertex, in order."""
     return [
-        clique | 1 << index for index, clique in zip(order, _cliques(bg, order))
+        clique | 1 << index
+        for index, clique in zip(order, _cliques(bg.nbr_masks, order, bg.full_mask))
     ]
 
 
@@ -105,13 +112,34 @@ def bit_ordering_width(bg: BitGraph, order: list[int]) -> int:
     """
     last = len(bg.vertices) - 1
     width = 0
-    for i, clique in enumerate(_cliques(bg, order)):
+    for i, clique in enumerate(_cliques(bg.nbr_masks, order, bg.full_mask)):
         size = clique.bit_count()
         if size > width:
             width = size
         if width >= last - i - 1:
             break
     return width
+
+
+def bit_width_at_most(
+    masks: list[int], order: list[int], vertices: int, width: int
+) -> bool:
+    """Whether the ordering's width is at most ``width``: no clique of
+    the recurrence over ``masks`` has more than ``width`` members.
+
+    ``order`` eliminates the vertices of the mask ``vertices``; passing
+    an :class:`~repro.hypergraphs.elimination_graph.EliminationGraph`'s
+    live ``masks`` and ``alive`` asks about the graph left after its
+    eliminations. Stops at the first clique over ``width``, and
+    (Figure 6.2) once too few vertices are left for a later one.
+    """
+    last = len(order) - 1
+    for i, clique in enumerate(_cliques(masks, order, vertices)):
+        if clique.bit_count() > width:
+            return False
+        if width >= last - i - 1:
+            break
+    return True
 
 
 def bit_ordering_ghw(bh: BitHypergraph, order: list[int]) -> int:

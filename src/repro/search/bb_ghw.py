@@ -28,7 +28,9 @@ graph depends only on the eliminated *set*, so ``h`` is kept per
 ``alive`` mask, as an interval proven to hold it: ``h`` too is asked
 for only inside a window (DESIGN.md, "Windowed lower bounds"), and is
 computed again only when the kept interval does not settle the next
-one. The forced simplicial vertex is found once per mask whose state
+one. A window whose answer is ``h <= floor`` is often settled by the
+root incumbent ordering's width on the remainder, with no minor walk.
+The forced simplicial vertex is found once per mask whose state
 survives its bound. The restricted edge sizes, sorted largest
 first as prefix sums, are kept for the current ``alive`` mask: ``h``'s
 k-set-cover step and PR1's cover floor both read them by bisection.
@@ -55,6 +57,7 @@ from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitHypergraph
+from repro.kernels.elimination import bit_ordering_width
 from repro.obs.control import SolverControl
 from repro.reductions.pruning import pr1_ghw, pr2_prune_children, swap_safe_ghw
 from repro.reductions.simplicial import find_simplicial
@@ -148,6 +151,10 @@ class GhwMeasure:
         # and ``finish()`` when it is entered share it.
         self._profile_alive = -1
         self._profile: list[int] = []
+        # The root incumbent's ordering, as indices, and its width on the
+        # root graph, for ``lower()``; unset until ``root_bounds``.
+        self._order: list[int] | None = None
+        self._order_width = _UNBOUNDED
 
     def root_bounds(
         self, rng: random.Random | None
@@ -155,7 +162,10 @@ class GhwMeasure:
         lb = tw_ksc_width_remaining(
             self.hypergraph, self.primal, tw_methods=self.lb_methods, rng=rng
         )
-        return (lb, *initial_ghw_incumbent(self.hypergraph, self.solver, rng))
+        ub, ordering = initial_ghw_incumbent(self.hypergraph, self.solver, rng)
+        self._order = [self.working.index[v] for v in ordering]
+        self._order_width = bit_ordering_width(self.bh, self._order)
+        return lb, ub, ordering
 
     def reduce(self, low: int) -> Vertex | None:
         if not self.use_reductions:
@@ -196,10 +206,17 @@ class GhwMeasure:
         if lo == hi or lo >= limit or hi <= floor:
             return lo
         # Per-node bounds tie on repr (rng=None): only the root calls
-        # consume ``rng``; the bitmask kernel reads the live masks.
+        # consume ``rng``; the bitmask kernel reads the live masks. The
+        # root ordering may settle ``h <= floor`` first, when the floor's
+        # treewidth threshold ``profile[floor - 1] - 1`` is at least its
+        # root width; below that it seldom does.
+        profile = self.profile()
+        ordering = None
+        if 0 < floor <= len(profile) and profile[floor - 1] > self._order_width:
+            ordering = self._order
         v = tw_ksc_width_remaining(
             self.bh, self.working, tw_methods=self.lb_methods, rng=None,
-            profile=self.profile(), floor=floor, limit=limit,
+            profile=profile, floor=floor, limit=limit, ordering=ordering,
         )
         if v > lo:
             lo = v

@@ -79,3 +79,15 @@ def test_validator_accepts_optional_start_up_medians(medians):
         data["entries"][-1][block].update(medians)
     assert LEDGER.validate_ledger(data) == []
 
+
+
+def test_validator_rejects_a_null_commit_before_the_last_pr():
+    # Only the last PR's entries may wait for their commit.
+    data = copy.deepcopy(_data())
+    data["entries"][-1]["commit"] = None
+    assert LEDGER.validate_ledger(data) == []
+    data["entries"][0]["commit"] = None
+    assert LEDGER.validate_ledger(data) == [
+        f"entries[0].commit: null is allowed only on the last PR "
+        f"({data['entries'][-1]['pr']})"
+    ]

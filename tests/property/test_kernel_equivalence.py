@@ -19,10 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.decompositions.elimination import ordering_ghw, ordering_width
+from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph, complete_graph, path_graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.kernels.bithypergraph import BitGraph, BitHypergraph, bits_of
-from repro.kernels.elimination import bit_elimination_bags, bit_ordering_width
+from repro.kernels.elimination import (
+    _cliques,
+    bit_elimination_bags,
+    bit_ordering_width,
+    bit_width_at_most,
+)
 from tests.reference import (
     ReferenceExactSetCoverSolver,
     reference_elimination_bags,
@@ -164,6 +170,47 @@ def _assert_kernel_bags_match_the_oracle(graph: Graph, ordering: list) -> None:
     assert reference_ordering_width(graph, ordering) == width
 
 
+def _assert_live_cliques_match_the_oracle(
+    graph: Graph, eliminated: list, ordering: list
+) -> None:
+    """The recurrence over an elimination graph's live masks, after
+    ``eliminated``, against the oracle on its snapshot, clique by
+    clique; and the width test on either side of the width."""
+    working = EliminationGraph(graph)
+    for vertex in eliminated:
+        working.eliminate(vertex)
+    order = [working.index[v] for v in ordering]
+    expected = reference_elimination_bags(working.graph(), ordering)
+    cliques = list(_cliques(working.masks, order, working.alive))
+    assert [{working.labels[i] for i in bits_of(c)} for c in cliques] == [
+        expected[v] - {v} for v in ordering
+    ]
+    width = max((len(bag) - 1 for bag in expected.values()), default=0)
+    assert bit_width_at_most(working.masks, order, working.alive, width)
+    if width:
+        assert not bit_width_at_most(working.masks, order, working.alive, width - 1)
+
+
+@st.composite
+def live_sets_and_orderings(draw):
+    """A graph, a prefix of it to eliminate, and an ordering of the rest."""
+    graph = draw(graphs(max_vertices=12))
+    vertices = sorted(graph.vertices())
+    eliminated = draw(st.permutations(vertices))[: draw(
+        st.integers(min_value=0, max_value=len(vertices) - 1)
+    )]
+    rest = [v for v in vertices if v not in eliminated]
+    return graph, eliminated, list(draw(st.permutations(rest)))
+
+
+@given(live_sets_and_orderings())
+@settings(max_examples=150, deadline=None)
+def test_live_cliques_match_the_oracle(case):
+    # The fill the eliminations left is in the live masks; the dead
+    # vertices' bits are not, and their stale rows are never read.
+    _assert_live_cliques_match_the_oracle(*case)
+
+
 def test_successor_right_after_the_vertex():
     # Eliminating a hub first hands its whole neighbourhood to the very
     # next position; in a complete graph that holds at every position.
@@ -172,6 +219,8 @@ def test_successor_right_after_the_vertex():
     _assert_kernel_bags_match_the_oracle(hub, [0, 5, 2, 7, 1, 3, 6, 4])
     clique = complete_graph(7)
     _assert_kernel_bags_match_the_oracle(clique, [3, 0, 6, 1, 5, 2, 4])
+    # The hub eliminated already: its fill makes the rest one clique.
+    _assert_live_cliques_match_the_oracle(hub, [0], [5, 2, 7, 1, 3, 6, 4])
 
 
 def test_successor_at_the_end_of_the_ordering():
@@ -201,6 +250,8 @@ def test_isolated_vertices_give_empty_cliques():
     for ordering in ([0, 1, 2, 3, 4, 5, 6], [6, 5, 0, 4, 3, 1, 2]):
         _assert_kernel_bags_match_the_oracle(graph, ordering)
     _assert_kernel_bags_match_the_oracle(Graph(vertices=range(4)), [2, 0, 3, 1])
+    # Eliminating 4 leaves the edge 1-6 and four isolated vertices.
+    _assert_live_cliques_match_the_oracle(graph, [4], [6, 5, 0, 3, 1, 2])
 
 
 @pytest.mark.parametrize(
@@ -244,6 +295,12 @@ def test_long_path_in_a_random_order():
     ordering = sorted(graph.vertices())
     random.Random(7).shuffle(ordering)
     _assert_kernel_bags_match_the_oracle(graph, ordering)
+    # The same after eliminating every third vertex: the fill joins
+    # their neighbours across the gaps.
+    gone = ordering[::3]
+    _assert_live_cliques_match_the_oracle(
+        graph, gone, [v for v in ordering if v not in gone]
+    )
 
 
 @pytest.mark.parametrize(
@@ -255,3 +312,20 @@ def test_kernel_rejects_a_non_permutation(order):
         bit_elimination_bags(bg, order)
     with pytest.raises(ValueError):
         bit_ordering_width(bg, order)
+    with pytest.raises(ValueError):
+        bit_width_at_most(bg.nbr_masks, order, bg.full_mask, 2)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 2], [3, 0, 1], [0, 1, 2, 3], [0, 2, 2, 3], [2, 3, 0, 0], [], [0, 2, 3, -1]],
+)
+def test_kernel_rejects_a_non_permutation_of_the_live_set(order):
+    # Vertex 1 of the path 0-1-2-3 is eliminated: only a permutation of
+    # 0, 2 and 3 is an ordering of what is left.
+    working = EliminationGraph(path_graph(4))
+    working.eliminate(1)
+    with pytest.raises(ValueError):
+        list(_cliques(working.masks, order, working.alive))
+    with pytest.raises(ValueError):
+        bit_width_at_most(working.masks, order, working.alive, 2)

@@ -17,6 +17,11 @@ windows are shuffled and asked of one measure, so the ghw measure's
 per-``alive`` interval memo is shared across windows and states; a
 final ``lower()`` without a window must then still return the exact
 bound.
+
+The ghw bound may answer ``h <= floor`` from an elimination ordering's
+width on the remaining graph before any minor walk: the ghw measure is
+armed with its root incumbent ordering by ``root_bounds``, and the
+bound itself is asked with random orderings and the min-fill one.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import pytest
 
 from repro.bounds.ghw_lower import tw_ksc_width_remaining
 from repro.bounds.lower import treewidth_lower_bound
+from repro.bounds.upper import min_fill_ordering
 from repro.hypergraphs.graph import Graph
 from repro.kernels.minor_bound import minor_lower_bound
 from repro.search.bb_ghw import GhwMeasure
@@ -139,6 +145,7 @@ def test_ghw_measure_answers_every_window(seed):
     still hold the exact bound at the end."""
     rng = random.Random(seed)
     measure = GhwMeasure(random_hypergraph(seed), METHODS, use_reductions=True)
+    measure.root_bounds(random.Random(seed))  # arms the ordering check
     bh, working = measure.bh, measure.working
     exact, by_set = {}, {}
     for prefix in _prefixes(measure, rng, 6):
@@ -152,16 +159,24 @@ def test_ghw_measure_answers_every_window(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tw_ksc_width_remaining_answers_every_window(seed):
+    """Without an ordering, with a random one and with min-fill's: an
+    ordering may only settle windows whose answer is ``h <= floor``."""
     rng = random.Random(2000 + seed)
     measure = GhwMeasure(random_hypergraph(seed), METHODS, use_reductions=True)
     bh, working = measure.bh, measure.working
+    shuffled = list(range(len(working.labels)))
+    rng.shuffle(shuffled)
+    min_fill = [
+        working.index[v] for v in min_fill_ordering(measure.primal, random.Random(seed))
+    ]
     for prefix in _prefixes(measure, rng, 6):
         working.switch_to(prefix)
         profile = measure.profile()
         h = tw_ksc_width_remaining(bh, working, tw_methods=METHODS, rng=None)
         for floor, limit in _windows(len(profile) + 1, rng):
-            v = tw_ksc_width_remaining(
-                bh, working, tw_methods=METHODS, rng=None,
-                profile=profile, floor=floor, limit=limit,
-            )
-            _check_window(v, h, floor, limit)
+            for ordering in (None, shuffled, min_fill):
+                v = tw_ksc_width_remaining(
+                    bh, working, tw_methods=METHODS, rng=None,
+                    profile=profile, floor=floor, limit=limit, ordering=ordering,
+                )
+                _check_window(v, h, floor, limit)
